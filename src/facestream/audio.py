@@ -88,6 +88,7 @@ class FeatureExtractor:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self.projection = rng.normal(size=(num_filters, width)) / np.sqrt(num_filters)
+        self._tables: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, waveform: np.ndarray, sample_rate: float,
                  target_rate: float) -> AudioFeatureSequence:
@@ -100,8 +101,11 @@ class FeatureExtractor:
         hop = max(1, int(round(sample_rate / target_rate)))
         num_frames = max(1, waveform.size // hop)
         n_fft = 1 << (window - 1).bit_length()
-        hann = np.hanning(window)
-        bank = _mel_filterbank(self.num_filters, n_fft, sample_rate)
+        key = (window, n_fft, sample_rate)
+        if key not in self._tables:
+            self._tables[key] = (np.hanning(window),
+                                 _mel_filterbank(self.num_filters, n_fft, sample_rate))
+        hann, bank = self._tables[key]
 
         frames = np.zeros((num_frames, window))
         for i in range(num_frames):

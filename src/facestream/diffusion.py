@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import DataError
-from .nn import Linear, normal_init, sinusoid_table
+from .nn import Linear, sinusoid_table
 from .tensor import ParamStore, Tensor, as_tensor, concat, gelu, matmul, no_grad, reshape
 
 

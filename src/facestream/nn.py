@@ -18,7 +18,7 @@ from .tensor import (
     attention,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     reshape,
     swapaxes,
 )
@@ -75,15 +75,12 @@ def causal_mask(length: int) -> np.ndarray:
 
 class Linear:
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, bias: bool = True):
+                 rng: np.random.Generator):
         self.w = store.create(f"{name}.w", glorot_uniform(rng, d_in, d_out))
-        self.b = store.create(f"{name}.b", np.zeros(d_out)) if bias else None
+        self.b = store.create(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.w)
-        if self.b is not None:
-            out = add(out, self.b)
-        return out
+        return linear(x, self.w, self.b)
 
 
 class LayerNorm:

@@ -2,11 +2,15 @@
 
 A recorded-tape engine sized for small transformer stacks: every op returns a
 new immutable ``Tensor`` whose closure knows how to push gradients back to its
-parents. The op vocabulary is deliberately small (linear maps, softmax
-attention, layer normalization, GELU, embedding lookup, reshapes, reductions,
-L1/L2 losses) plus a straight-through combinator for non-differentiable
-quantizers. A finite-difference checker ships with the engine so every op and
-every composed loss graph can be verified against central differences.
+parents. The op vocabulary is deliberately small (elementwise arithmetic,
+matmul, GELU, embedding lookup, reshapes, reductions, L1/L2 losses, masked
+softmax) plus a straight-through combinator for non-differentiable
+quantizers. Three fused primitives, ``linear`` (x @ w + b), ``layer_norm``
+and ``attention`` (scale, bias, mask, softmax and weighted sum), each record
+one tape node with a closed-form backward, so a transformer layer costs a
+handful of nodes instead of dozens; they keep the finite checks that the
+composed ops made. A finite-difference checker ships with the engine so every
+op and every composed loss graph can be verified against central differences.
 """
 
 from __future__ import annotations
@@ -225,17 +229,6 @@ def power(a, p: float) -> Tensor:
     return _node(out, (a,), backward, "power")
 
 
-def texp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out)
-
-    return _node(out, (a,), backward, "exp")
-
-
 def tlog(a) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
@@ -256,28 +249,6 @@ def tsin(a) -> Tensor:
             a._accumulate(g * np.cos(a.data))
 
     return _node(out, (a,), backward, "sin")
-
-
-def tcos(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.cos(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g * np.sin(a.data))
-
-    return _node(out, (a,), backward, "cos")
-
-
-def ttanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out * out))
-
-    return _node(out, (a,), backward, "tanh")
 
 
 def tabs(a) -> Tensor:
@@ -439,6 +410,42 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), backward, "matmul")
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of ``x``."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ValueError("linear expects x of rank >= 2 and a 2-D weight")
+    out = x.data @ w.data + b.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return _node(out, (x, w, b), backward, "linear")
+
+
+def _softmax(x: np.ndarray, mask) -> np.ndarray:
+    """Masked softmax over the last axis; masked positions get exactly 0."""
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    if not m.any(axis=-1).all():
+        raise ValueError("degenerate attention row")
+    z = np.where(m, x, -np.inf)
+    e = np.where(m, np.exp(z - z.max(axis=-1, keepdims=True)), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of the softmax at output ``weights``."""
+    return weights * (g - (g * weights).sum(axis=-1, keepdims=True))
+
+
 def masked_softmax(scores, mask=None) -> Tensor:
     """Softmax over the last axis; positions where ``mask`` is False get weight 0.
 
@@ -446,25 +453,11 @@ def masked_softmax(scores, mask=None) -> Tensor:
     ``ValueError('degenerate attention row')``.
     """
     scores = as_tensor(scores)
-    x = scores.data
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not m.any(axis=-1).all():
-            raise ValueError("degenerate attention row")
-        z = np.where(m, x, -np.inf)
-    else:
-        m = None
-        z = x
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    if m is not None:
-        e = np.where(m, e, 0.0)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(scores.data, mask)
 
     def backward(g):
         if scores.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            scores._accumulate(out * (g - inner))
+            scores._accumulate(_softmax_grad(out, g))
 
     return _node(out, (scores,), backward, "masked_softmax")
 
@@ -474,7 +467,8 @@ def attention(q, k, v, bias=None, mask=None) -> Tensor:
 
     Shapes: q (..., L_q, d), k (..., L_k, d), v (..., L_k, d_v); bias broadcasts
     against the (..., L_q, L_k) score matrix, mask is boolean with the same
-    broadcast rule. Masked keys receive exactly zero weight.
+    broadcast rule. Masked keys receive exactly zero weight. The biased scores
+    are checked for finiteness before the mask can hide a non-finite entry.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.shape[-1] != k.data.shape[-1]:
@@ -482,21 +476,57 @@ def attention(q, k, v, bias=None, mask=None) -> Tensor:
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ValueError("key/value length mismatch")
     scale = 1.0 / math.sqrt(q.data.shape[-1])
-    scores = mul(matmul(q, swapaxes(k, -1, -2)), scale)
+    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    parents = (q, k, v)
     if bias is not None:
-        scores = add(scores, as_tensor(bias))
-    weights = masked_softmax(scores, mask)
-    return matmul(weights, v)
+        bias = as_tensor(bias)
+        scores = scores + bias.data
+        parents = (q, k, v, bias)
+    _check_finite(scores, "attention scores")
+    weights = _softmax(scores, mask)
+    out = weights @ v.data
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape))
+        gs = _softmax_grad(weights, g @ np.swapaxes(v.data, -1, -2))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(gs, bias.data.shape))
+        gs = gs * scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(gs @ k.data, q.data.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.data.shape))
+
+    return _node(out, parents, backward, "attention")
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x = as_tensor(x)
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = add(x, mul(mu, -1.0))
-    var = tmean(square(centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The variance is checked for finiteness: an overflowing one would turn the
+    normalized row into silent zeros.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    width = x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / width)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width)
+    _check_finite(var, "layer_norm variance")
+    inv = (var + eps) ** -0.5
+    normed = centered * inv
+    out = normed * gain.data + bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            gn = g * gain.data
+            x._accumulate(inv * (gn - gn.mean(axis=-1, keepdims=True)
+                                 - normed * (gn * normed).mean(axis=-1, keepdims=True)))
+
+    return _node(out, (x, gain, bias), backward, "layer_norm")
 
 
 def stop_gradient(a) -> Tensor:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from facestream import audio
 from facestream.audio import (
     AudioFeatureSequence,
     FeatureExtractor,
@@ -44,6 +45,22 @@ class TestFeatureExtractor:
         a = fe(wave, 16000, 25).features
         b = fe(wave, 16000, 25).features
         np.testing.assert_array_equal(a, b)
+
+    def test_cached_tables_match_fresh_extractor(self, monkeypatch):
+        # one extractor alternating between two rates builds each filterbank
+        # once and gives bit-identical features to a freshly built extractor
+        built = []
+        original = audio._mel_filterbank
+        monkeypatch.setattr(audio, "_mel_filterbank",
+                            lambda *args: built.append(args) or original(*args))
+        fe = FeatureExtractor(width=8, seed=3)
+        r = np.random.default_rng(2)
+        for sample_rate in [16000, 22050, 16000, 22050, 16000]:
+            wave = r.normal(size=int(0.04 * sample_rate))
+            got = fe(wave, sample_rate, 25).features
+            fresh = FeatureExtractor(width=8, seed=3)(wave, sample_rate, 25).features
+            np.testing.assert_array_equal(got, fresh)
+        assert len(built) == 2 + 5  # two cached tables, plus one per fresh extractor
 
     def test_empty_waveform_rejected(self):
         fe = FeatureExtractor()

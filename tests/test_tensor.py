@@ -15,15 +15,20 @@ from facestream.tensor import (
     finite_diff_check,
     gelu,
     layer_norm,
+    linear,
     l1_loss,
     l2_loss,
     masked_softmax,
     matmul,
+    mul,
     no_grad,
+    power,
     square,
     stop_gradient,
     straight_through,
+    swapaxes,
     take_rows,
+    tmean,
     tsin,
     tsum,
 )
@@ -66,6 +71,29 @@ class TestBackwardBasics:
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
             T.tlog(w)
 
+    def test_layer_norm_overflowing_variance_raises(self):
+        # the squared deviations overflow; a fused norm must not return zeros
+        x = Tensor(np.array([[1e200, -1e200, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+    def test_attention_non_finite_score_raises_even_if_masked(self):
+        # the overflowing score sits at a masked key, whose weight would be 0
+        q = Tensor(np.array([[1e200, 1.0]]))
+        k = Tensor(np.array([[1.0, 0.0], [1e200, 0.0]]))
+        v = Tensor(np.ones((2, 3)))
+        mask = np.array([[True, False]])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            attention(q, k, v, mask=mask)
+
+    def test_attention_overflowing_bias_sum_raises(self):
+        # finite scores and a finite bias whose sum overflows
+        q = Tensor(np.array([[1e307, 0.0]]))
+        k = Tensor(np.ones((2, 2)))
+        bias = Tensor(np.array([[1.79e308, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            attention(q, k, Tensor(np.ones((2, 1))), bias=bias)
+
     def test_stop_gradient_blocks(self):
         w = Tensor(np.array([2.0]), requires_grad=True)
         loss = tsum(stop_gradient(w) * w)
@@ -106,6 +134,23 @@ def _random_case(op_name, seed):
         x = r.normal(size=(3,))
         y = r.normal(size=(2, 3))
         return x, lambda t: tsum(square(Tensor(y) + t))
+    if op_name in ("linear_x", "linear_w", "linear_b"):
+        args = {"x": r.normal(size=(2, 3, 4)), "w": r.normal(size=(4, 2)),
+                "b": r.normal(size=2)}
+        return _differentiate(args, op_name[-1], linear)
+    if op_name in ("attention_q", "attention_k", "attention_v", "attention_bias"):
+        # per-head bias and a mask shared across the head axis, as the predictor
+        # passes them; every query keeps at least one key
+        mask = r.random((1, 3, 5)) > 0.4
+        mask[..., 0] = True
+        args = {"q": r.normal(size=(2, 3, 4)), "k": r.normal(size=(2, 5, 4)),
+                "v": r.normal(size=(2, 5, 3)), "bias": r.normal(size=(2, 3, 5))}
+        return _differentiate(args, op_name.split("_")[1],
+                              lambda q, k, v, bias: attention(q, k, v, bias, mask))
+    if op_name in ("layer_norm_gain", "layer_norm_bias"):
+        args = {"x": r.normal(size=(2, 5)), "gain": r.normal(size=5),
+                "bias": r.normal(size=5)}
+        return _differentiate(args, op_name.split("_")[-1], layer_norm)
     if op_name == "attention":
         x = r.normal(size=(3, 2))
         k = r.normal(size=(4, 2))
@@ -146,8 +191,18 @@ def _random_case(op_name, seed):
     raise AssertionError(op_name)
 
 
+def _differentiate(args, name, op):
+    """(point, fn) that differentiates ``op(**args)`` in argument ``name``."""
+    def fn(t):
+        tensors = {k: t if k == name else Tensor(a) for k, a in args.items()}
+        return tsum(square(op(**tensors)))
+    return args[name], fn
+
+
 OP_CLASSES = ["linear", "bias_add", "attention", "layer_norm", "gelu",
-              "embedding", "reshape", "mean_sum", "l1", "l2", "softmax"]
+              "embedding", "reshape", "mean_sum", "l1", "l2", "softmax",
+              "linear_x", "linear_w", "linear_b", "attention_q", "attention_k",
+              "attention_v", "attention_bias", "layer_norm_gain", "layer_norm_bias"]
 
 
 class TestOpGradients:
@@ -240,6 +295,73 @@ class TestAttention:
         out_p = attention(Tensor(q.data), Tensor(k[perm]), Tensor(v[perm]),
                           Tensor(bias[:, perm]), mask[:, perm]).data
         np.testing.assert_allclose(out, out_p, atol=1e-12)
+
+
+def _composed_layer_norm(x, gain, bias, eps=1e-5):
+    """Reference: layer norm built from elementwise tape ops."""
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = x + mul(mu, -1.0)
+    var = tmean(square(centered), axis=-1, keepdims=True)
+    return mul(mul(centered, power(var + eps, -0.5)), gain) + bias
+
+
+def _composed_attention(q, k, v, bias=None, mask=None):
+    """Reference: attention built from matmul, add and masked_softmax."""
+    scores = mul(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = scores + bias
+    return matmul(masked_softmax(scores, mask), v)
+
+
+def _value_and_grads(op, arrays, weight):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    tsum(out * weight).backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestFusedMatchesComposed:
+    """The fused primitives agree with their composed references to 1e-12."""
+
+    def _check(self, fused, composed, arrays, out_shape, seed):
+        weight = rng(seed + 100).normal(size=out_shape)
+        out_f, grads_f = _value_and_grads(fused, arrays, weight)
+        out_c, grads_c = _value_and_grads(composed, arrays, weight)
+        assert _rel_err(out_f, out_c) < 1e-12
+        for g_f, g_c in zip(grads_f, grads_c):
+            assert _rel_err(g_f, g_c) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layer_norm(self, seed):
+        r = rng(seed)
+        arrays = [r.normal(size=(2, 6, 8)) * 3 + 1, r.normal(size=8), r.normal(size=8)]
+        self._check(layer_norm, _composed_layer_norm, arrays, (2, 6, 8), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_attention_with_bias_and_mask(self, seed):
+        r = rng(seed)
+        mask = np.tril(np.ones((1, 6, 6), dtype=bool))
+        arrays = [r.normal(size=(4, 6, 8)), r.normal(size=(4, 6, 8)),
+                  r.normal(size=(4, 6, 5)), r.normal(size=(4, 6, 6))]
+        self._check(lambda q, k, v, b: attention(q, k, v, b, mask),
+                    lambda q, k, v, b: _composed_attention(q, k, v, b, mask),
+                    arrays, (4, 6, 5), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_attention_plain(self, seed):
+        r = rng(seed)
+        arrays = [r.normal(size=(3, 4)), r.normal(size=(7, 4)), r.normal(size=(7, 2))]
+        self._check(attention, _composed_attention, arrays, (3, 2), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear(self, seed):
+        r = rng(seed)
+        arrays = [r.normal(size=(2, 5, 4)), r.normal(size=(4, 3)), r.normal(size=3)]
+        self._check(linear, lambda x, w, b: matmul(x, w) + b, arrays, (2, 5, 3), seed)
 
 
 class TestStraightThrough:
