@@ -45,12 +45,6 @@ class AudioFeatureSequence:
         return self.features.shape[1]
 
 
-@dataclass
-class StyleEmbedding:
-    vector: np.ndarray  # (width,)
-    speaker_index: int
-
-
 def _mel_filterbank(num_filters: int, n_fft: int, sample_rate: float) -> np.ndarray:
     """Triangular filters spaced on the mel scale, (num_filters, n_fft//2 + 1)."""
     def hz_to_mel(f):
@@ -155,6 +149,3 @@ class StyleEncoder:
             raise ValueError(f"speaker index {speaker_index} out of range "
                              f"[0, {self.num_speakers})")
         return take_rows(self.table, np.array([speaker_index]))
-
-    def __call__(self, speaker_index: int) -> StyleEmbedding:
-        return StyleEmbedding(self.embed(speaker_index).data[0].copy(), speaker_index)

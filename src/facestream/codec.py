@@ -148,9 +148,6 @@ class MotionCodec:
 
     # -- parameter groups ----------------------------------------------------
 
-    def encoder_param_names(self) -> list[str]:
-        return [n for n in self.store.names() if n.startswith("enc.")]
-
     def decoder_param_names(self) -> list[str]:
         return [n for n in self.store.names() if n.startswith("dec.")]
 

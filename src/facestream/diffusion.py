@@ -96,28 +96,24 @@ class DiffusionHead:
         return self.time_proj(as_tensor(base))
 
     def denoise(self, z_t, t: int, cond) -> Tensor:
-        """Predict the clean unit; accepts a batch (B, H, C) + (B, cond_width)."""
-        z_t = as_tensor(z_t)
+        """Predict the clean unit: (H, C) with cond (cond_width,), or a batch
+        (B, H, C) with cond (B, cond_width). ``z_t`` enters as data only; no
+        caller needs its gradient."""
+        z = as_tensor(z_t).data
         cond = as_tensor(cond)
-        h, c = self.unit_shape
-        squeeze = z_t.data.ndim == 2
-        unit = z_t.data.shape if squeeze else z_t.data.shape[1:]
-        if tuple(unit) != self.unit_shape:
-            raise DataError(f"unit shape {tuple(unit)} does not match head "
-                            f"({self.unit_shape})")
-        cond_width = cond.data.shape[-1]
-        if cond_width != self.cond_width:
+        if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
+            raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
+                            f"with (H, C) = {self.unit_shape}")
+        if cond.data.shape[-1:] != (self.cond_width,):
             raise DataError("condition width mismatch")
-        if squeeze:
-            z_t = reshape(z_t, (1, h, c))
+        if cond.data.ndim == 1:
             cond = reshape(cond, (1, self.cond_width))
-        batch = z_t.data.shape[0]
-        t_emb = self.time_embedding(t)
-        t_rows = matmul(as_tensor(np.ones((batch, 1))), t_emb)
-        x = concat([reshape(z_t, (batch, h * c)), cond, t_rows], axis=1)
-        out = self.lin2(gelu(self.lin1(x)))
-        out = reshape(out, (batch, h, c))
-        return out[0] if squeeze else out
+        rows = z.reshape(-1, self.unit_shape[0] * self.unit_shape[1])
+        if cond.data.shape[:-1] != rows.shape[:1]:
+            raise DataError("condition rows do not match the batch")
+        t_rows = matmul(as_tensor(np.ones((rows.shape[0], 1))), self.time_embedding(t))
+        x = concat([rows, cond, t_rows], axis=1)
+        return reshape(self.lin2(gelu(self.lin1(x))), z.shape)
 
 
 def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,

@@ -19,8 +19,6 @@ from .tensor import (
     gelu,
     layer_norm,
     linear,
-    reshape,
-    swapaxes,
 )
 
 
@@ -94,10 +92,11 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Multi-head attention over (L, d) inputs; optionally cross-modal.
+    """Multi-head attention over (..., L, d) inputs; optionally cross-modal.
 
     ``bias`` is per-head additive (heads, L_q, L_k); ``mask`` is boolean
-    (L_q, L_k), shared across heads.
+    (L_q, L_k), shared across heads. The projections keep the heads side by
+    side in the last axis, and ``attention`` splits and merges them.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
@@ -106,26 +105,15 @@ class MultiHeadAttention:
             raise ValueError("d_model must be divisible by num_heads")
         d_kv = d_model if d_kv is None else d_kv
         self.num_heads = num_heads
-        self.head_dim = d_model // num_heads
         self.wq = Linear(store, f"{name}.wq", d_model, d_model, rng)
         self.wk = Linear(store, f"{name}.wk", d_kv, d_model, rng)
         self.wv = Linear(store, f"{name}.wv", d_kv, d_model, rng)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model, rng)
 
-    def _split(self, x: Tensor, length: int) -> Tensor:
-        return swapaxes(reshape(x, (length, self.num_heads, self.head_dim)), 0, 1)
-
     def __call__(self, x_q: Tensor, x_kv: Tensor, bias=None, mask=None) -> Tensor:
-        l_q = x_q.data.shape[0]
-        l_k = x_kv.data.shape[0]
-        q = self._split(self.wq(x_q), l_q)
-        k = self._split(self.wk(x_kv), l_k)
-        v = self._split(self.wv(x_kv), l_k)
-        if mask is not None:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), (1, l_q, l_k))
-        out = attention(q, k, v, bias=bias, mask=mask)
-        merged = reshape(swapaxes(out, 0, 1), (l_q, self.num_heads * self.head_dim))
-        return self.wo(merged)
+        out = attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv), bias=bias,
+                        mask=mask, heads=self.num_heads)
+        return self.wo(out)
 
 
 class FeedForward:

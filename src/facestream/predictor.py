@@ -23,27 +23,12 @@ from .nn import DecoderBlock, LayerNorm, Linear, alibi_bias, causal_mask, normal
 from .tensor import ParamStore, Tensor, add, as_tensor, concat
 
 
-@dataclass
-class HistoryWindow:
-    """Bounded ring of past latent units; oldest unit is evicted first."""
-
-    units: list[np.ndarray]  # each (H, C)
-    h_units: int             # capacity in units
-
-    def __post_init__(self):
-        if len(self.units) > self.h_units:
-            raise ValueError("window longer than its capacity")
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-
 def history_capacity(h_frames: int, components: int) -> int:
     return math.ceil(h_frames / components)
 
 
 def select_history(all_past_units: Sequence[np.ndarray], h_frames: int,
-                   components: int) -> HistoryWindow:
+                   components: int) -> list[np.ndarray]:
     """Most recent units covering ``h_frames`` motion frames.
 
     Shorter histories are returned whole; an empty history is a valid cold
@@ -52,8 +37,7 @@ def select_history(all_past_units: Sequence[np.ndarray], h_frames: int,
     if h_frames < components:
         raise ValueError("history must cover at least one unit")
     cap = history_capacity(h_frames, components)
-    units = [np.asarray(u) for u in all_past_units[-cap:]]
-    return HistoryWindow(units=units, h_units=cap)
+    return [np.asarray(u) for u in all_past_units[-cap:]]
 
 
 def alignment_mask(l_motion: int, t_audio: int, components: int) -> np.ndarray:
@@ -65,10 +49,7 @@ def alignment_mask(l_motion: int, t_audio: int, components: int) -> np.ndarray:
     """
     if t_audio < l_motion * components:
         raise DataError("audio underrun: alignment window not covered")
-    mask = np.zeros((l_motion, t_audio), dtype=bool)
-    for i in range(l_motion):
-        mask[i, i * components:(i + 1) * components] = True
-    return mask
+    return np.arange(t_audio)[None, :] // components == np.arange(l_motion)[:, None]
 
 
 @dataclass
@@ -119,8 +100,8 @@ class ConditionPredictor:
             self._bias_cache[length] = alibi_bias(length, self.config.heads)
         return self._bias_cache[length]
 
-    def __call__(self, window: HistoryWindow | Sequence[np.ndarray],
-                 audio: np.ndarray, style_index: int) -> Tensor:
+    def __call__(self, window: Sequence[np.ndarray], audio: np.ndarray,
+                 style_index: int) -> Tensor:
         """Condition rows (len(window) + 1, hidden).
 
         ``audio`` must hold at least (len(window) + 1) * H frames starting at
@@ -128,7 +109,7 @@ class ConditionPredictor:
         the alignment mask but must not precede the window.
         """
         c = self.config
-        units = window.units if isinstance(window, HistoryWindow) else list(window)
+        units = list(window)
         if len(units) > c.history_units:
             raise DataError("window exceeds the configured history length")
         audio = np.asarray(audio, dtype=np.float64)

@@ -6,11 +6,14 @@ parents. The op vocabulary is deliberately small (elementwise arithmetic,
 matmul, GELU, embedding lookup, reshapes, reductions, L1/L2 losses, masked
 softmax) plus a straight-through combinator for non-differentiable
 quantizers. Three fused primitives, ``linear`` (x @ w + b), ``layer_norm``
-and ``attention`` (scale, bias, mask, softmax and weighted sum), each record
-one tape node with a closed-form backward, so a transformer layer costs a
-handful of nodes instead of dozens; they keep the finite checks that the
-composed ops made. A finite-difference checker ships with the engine so every
-op and every composed loss graph can be verified against central differences.
+and ``attention`` (head split, scale, bias, mask, softmax, weighted sum and
+head merge), each record one tape node with a closed-form backward, so a
+transformer layer costs a handful of nodes instead of dozens; they keep the
+finite checks that the composed ops made. ``attention`` owns the multi-head
+layout: its inputs and output keep the heads side by side in the last axis,
+and it splits and merges them in numpy, so no layout node reaches the tape.
+A finite-difference checker ships with the engine so every op and every
+composed loss graph can be verified against central differences.
 """
 
 from __future__ import annotations
@@ -462,21 +465,39 @@ def masked_softmax(scores, mask=None) -> Tensor:
     return _node(out, (scores,), backward, "masked_softmax")
 
 
-def attention(q, k, v, bias=None, mask=None) -> Tensor:
-    """Scaled dot-product attention with optional additive bias and boolean mask.
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., L, heads * d) -> (..., heads, L, d), as a view."""
+    split = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return np.swapaxes(split, -2, -3)
 
-    Shapes: q (..., L_q, d), k (..., L_k, d), v (..., L_k, d_v); bias broadcasts
-    against the (..., L_q, L_k) score matrix, mask is boolean with the same
-    broadcast rule. Masked keys receive exactly zero weight. The biased scores
-    are checked for finiteness before the mask can hide a non-finite entry.
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., heads, L, d) -> (..., L, heads * d); inverse of ``_split_heads``."""
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention with optional bias and mask.
+
+    Shapes: q (..., L_q, heads*d), k (..., L_k, heads*d), v (..., L_k, heads*d_v),
+    heads side by side in the last axis; the result is (..., L_q, heads*d_v).
+    Head k attends with its own slice of width d, scaled by 1/sqrt(d). bias
+    broadcasts against the (..., heads, L_q, L_k) score tensor, so a per-head
+    bias is (heads, L_q, L_k); mask is boolean with the same broadcast rule.
+    Masked keys receive exactly zero weight. The biased scores are checked for
+    finiteness before the mask can hide a non-finite entry.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.shape[-1] != k.data.shape[-1]:
         raise ValueError("query/key width mismatch")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ValueError("key/value length mismatch")
-    scale = 1.0 / math.sqrt(q.data.shape[-1])
-    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    if q.data.shape[-1] % heads or v.data.shape[-1] % heads:
+        raise ValueError("query and value widths must be divisible by heads")
+    qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(qs.shape[-1])
+    scores = (qs @ np.swapaxes(ks, -1, -2)) * scale
     parents = (q, k, v)
     if bias is not None:
         bias = as_tensor(bias)
@@ -484,19 +505,22 @@ def attention(q, k, v, bias=None, mask=None) -> Tensor:
         parents = (q, k, v, bias)
     _check_finite(scores, "attention scores")
     weights = _softmax(scores, mask)
-    out = weights @ v.data
+    out = _merge_heads(weights @ vs)
 
     def backward(g):
+        g = _split_heads(g, heads)
         if v.requires_grad:
-            v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape))
-        gs = _softmax_grad(weights, g @ np.swapaxes(v.data, -1, -2))
+            gv = np.swapaxes(weights, -1, -2) @ g
+            v._accumulate(_merge_heads(_unbroadcast(gv, vs.shape)))
+        gs = _softmax_grad(weights, g @ np.swapaxes(vs, -1, -2))
         if bias is not None and bias.requires_grad:
             bias._accumulate(_unbroadcast(gs, bias.data.shape))
         gs = gs * scale
         if q.requires_grad:
-            q._accumulate(_unbroadcast(gs @ k.data, q.data.shape))
+            q._accumulate(_merge_heads(_unbroadcast(gs @ ks, qs.shape)))
         if k.requires_grad:
-            k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.data.shape))
+            gk = np.swapaxes(gs, -1, -2) @ qs
+            k._accumulate(_merge_heads(_unbroadcast(gk, ks.shape)))
 
     return _node(out, parents, backward, "attention")
 

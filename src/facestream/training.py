@@ -18,7 +18,7 @@ import numpy as np
 from .codec import LatentGrid, MotionCodec, stage1_loss
 from .diffusion import DiffusionHead, NoiseSchedule, add_noise
 from .fileio import write_csv
-from .predictor import ConditionPredictor, HistoryWindow
+from .predictor import ConditionPredictor
 from .tensor import (
     NonFiniteError,
     Tensor,
@@ -44,7 +44,6 @@ class TrainConfig:
     stage1_epochs: int = 400
     stage2_epochs: int = 200
     learning_rate: float = 1e-4
-    batch_size: int = 1
     lr_halving_interval: int = 20
     weight_decay: float = 0.01
     seed: int = 0
@@ -56,8 +55,6 @@ class TrainConfig:
         if min(self.stage1_epochs, self.stage2_epochs,
                self.lr_halving_interval) < 1:
             raise ValueError("epoch counts must be positive")
-        if self.batch_size != 1:
-            raise ValueError("only batch size 1 is supported")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * (0.5 ** (epoch // self.lr_halving_interval))
@@ -183,8 +180,7 @@ def _stage2_forward(example: SequenceExample, codec: MotionCodec,
         grid = codec.encode_quantized(example.motion)
     window_len = min(h_units, next_unit)
     start = next_unit - window_len
-    window = HistoryWindow(units=list(grid.codes[start:next_unit]),
-                           h_units=h_units)
+    window = list(grid.codes[start:next_unit])
     targets = grid.codes[start:next_unit + 1]
     audio = example.features[start * h:(next_unit + 1) * h]
     conditions = predictor(window, audio, example.speaker)

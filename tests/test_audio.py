@@ -111,20 +111,19 @@ class TestStyleEncoder:
 
     def test_embedding_is_table_row(self):
         enc = self.make()
-        emb = enc(1)
-        np.testing.assert_array_equal(emb.vector, enc.table.data[1])
+        np.testing.assert_array_equal(enc.embed(1).data[0], enc.table.data[1])
 
     def test_distinct_speakers_distinct_embeddings(self):
         enc = self.make()
-        assert not np.array_equal(enc(0).vector, enc(2).vector)
+        assert not np.array_equal(enc.embed(0).data[0], enc.embed(2).data[0])
 
     def test_single_speaker_constant(self):
         enc = self.make(k=1)
-        np.testing.assert_array_equal(enc(0).vector, enc.table.data[0])
+        np.testing.assert_array_equal(enc.embed(0).data[0], enc.table.data[0])
 
     def test_out_of_range_rejected(self):
         enc = self.make(k=2)
         with pytest.raises(ValueError):
-            enc(2)
+            enc.embed(2)
         with pytest.raises(ValueError):
-            enc(-1)
+            enc.embed(-1)

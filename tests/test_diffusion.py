@@ -11,6 +11,7 @@ from facestream.diffusion import (
     ddim_sample,
     sample_timesteps,
 )
+from facestream.tensor import Tensor, _topo_order, tsum
 
 
 class TestSchedule:
@@ -166,6 +167,23 @@ class TestHead:
             head.denoise(np.zeros((3, 4)), 0, np.zeros(6))
         with pytest.raises(DataError):
             head.denoise(np.zeros((2, 4)), 0, np.zeros(5))
+        # condition rows that do not match the batch, and a unit stack of rank 4
+        for z_shape, cond_shape in [((5, 2, 4), (3, 6)), ((5, 2, 4), (6,)),
+                                    ((2, 4), (3, 6)), ((3, 5, 2, 4), (15, 6))]:
+            with pytest.raises(DataError):
+                head.denoise(np.zeros(z_shape), 0, np.zeros(cond_shape))
+
+    def test_noisy_input_and_slices_stay_off_the_tape(self):
+        head = self.make_head()
+        r = np.random.default_rng(4)
+        z_t = Tensor(r.normal(size=(2, 4)), requires_grad=True)
+        out = head.denoise(z_t, 5, r.normal(size=6))
+        tsum(out).backward()
+        order = _topo_order(out)
+        assert all(node is not z_t for node in order)
+        assert z_t.grad is None
+        ops = [n._backward.__qualname__.split(".")[0] for n in order if n._backward]
+        assert "take_slice" not in ops
 
     def test_time_embedding_sinusoid_structure(self):
         head = self.make_head()

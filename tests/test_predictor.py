@@ -37,8 +37,8 @@ class TestSelectHistory:
         units = random_units(50)
         window = select_history(units, h_frames=120, components=4)  # cap 30
         assert len(window) == 30
-        np.testing.assert_array_equal(window.units[-1], units[-1])
-        np.testing.assert_array_equal(window.units[0], units[20])
+        np.testing.assert_array_equal(window[-1], units[-1])
+        np.testing.assert_array_equal(window[0], units[20])
 
     def test_empty_history_is_a_cold_start(self):
         window = select_history([], h_frames=8, components=2)
@@ -159,9 +159,6 @@ class TestPredictor:
     def test_oversized_window_rejected(self):
         units = random_units(5, seed=12)  # capacity is 4
         audio = np.zeros((12, 4))
-        from facestream.predictor import HistoryWindow
-        with pytest.raises(ValueError):
-            HistoryWindow(units=units, h_units=4)
         with pytest.raises(DataError):
             with no_grad():
                 self.model(units, audio, 0)

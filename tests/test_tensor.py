@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from facestream import tensor as T
+from facestream.nn import MultiHeadAttention, alibi_bias, causal_mask
 from facestream.tensor import (
     NonFiniteError,
     ParamStore,
@@ -23,6 +24,7 @@ from facestream.tensor import (
     mul,
     no_grad,
     power,
+    reshape,
     square,
     stop_gradient,
     straight_through,
@@ -139,14 +141,15 @@ def _random_case(op_name, seed):
                 "b": r.normal(size=2)}
         return _differentiate(args, op_name[-1], linear)
     if op_name in ("attention_q", "attention_k", "attention_v", "attention_bias"):
-        # per-head bias and a mask shared across the head axis, as the predictor
-        # passes them; every query keeps at least one key
+        # two heads side by side, a per-head bias and a mask shared across the
+        # head axis, as the predictor passes them; every query keeps a key
         mask = r.random((1, 3, 5)) > 0.4
         mask[..., 0] = True
-        args = {"q": r.normal(size=(2, 3, 4)), "k": r.normal(size=(2, 5, 4)),
-                "v": r.normal(size=(2, 5, 3)), "bias": r.normal(size=(2, 3, 5))}
+        args = {"q": r.normal(size=(3, 8)), "k": r.normal(size=(5, 8)),
+                "v": r.normal(size=(5, 6)), "bias": r.normal(size=(2, 3, 5))}
         return _differentiate(args, op_name.split("_")[1],
-                              lambda q, k, v, bias: attention(q, k, v, bias, mask))
+                              lambda q, k, v, bias: attention(q, k, v, bias, mask,
+                                                              heads=2))
     if op_name in ("layer_norm_gain", "layer_norm_bias"):
         args = {"x": r.normal(size=(2, 5)), "gain": r.normal(size=5),
                 "bias": r.normal(size=5)}
@@ -284,16 +287,17 @@ class TestAttention:
 
     def test_permutation_equivariance_over_keys(self):
         r = rng(11)
-        q = Tensor(r.normal(size=(3, 4)))
-        k = r.normal(size=(5, 4))
-        v = r.normal(size=(5, 2))
-        bias = r.normal(size=(3, 5))
+        q = Tensor(r.normal(size=(3, 8)))
+        k = r.normal(size=(5, 8))
+        v = r.normal(size=(5, 4))
+        bias = r.normal(size=(2, 3, 5))
         mask = r.random((3, 5)) > 0.2
         mask[:, 2] = True
         perm = r.permutation(5)
-        out = attention(Tensor(q.data), Tensor(k), Tensor(v), Tensor(bias), mask).data
+        out = attention(Tensor(q.data), Tensor(k), Tensor(v), Tensor(bias), mask,
+                        heads=2).data
         out_p = attention(Tensor(q.data), Tensor(k[perm]), Tensor(v[perm]),
-                          Tensor(bias[:, perm]), mask[:, perm]).data
+                          Tensor(bias[..., perm]), mask[:, perm], heads=2).data
         np.testing.assert_allclose(out, out_p, atol=1e-12)
 
 
@@ -313,11 +317,23 @@ def _composed_attention(q, k, v, bias=None, mask=None):
     return matmul(masked_softmax(scores, mask), v)
 
 
-def _value_and_grads(op, arrays, weight):
+def _composed_heads(q, k, v, bias=None, mask=None, heads=1):
+    """Reference: heads split and merged by tape reshape/swapaxes around
+    ``_composed_attention``."""
+    def split(x):
+        return swapaxes(reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads)), -2, -3)
+
+    out = swapaxes(_composed_attention(split(q), split(k), split(v), bias, mask), -2, -3)
+    return reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
+
+
+def _value_and_grads(op, arrays, weight, params=()):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    for param in params:
+        param.grad = None
     out = op(*leaves)
     tsum(out * weight).backward()
-    return out.data, [leaf.grad for leaf in leaves]
+    return out.data, [t.grad for t in leaves + list(params)]
 
 
 def _rel_err(a, b):
@@ -344,12 +360,13 @@ class TestFusedMatchesComposed:
     @pytest.mark.parametrize("seed", range(5))
     def test_attention_with_bias_and_mask(self, seed):
         r = rng(seed)
+        # a batch of two, two heads and a per-head bias shared across the batch
         mask = np.tril(np.ones((1, 6, 6), dtype=bool))
-        arrays = [r.normal(size=(4, 6, 8)), r.normal(size=(4, 6, 8)),
-                  r.normal(size=(4, 6, 5)), r.normal(size=(4, 6, 6))]
-        self._check(lambda q, k, v, b: attention(q, k, v, b, mask),
-                    lambda q, k, v, b: _composed_attention(q, k, v, b, mask),
-                    arrays, (4, 6, 5), seed)
+        arrays = [r.normal(size=(2, 6, 16)), r.normal(size=(2, 6, 16)),
+                  r.normal(size=(2, 6, 10)), r.normal(size=(2, 6, 6))]
+        self._check(lambda q, k, v, b: attention(q, k, v, b, mask, heads=2),
+                    lambda q, k, v, b: _composed_heads(q, k, v, b, mask, heads=2),
+                    arrays, (2, 6, 10), seed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_attention_plain(self, seed):
@@ -362,6 +379,56 @@ class TestFusedMatchesComposed:
         r = rng(seed)
         arrays = [r.normal(size=(2, 5, 4)), r.normal(size=(4, 3)), r.normal(size=3)]
         self._check(linear, lambda x, w, b: matmul(x, w) + b, arrays, (2, 5, 3), seed)
+
+
+def _taped_ops(out):
+    """Names of the ops whose nodes lead to ``out`` on the tape."""
+    return [node._backward.__qualname__.split(".")[0]
+            for node in T._topo_order(out) if node._backward is not None]
+
+
+class TestMultiHeadAttention:
+    """One ``attention`` call matches heads split and merged on the tape."""
+
+    @pytest.mark.parametrize("setting", ["alibi_causal", "cross"])
+    def test_matches_composed_reference(self, setting):
+        r = rng(7)
+        store = ParamStore()
+        if setting == "alibi_causal":
+            mha = MultiHeadAttention(store, "attn", 8, 2, r)
+            inputs = [r.normal(size=(5, 8))]   # self-attention: one input
+            bias, mask = alibi_bias(5, 2), causal_mask(5)
+        else:
+            # a batch of two; keys and values come from a narrower memory
+            mha = MultiHeadAttention(store, "attn", 8, 2, r, d_kv=6)
+            inputs = [r.normal(size=(2, 4, 8)), r.normal(size=(2, 7, 6))]
+            bias, mask = None, r.random((4, 7)) > 0.3
+            mask[:, 0] = True
+
+        def composed(x_q, x_kv=None):
+            x_kv = x_q if x_kv is None else x_kv
+            out = _composed_heads(mha.wq(x_q), mha.wk(x_kv), mha.wv(x_kv), bias, mask,
+                                  heads=2)
+            return mha.wo(out)
+
+        def fused(x_q, x_kv=None):
+            x_kv = x_q if x_kv is None else x_kv
+            return mha(x_q, x_kv, bias=bias, mask=mask)
+
+        weight = r.normal(size=inputs[0].shape)
+        out_f, grads_f = _value_and_grads(fused, inputs, weight, store.tensors())
+        out_c, grads_c = _value_and_grads(composed, inputs, weight, store.tensors())
+        assert _rel_err(out_f, out_c) < 1e-12
+        assert len(grads_f) == len(inputs) + 8
+        for g_f, g_c in zip(grads_f, grads_c):
+            assert _rel_err(g_f, g_c) < 1e-12
+
+    def test_records_four_linear_nodes_and_one_attention_node(self):
+        r = rng(8)
+        mha = MultiHeadAttention(ParamStore(), "attn", 8, 2, r)
+        x = Tensor(r.normal(size=(5, 8)), requires_grad=True)
+        out = mha(x, x, bias=alibi_bias(5, 2), mask=causal_mask(5))
+        assert sorted(_taped_ops(out)) == ["attention"] + ["linear"] * 4
 
 
 class TestStraightThrough:
