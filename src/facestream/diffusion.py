@@ -2,8 +2,11 @@
 that predicts the clean latent unit directly, and a deterministic DDIM sampler.
 
 The denoiser consumes the noisy unit, the per-unit condition vector from the
-autoregressive predictor, and a sinusoidal timestep embedding. Sampling walks
-a uniform-stride descending subsequence of the training timesteps with eta=0;
+autoregressive predictor, and a sinusoidal timestep embedding. Its first layer
+keeps one weight block per input (noisy unit, condition, time), so the
+condition's product is computed once per unit (``DiffusionHead.condition``)
+and every DDIM step adds only the step-dependent terms. Sampling walks a
+uniform-stride descending subsequence of the training timesteps with eta=0;
 the final step returns the clean prediction itself, so a perfect denoiser is
 recovered exactly regardless of the step count.
 """
@@ -15,8 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import DataError
-from .nn import Linear, sinusoid_table
-from .tensor import ParamStore, Tensor, as_tensor, concat, gelu, matmul, no_grad, reshape
+from .nn import Linear, glorot_uniform, sinusoid_table
+from .tensor import (
+    ParamStore,
+    Tensor,
+    add,
+    as_tensor,
+    gelu,
+    linear,
+    matmul,
+    no_grad,
+    reshape,
+)
 
 
 @dataclass
@@ -72,8 +85,21 @@ def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
     return num_steps - 1 - stride * np.arange(steps)
 
 
+@dataclass(frozen=True)
+class HeadCondition:
+    """A condition bound to a head: its product with the condition block of
+    the first layer, (B, hidden). It stays fixed across the DDIM steps of a
+    unit, so it is computed once per unit."""
+
+    term: Tensor
+
+
 class DiffusionHead:
-    """One-hidden-layer MLP predicting the clean unit from (z_t, cond, t)."""
+    """One-hidden-layer MLP predicting the clean unit from (z_t, cond, t).
+
+    The first layer is ``[z, cond, t_emb] @ [wz; wc; wt] + b`` kept as three
+    weight blocks, so no step concatenates its inputs.
+    """
 
     def __init__(self, unit_shape: tuple[int, int], cond_width: int, hidden: int,
                  num_steps: int, seed: int = 0):
@@ -84,36 +110,50 @@ class DiffusionHead:
         rng = np.random.default_rng(seed)
         unit_size = unit_shape[0] * unit_shape[1]
         self.time_proj = Linear(self.store, "time", cond_width, cond_width, rng)
-        self.lin1 = Linear(self.store, "lin1",
-                           unit_size + 2 * cond_width, hidden, rng)
+        w1 = glorot_uniform(rng, unit_size + 2 * cond_width, hidden)
+        self.wz = self.store.create("lin1.wz", w1[:unit_size])
+        self.wc = self.store.create("lin1.wc", w1[unit_size:unit_size + cond_width])
+        self.wt = self.store.create("lin1.wt", w1[unit_size + cond_width:])
+        self.b1 = self.store.create("lin1.b", np.zeros(hidden))
         self.lin2 = Linear(self.store, "lin2", hidden, unit_size, rng)
+        self._sinusoid_rows: dict[int, Tensor] = {}
 
     def time_embedding(self, t: int) -> Tensor:
-        """Learned projection of interleaved sin/cos timestep features."""
+        """Learned projection of interleaved sin/cos timestep features; the
+        sinusoid row is built once per timestep, on first use."""
         if not 0 <= t < self.num_steps:
             raise ValueError(f"timestep {t} outside schedule")
-        base = sinusoid_table(np.array([float(t)]), self.cond_width)
-        return self.time_proj(as_tensor(base))
+        if t not in self._sinusoid_rows:
+            self._sinusoid_rows[t] = Tensor(
+                sinusoid_table(np.array([float(t)]), self.cond_width))
+        return self.time_proj(self._sinusoid_rows[t])
+
+    def condition(self, cond) -> HeadCondition:
+        """Bind a condition, (cond_width,) or (B, cond_width), for ``denoise``."""
+        cond = as_tensor(cond)
+        if cond.data.ndim not in (1, 2) or cond.data.shape[-1] != self.cond_width:
+            raise DataError(f"condition {cond.data.shape} is not (cond_width,) or "
+                            f"(B, cond_width) with cond_width = {self.cond_width}")
+        if cond.data.ndim == 1:
+            cond = reshape(cond, (1, self.cond_width))
+        return HeadCondition(matmul(cond, self.wc))
 
     def denoise(self, z_t, t: int, cond) -> Tensor:
         """Predict the clean unit: (H, C) with cond (cond_width,), or a batch
-        (B, H, C) with cond (B, cond_width). ``z_t`` enters as data only; no
-        caller needs its gradient."""
+        (B, H, C) with cond (B, cond_width). ``cond`` is a raw condition or a
+        ``HeadCondition`` from :meth:`condition`. ``z_t`` enters as data only;
+        no caller needs its gradient."""
         z = as_tensor(z_t).data
-        cond = as_tensor(cond)
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
                             f"with (H, C) = {self.unit_shape}")
-        if cond.data.shape[-1:] != (self.cond_width,):
-            raise DataError("condition width mismatch")
-        if cond.data.ndim == 1:
-            cond = reshape(cond, (1, self.cond_width))
+        if not isinstance(cond, HeadCondition):
+            cond = self.condition(cond)
         rows = z.reshape(-1, self.unit_shape[0] * self.unit_shape[1])
-        if cond.data.shape[:-1] != rows.shape[:1]:
+        if cond.term.data.shape[0] != rows.shape[0]:
             raise DataError("condition rows do not match the batch")
-        t_rows = matmul(as_tensor(np.ones((rows.shape[0], 1))), self.time_embedding(t))
-        x = concat([rows, cond, t_rows], axis=1)
-        return reshape(self.lin2(gelu(self.lin1(x))), z.shape)
+        bias = add(cond.term, linear(self.time_embedding(t), self.wt, self.b1))
+        return reshape(self.lin2(gelu(linear(rows, self.wz, bias))), z.shape)
 
 
 def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,
@@ -141,11 +181,17 @@ def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,
 
 
 def head_denoiser(head: DiffusionHead, cond: np.ndarray):
-    """Bind a condition vector into a ``denoise_fn`` for sampling."""
-    cond = np.asarray(cond)
+    """Bind a condition into a ``denoise_fn`` for sampling.
+
+    The condition is bound once, here; each call is one ``head.denoise`` with
+    the bound condition, so a wrong-width condition raises ``DataError`` at
+    binding time.
+    """
+    with no_grad():
+        bound = head.condition(cond)
 
     def denoise_fn(z_t: np.ndarray, t: int) -> np.ndarray:
         with no_grad():
-            return head.denoise(z_t, t, cond).data
+            return head.denoise(z_t, t, bound).data
 
     return denoise_fn

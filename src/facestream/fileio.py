@@ -1,7 +1,8 @@
 """On-disk formats: motion files, audio-feature files, checkpoints, manifests.
 
 All payloads are little-endian. Writers are deterministic (sorted tensor
-names, no timestamps) so identical state produces identical bytes.
+names, no timestamps) so identical state produces identical bytes. Readers
+raise ``DataError`` on truncated or corrupt input.
 
 Motion file ("SGMO"):   magic, version u32, T u32, V u32, frame_rate f32,
                         then T*V*3 float32 values.
@@ -13,6 +14,7 @@ Checkpoint ("SGCK"):    magic, version u32, manifest (length-prefixed UTF-8
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -31,6 +33,21 @@ class DataError(Exception):
     """Malformed or mismatched on-disk data."""
 
 
+def _unpack(fmt: str, raw: bytes, offset: int, path) -> tuple:
+    """``struct.unpack_from`` that reports a short buffer as ``DataError``."""
+    try:
+        return struct.unpack_from(fmt, raw, offset)
+    except struct.error:
+        raise DataError(f"{path}: truncated at byte {offset}") from None
+
+
+def _utf8(raw: bytes, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: text is not UTF-8") from None
+
+
 def write_motion(path, offsets: np.ndarray, frame_rate: float) -> None:
     offsets = np.asarray(offsets)
     if offsets.ndim != 3 or offsets.shape[2] != 3:
@@ -47,7 +64,7 @@ def read_motion(path) -> tuple[np.ndarray, float]:
     raw = Path(path).read_bytes()
     if raw[:4] != MOTION_MAGIC:
         raise DataError(f"{path}: not a motion file")
-    version, t, v, rate = struct.unpack_from("<IIIf", raw, 4)
+    version, t, v, rate = _unpack("<IIIf", raw, 4, path)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported motion format version {version}")
     if len(raw) < 20 + 4 * t * v * 3:
@@ -72,7 +89,7 @@ def read_features(path) -> tuple[np.ndarray, float]:
     raw = Path(path).read_bytes()
     if raw[:4] != FEATURE_MAGIC:
         raise DataError(f"{path}: not a feature file")
-    t, c, rate = struct.unpack_from("<IIf", raw, 4)
+    t, c, rate = _unpack("<IIf", raw, 4, path)
     if len(raw) < 16 + 4 * t * c:
         raise DataError(f"{path}: truncated feature payload")
     payload = np.frombuffer(raw, dtype="<f4", count=t * c, offset=16)
@@ -124,27 +141,31 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = _unpack("<I", raw, 4, path)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (manifest_len,) = struct.unpack_from("<Q", raw, 8)
+    (manifest_len,) = _unpack("<Q", raw, 8, path)
     cursor = 16
-    manifest = parse_manifest(raw[cursor:cursor + manifest_len].decode("utf-8"))
+    manifest = parse_manifest(_utf8(raw[cursor:cursor + manifest_len], path))
     cursor += manifest_len
-    (count,) = struct.unpack_from("<I", raw, cursor)
+    (count,) = _unpack("<I", raw, cursor, path)
     cursor += 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, cursor)
+        (name_len,) = _unpack("<H", raw, cursor, path)
         cursor += 2
-        name = raw[cursor:cursor + name_len].decode("utf-8")
+        name = _utf8(raw[cursor:cursor + name_len], path)
         cursor += name_len
-        code, ndim = struct.unpack_from("<BB", raw, cursor)
+        code, ndim = _unpack("<BB", raw, cursor, path)
         cursor += 2
-        shape = struct.unpack_from(f"<{ndim}I", raw, cursor) if ndim else ()
+        shape = _unpack(f"<{ndim}I", raw, cursor, path)
         cursor += 4 * ndim
+        if code not in _CODE_DTYPES:
+            raise DataError(f"{path}: unknown dtype code {code} for '{name}'")
         dtype = np.dtype(_CODE_DTYPES[code])
-        n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        n_items = math.prod(shape)
+        if cursor + n_items * dtype.itemsize > len(raw):
+            raise DataError(f"{path}: truncated payload for '{name}'")
         arr = np.frombuffer(raw, dtype=dtype, count=n_items, offset=cursor)
         cursor += n_items * dtype.itemsize
         tensors[name] = arr.reshape(shape).copy()

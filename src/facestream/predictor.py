@@ -120,9 +120,10 @@ class ConditionPredictor:
         style_row = self.style.embed(style_index)
         tokens = [add(self.begin_token, style_row)]
         if units:
-            stacked = np.stack([np.asarray(u).reshape(c.unit_size) for u in units])
-            if stacked.shape[1] != c.unit_size:
+            units = [np.asarray(u) for u in units]
+            if any(u.size != c.unit_size for u in units):
                 raise DataError("history unit shape does not match codec config")
+            stacked = np.stack([u.reshape(c.unit_size) for u in units])
             embedded = self.unit_embed(as_tensor(stacked))
             tokens.append(add(embedded, style_row))
         x = concat(tokens, axis=0)

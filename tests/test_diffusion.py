@@ -9,9 +9,23 @@ from facestream.diffusion import (
     add_noise,
     build_schedule,
     ddim_sample,
+    head_denoiser,
     sample_timesteps,
 )
-from facestream.tensor import Tensor, _topo_order, tsum
+from facestream.fileio import DataError
+from facestream.nn import glorot_uniform, sinusoid_table
+from facestream.tensor import (
+    Tensor,
+    _topo_order,
+    add,
+    as_tensor,
+    concat,
+    gelu,
+    matmul,
+    mul,
+    reshape,
+    tsum,
+)
 
 
 class TestSchedule:
@@ -194,3 +208,102 @@ class TestHead:
         # injectivity for small t
         seen = {tuple(sinusoid_table(np.array([float(t)]), 6)[0]) for t in range(50)}
         assert len(seen) == 50
+
+
+def _taped_ops(nodes):
+    return [n._backward.__qualname__.split(".")[0] for n in nodes if n._backward]
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _concatenated_denoise(head, z_t, t, cond):
+    """The first layer as one concatenated input times the stacked blocks."""
+    rows = as_tensor(z_t.reshape(-1, head.wz.data.shape[0]))
+    if cond.data.ndim == 1:
+        cond = reshape(cond, (1, head.cond_width))
+    t_rows = matmul(as_tensor(np.ones((rows.data.shape[0], 1))), head.time_embedding(t))
+    x = concat([rows, cond, t_rows], axis=1)
+    w1 = concat([head.wz, head.wc, head.wt], axis=0)
+    return reshape(head.lin2(gelu(add(matmul(x, w1), head.b1))), z_t.shape)
+
+
+class TestBoundCondition:
+    """The first layer split by input block, with the condition bound once."""
+
+    def make_head(self, seed=0):
+        return DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=50,
+                             seed=seed)
+
+    def inputs(self, batch, seed=0):
+        r = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        return r.normal(size=lead + (2, 4)), r.normal(size=lead + (6,))
+
+    def test_blocks_are_rows_of_one_glorot_draw(self):
+        head = self.make_head(seed=3)
+        rng = np.random.default_rng(3)
+        time_w = glorot_uniform(rng, 6, 6)
+        w1 = glorot_uniform(rng, 8 + 2 * 6, 8)
+        np.testing.assert_array_equal(head.time_proj.w.data, time_w)
+        np.testing.assert_array_equal(
+            np.vstack([head.wz.data, head.wc.data, head.wt.data]), w1)
+        np.testing.assert_array_equal(head.lin2.w.data, glorot_uniform(rng, 8, 8))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_matches_concatenated_reference(self, batch):
+        head = self.make_head()
+        z, cond0 = self.inputs(batch, seed=1)
+        weight = np.random.default_rng(2).normal(size=z.shape)
+        results = []
+        for fn in (head.denoise, lambda *a: _concatenated_denoise(head, *a)):
+            head.store.zero_grads()
+            cond = Tensor(cond0, requires_grad=True)
+            out = fn(z, 17, cond)
+            tsum(mul(out, weight)).backward()
+            results.append((out.data, cond.grad,
+                            [p.grad for p in head.store.tensors()]))
+        (out_s, cond_s, params_s), (out_c, cond_c, params_c) = results
+        assert _rel_err(out_s, out_c) < 1e-12
+        assert _rel_err(cond_s, cond_c) < 1e-12
+        assert len(params_s) == 8
+        for g_s, g_c in zip(params_s, params_c):
+            assert _rel_err(g_s, g_c) < 1e-12
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_bound_paths_are_bit_identical(self, batch):
+        head = self.make_head()
+        z, cond = self.inputs(batch, seed=4)
+        direct = head.denoise(z, 23, cond).data
+        np.testing.assert_array_equal(
+            head.denoise(z, 23, head.condition(cond)).data, direct)
+        np.testing.assert_array_equal(head_denoiser(head, cond)(z, 23), direct)
+
+    def test_step_records_only_the_step_dependent_nodes(self):
+        head = self.make_head()
+        z, cond = self.inputs(None, seed=5)
+        bound = head.condition(Tensor(cond, requires_grad=True))
+        out = head.denoise(z, 9, bound)
+        binding = {id(n) for n in _topo_order(bound.term)}
+        step = [n for n in _topo_order(out) if id(n) not in binding]
+        assert sorted(_taped_ops(step)) == ["add", "gelu"] + ["linear"] * 4 + ["reshape"]
+
+    def test_wrong_condition_rejected_when_bound(self):
+        head = self.make_head()
+        for shape in [(5,), (2, 7), (1, 2, 6), ()]:
+            with pytest.raises(DataError):
+                head.condition(np.zeros(shape))
+            with pytest.raises(DataError):
+                head_denoiser(head, np.zeros(shape))
+
+    def test_time_embedding_follows_timestep_and_weight_writes(self):
+        """The sinusoid row is memoised per timestep; the learned projection
+        is not, so an in-place weight write shows at once."""
+        head = self.make_head()
+        for scale in (1.0, 2.0):
+            head.time_proj.w.data *= scale
+            for t in (7, 3, 7):
+                row = Tensor(sinusoid_table(np.array([float(t)]), 6))
+                np.testing.assert_array_equal(head.time_embedding(t).data,
+                                              head.time_proj(row).data)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facestream.fileio import (
     DataError,
@@ -106,3 +108,66 @@ class TestManifestAndCSV:
         text = a.read_text()
         assert text.splitlines()[0] == "i,v,s"
         assert repr(0.1 + 0.2) in text  # round-trippable float formatting
+
+
+class TestCorruptInput:
+    """Every prefix of a valid file, and any byte flips, either parse or
+    raise ``DataError``; no parser error leaks."""
+
+    READERS = {"motion": read_motion, "features": read_features,
+               "checkpoint": read_checkpoint}
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("valid")
+        r = np.random.default_rng(3)
+        write_motion(root / "motion", r.normal(size=(2, 3, 3)), 25.0)
+        write_features(root / "features", r.normal(size=(3, 2)), 25.0)
+        write_checkpoint(root / "checkpoint",
+                         {"w": r.normal(size=(2, 2)), "idx": np.arange(3),
+                          "h": np.ones(2, dtype=np.float32), "s": r.normal(size=())},
+                         {"width": 2, "name": "tiny"})
+        return root, {kind: (root / kind).read_bytes() for kind in self.READERS}
+
+    def parses_or_rejects(self, kind, data, path):
+        path.write_bytes(data)
+        try:
+            self.READERS[kind](path)
+        except DataError:
+            pass
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_every_prefix(self, kind, valid):
+        root, files = valid
+        for end in range(len(files[kind])):
+            self.parses_or_rejects(kind, files[kind][:end], root / "cut")
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_truncation_rejected(self, kind, valid):
+        root, files = valid
+        for keep in (6, 10, 20, len(files[kind]) - 5, len(files[kind]) - 1):
+            (root / "cut").write_bytes(files[kind][:keep])
+            with pytest.raises(DataError):
+                self.READERS[kind](root / "cut")
+
+    def test_unknown_dtype_code_rejected(self, valid):
+        root, files = valid
+        data = bytearray(files["checkpoint"])
+        # the first tensor after the manifest and the count is "h": u16 length,
+        # the name, then the dtype code
+        start = 16 + int.from_bytes(data[8:16], "little") + 4
+        data[start + 2 + 1] = 9
+        (root / "bad").write_bytes(bytes(data))
+        with pytest.raises(DataError, match="dtype code"):
+            read_checkpoint(root / "bad")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(READERS)),
+           flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.integers(1, 255)), min_size=1, max_size=4))
+    def test_byte_flips(self, kind, flips, valid):
+        root, files = valid
+        data = bytearray(files[kind])
+        for where, mask in flips:
+            data[int(where * len(data))] ^= mask
+        self.parses_or_rejects(kind, bytes(data), root / "flip")

@@ -162,3 +162,9 @@ class TestPredictor:
         with pytest.raises(DataError):
             with no_grad():
                 self.model(units, audio, 0)
+
+    def test_wrong_size_history_unit_rejected(self):
+        units = random_units(1, seed=13) + [np.zeros((2, 5))]  # unit_size is 12
+        with pytest.raises(DataError, match="history unit shape"):
+            with no_grad():
+                self.model(units, np.zeros((6, 4)), 0)

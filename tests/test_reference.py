@@ -1,0 +1,44 @@
+"""The library reproduces the benchmark's stored reference outputs.
+
+``perfbench/reference.npz`` holds the frames of short fixed-seed stream runs
+and the loss rows of fixed-seed training calls. This test rebuilds them with
+the benchmark's own workloads, seed and sizes and compares them with the
+benchmark's own tolerance, so output drift shows in the unit tests and not
+only in a benchmark run. It imports from ``perfbench/`` and writes nothing
+there.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_benchmark():
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True   # no __pycache__ inside perfbench/
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+        import workloads
+    finally:
+        sys.dont_write_bytecode = saved
+    return run, workloads
+
+
+run, workloads = _load_benchmark()
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_reproduces_reference(name):
+    work = workloads.make_work(name, run.REF_SEED)
+    work.setup()
+    with np.load(run.REFERENCE) as stored:
+        expected = stored[name]
+    got = work.reference(run.REF_SEED, run.REF_SIZE[name])
+    assert workloads.close(got, expected), (
+        f"{name}: max relative deviation "
+        f"{np.max(np.abs(got - expected)) / np.max(np.abs(expected)):.3g}")
