@@ -3,9 +3,13 @@ that predicts the clean latent unit directly, and a deterministic DDIM sampler.
 
 The denoiser consumes the noisy unit, the per-unit condition vector from the
 autoregressive predictor, and a sinusoidal timestep embedding. Its first layer
-keeps one weight block per input (noisy unit, condition, time), so the
-condition's product is computed once per unit (``DiffusionHead.condition``)
-and every DDIM step adds only the step-dependent terms. Sampling walks a
+keeps one weight block per input (noisy unit, condition, time). Only the
+noisy-unit block depends on ``z_t``, so a unit's DDIM loop is planned once:
+the sampler hands the head its timesteps, and the head binds the condition's
+product plus every planned step's time term in one batched product
+(``DiffusionHead.condition``). Each step then slices its row of that table
+and does only the work that depends on ``z_t``. The plan is rebuilt from the
+current weights for every unit, so it never goes stale. Sampling walks a
 uniform-stride descending subsequence of the training timesteps with eta=0;
 the final step returns the clean prediction itself, so a perfect denoiser is
 recovered exactly regardless of the step count.
@@ -13,7 +17,7 @@ recovered exactly regardless of the step count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .tensor import (
     matmul,
     no_grad,
     reshape,
+    take_slice,
 )
 
 
@@ -87,11 +92,17 @@ def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeadCondition:
-    """A condition bound to a head: its product with the condition block of
-    the first layer, (B, hidden). It stays fixed across the DDIM steps of a
-    unit, so it is computed once per unit."""
+    """A condition bound to a head for the DDIM steps of one unit.
+
+    ``term`` is the condition's product with the first layer's condition
+    block, (B, hidden). A plan adds ``table``, (S, B, hidden): ``term`` plus
+    the time term of each planned timestep, and ``planned``, which maps each
+    planned timestep to its row of ``table``.
+    """
 
     term: Tensor
+    table: Tensor | None = None
+    planned: dict[int, int] = field(default_factory=dict)
 
 
 class DiffusionHead:
@@ -103,6 +114,9 @@ class DiffusionHead:
 
     def __init__(self, unit_shape: tuple[int, int], cond_width: int, hidden: int,
                  num_steps: int, seed: int = 0):
+        if cond_width % 2:
+            raise ValueError(f"cond_width must be even for the sinusoid "
+                             f"timestep features, got {cond_width}")
         self.unit_shape = tuple(unit_shape)
         self.cond_width = cond_width
         self.num_steps = num_steps
@@ -116,33 +130,63 @@ class DiffusionHead:
         self.wt = self.store.create("lin1.wt", w1[unit_size + cond_width:])
         self.b1 = self.store.create("lin1.b", np.zeros(hidden))
         self.lin2 = Linear(self.store, "lin2", hidden, unit_size, rng)
-        self._sinusoid_rows: dict[int, Tensor] = {}
+        self._sinusoid_rows: dict[int, np.ndarray] = {}
+
+    def _sinusoids(self, timesteps) -> np.ndarray:
+        """Sinusoid rows of ``timesteps``, (S, cond_width); each row is built
+        once per timestep, on first use."""
+        rows = []
+        for t in np.asarray(timesteps).tolist():
+            if not 0 <= t < self.num_steps:
+                raise ValueError(f"timestep {t} outside schedule")
+            if t not in self._sinusoid_rows:
+                self._sinusoid_rows[t] = sinusoid_table(
+                    np.array([float(t)]), self.cond_width)[0]
+            rows.append(self._sinusoid_rows[t])
+        return np.array(rows)
 
     def time_embedding(self, t: int) -> Tensor:
-        """Learned projection of interleaved sin/cos timestep features; the
-        sinusoid row is built once per timestep, on first use."""
-        if not 0 <= t < self.num_steps:
-            raise ValueError(f"timestep {t} outside schedule")
-        if t not in self._sinusoid_rows:
-            self._sinusoid_rows[t] = Tensor(
-                sinusoid_table(np.array([float(t)]), self.cond_width))
-        return self.time_proj(self._sinusoid_rows[t])
+        """Learned projection of interleaved sin/cos timestep features,
+        (1, cond_width)."""
+        return self.time_proj(self._sinusoids([t]))
 
-    def condition(self, cond) -> HeadCondition:
-        """Bind a condition, (cond_width,) or (B, cond_width), for ``denoise``."""
+    def time_terms(self, timesteps) -> Tensor:
+        """The first layer's time term ``time_embedding(t) @ wt + b`` for each
+        of ``timesteps``, (S, hidden), as two batched products."""
+        return linear(self.time_proj(self._sinusoids(timesteps)), self.wt, self.b1)
+
+    def _checked_condition(self, cond) -> Tensor:
         cond = as_tensor(cond)
         if cond.data.ndim not in (1, 2) or cond.data.shape[-1] != self.cond_width:
             raise DataError(f"condition {cond.data.shape} is not (cond_width,) or "
                             f"(B, cond_width) with cond_width = {self.cond_width}")
+        return cond
+
+    def condition(self, cond, timesteps=None) -> HeadCondition:
+        """Bind a condition, (cond_width,) or (B, cond_width), for ``denoise``.
+
+        With ``timesteps``, also plan them: one batched product binds every
+        planned step's time term, and ``denoise`` at a planned timestep only
+        slices its row. Binding records tape nodes like any op, so a plan
+        bound under the tape passes gradients to the condition and the head.
+        """
+        cond = self._checked_condition(cond)
         if cond.data.ndim == 1:
             cond = reshape(cond, (1, self.cond_width))
-        return HeadCondition(matmul(cond, self.wc))
+        term = matmul(cond, self.wc)
+        if timesteps is None:
+            return HeadCondition(term)
+        times = self.time_terms(timesteps)
+        table = add(term, reshape(times, (times.data.shape[0], 1, times.data.shape[1])))
+        return HeadCondition(term, table, {int(t): i for i, t in enumerate(timesteps)})
 
     def denoise(self, z_t, t: int, cond) -> Tensor:
         """Predict the clean unit: (H, C) with cond (cond_width,), or a batch
         (B, H, C) with cond (B, cond_width). ``cond`` is a raw condition or a
-        ``HeadCondition`` from :meth:`condition`. ``z_t`` enters as data only;
-        no caller needs its gradient."""
+        ``HeadCondition`` from :meth:`condition`. A timestep the condition
+        planned takes its row of the plan; any other timestep computes its
+        time term here. ``z_t`` enters as data only; no caller needs its
+        gradient."""
         z = as_tensor(z_t).data
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
@@ -152,7 +196,11 @@ class DiffusionHead:
         rows = z.reshape(-1, self.unit_shape[0] * self.unit_shape[1])
         if cond.term.data.shape[0] != rows.shape[0]:
             raise DataError("condition rows do not match the batch")
-        bias = add(cond.term, linear(self.time_embedding(t), self.wt, self.b1))
+        row = cond.planned.get(t)
+        if row is None:
+            bias = add(cond.term, self.time_terms([t]))
+        else:
+            bias = take_slice(cond.table, row)
         return reshape(self.lin2(gelu(linear(rows, self.wz, bias))), z.shape)
 
 
@@ -160,38 +208,53 @@ def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,
                 rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Deterministic DDIM (eta = 0) from seeded unit Gaussian noise.
 
-    ``denoise_fn(z_t, t) -> z0_hat`` is called exactly ``steps`` times. Each
+    ``denoise_fn(z_t, t) -> z0_hat`` is called exactly ``steps`` times, with
+    ``t`` a Python int. If ``denoise_fn`` has a ``plan`` attribute, it is
+    called once before the first step with the whole descending timestep
+    array from ``sample_timesteps``, so the denoiser can bind its per-step
+    work for the unit in one go; a plain callable is sampled as it is. Each
     update re-derives the implied noise from the clean prediction; the final
     step treats the previous alpha-bar as 1, i.e. returns z0_hat itself.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     timesteps = sample_timesteps(schedule.num_steps, steps)
+    plan = getattr(denoise_fn, "plan", None)
+    if plan is not None:
+        plan(timesteps)
+    abar = schedule.alpha_bar[timesteps]
+    abar_prev = np.append(abar[1:], 1.0)
+    roots = np.sqrt([abar, 1.0 - abar, abar_prev, 1.0 - abar_prev]).T.tolist()
     z = rng.standard_normal(shape)
-    for i, t in enumerate(timesteps):
-        abar_t = schedule.alpha_bar[t]
-        z0_hat = np.asarray(denoise_fn(z, int(t)))
-        if i + 1 < len(timesteps):
-            abar_prev = schedule.alpha_bar[timesteps[i + 1]]
-        else:
-            abar_prev = 1.0
-        eps_hat = (z - np.sqrt(abar_t) * z0_hat) / np.sqrt(1.0 - abar_t)
-        z = np.sqrt(abar_prev) * z0_hat + np.sqrt(1.0 - abar_prev) * eps_hat
+    for t, (signal, noise, signal_prev, noise_prev) in zip(timesteps.tolist(), roots):
+        z0_hat = np.asarray(denoise_fn(z, t))
+        eps_hat = (z - signal * z0_hat) / noise
+        z = signal_prev * z0_hat + noise_prev * eps_hat
     return z
 
 
 def head_denoiser(head: DiffusionHead, cond: np.ndarray):
-    """Bind a condition into a ``denoise_fn`` for sampling.
+    """Bind a condition into a ``denoise_fn`` for ``ddim_sample``.
 
-    The condition is bound once, here; each call is one ``head.denoise`` with
-    the bound condition, so a wrong-width condition raises ``DataError`` at
-    binding time.
+    A wrong-width or wrong-rank condition raises ``DataError`` here. The
+    returned callable has a ``plan``: ``ddim_sample`` calls it with the
+    unit's timesteps, which binds the condition and every step's time term
+    at once (``DiffusionHead.condition``). Called without a plan, it binds
+    the condition alone on its first call. Each call is one ``head.denoise``
+    with the bound condition.
     """
-    with no_grad():
-        bound = head.condition(cond)
+    cond = head._checked_condition(cond)
+    bound = None
+
+    def plan(timesteps: np.ndarray) -> None:
+        nonlocal bound
+        with no_grad():
+            bound = head.condition(cond, timesteps)
 
     def denoise_fn(z_t: np.ndarray, t: int) -> np.ndarray:
+        nonlocal bound
         with no_grad():
+            if bound is None:
+                bound = head.condition(cond)
             return head.denoise(z_t, t, bound).data
 
+    denoise_fn.plan = plan
     return denoise_fn

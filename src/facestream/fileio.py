@@ -168,7 +168,11 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise DataError(f"{path}: truncated payload for '{name}'")
         arr = np.frombuffer(raw, dtype=dtype, count=n_items, offset=cursor)
         cursor += n_items * dtype.itemsize
-        tensors[name] = arr.reshape(shape).copy()
+        try:   # an empty tensor whose other extents overflow the address space
+            arr = arr.reshape(shape)
+        except ValueError:
+            raise DataError(f"{path}: shape {shape} of '{name}' is too large") from None
+        tensors[name] = arr.copy()
     return tensors, manifest
 
 

@@ -24,6 +24,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
+from .fileio import DataError
+
 
 class NonFiniteError(ArithmeticError):
     """Raised when an op would produce NaN or Inf values."""
@@ -618,14 +620,31 @@ class ParamStore:
         return {n: self._params[n].data.copy() for n in self.names()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Replace every parameter's values with the same-named array of
+        ``state``, all or none.
+
+        The whole state is checked before any parameter is written: a missing
+        or unexpected name, or a non-finite array, raises ``DataError``, and a
+        shape mismatch raises ``ValueError``. On any error the store is left
+        unchanged.
+        """
+        missing = sorted(set(self._params) - set(state))
+        unexpected = sorted(set(state) - set(self._params))
+        if missing or unexpected:
+            raise DataError(f"state does not match the parameters: missing "
+                            f"{missing}, unexpected {unexpected}")
+        loaded = {}
         for name, tensor in self._params.items():
-            if name not in state:
-                raise KeyError(f"checkpoint missing parameter '{name}'")
             arr = np.asarray(state[name])
             if arr.shape != tensor.data.shape:
                 raise ValueError(f"shape mismatch for '{name}': "
                                  f"{arr.shape} vs {tensor.data.shape}")
-            tensor.data = arr.astype(tensor.data.dtype)
+            arr = arr.astype(tensor.data.dtype)
+            if not np.isfinite(arr).all():
+                raise DataError(f"non-finite values in parameter '{name}'")
+            loaded[name] = arr
+        for name, arr in loaded.items():
+            self._params[name].data = arr
 
 
 def backward(loss: Tensor, params: ParamStore | None = None) -> ParamStore | None:

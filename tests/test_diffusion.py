@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from facestream import tensor
 from facestream.diffusion import (
     DiffusionHead,
     NoiseSchedule,
@@ -142,10 +143,54 @@ class TestDDIM:
         b = ddim_sample(fn, s, 10, np.random.default_rng(42), (2, 4))
         np.testing.assert_array_equal(a, b)
 
+    def test_plan_called_once_with_the_timesteps(self):
+        s = build_schedule(1000)
+        for steps in [1, 7, 50]:
+            plans, calls = [], []
+
+            def denoise_fn(z_t, t):
+                calls.append(t)
+                return np.tanh(z_t)
+
+            denoise_fn.plan = plans.append
+            ddim_sample(denoise_fn, s, steps, np.random.default_rng(0), (2, 3))
+            assert len(plans) == 1
+            np.testing.assert_array_equal(plans[0], sample_timesteps(1000, steps))
+            assert plans[0].dtype == sample_timesteps(1000, steps).dtype
+            assert calls == sample_timesteps(1000, steps).tolist()
+
+    @pytest.mark.parametrize("steps", [1, 7, 10, 50])
+    def test_matches_per_step_formula(self, steps):
+        """The precomputed coefficients give bit for bit the per-step update."""
+        s = build_schedule(1000)
+
+        def oracle(z_t, t):
+            return np.tanh(1.5 * z_t + 0.001 * t) - 0.2 * z_t * z_t
+
+        got = ddim_sample(oracle, s, steps, np.random.default_rng(5), (4, 8))
+        want = _per_step_ddim(oracle, s, steps, np.random.default_rng(5), (4, 8))
+        np.testing.assert_array_equal(got, want)
+
     def test_zero_steps_rejected(self):
         s = build_schedule(100)
         with pytest.raises(ValueError):
             ddim_sample(lambda z, t: z, s, 0, np.random.default_rng(0), (1,))
+
+
+def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
+    """DDIM with every coefficient computed at its own step."""
+    timesteps = sample_timesteps(schedule.num_steps, steps)
+    z = rng.standard_normal(shape)
+    for i, t in enumerate(timesteps):
+        abar_t = schedule.alpha_bar[t]
+        z0_hat = np.asarray(denoise_fn(z, int(t)))
+        if i + 1 < len(timesteps):
+            abar_prev = schedule.alpha_bar[timesteps[i + 1]]
+        else:
+            abar_prev = 1.0
+        eps_hat = (z - np.sqrt(abar_t) * z0_hat) / np.sqrt(1.0 - abar_t)
+        z = np.sqrt(abar_prev) * z0_hat + np.sqrt(1.0 - abar_prev) * eps_hat
+    return z
 
 
 class TestHead:
@@ -198,6 +243,10 @@ class TestHead:
         assert z_t.grad is None
         ops = [n._backward.__qualname__.split(".")[0] for n in order if n._backward]
         assert "take_slice" not in ops
+
+    def test_odd_cond_width_rejected(self):
+        with pytest.raises(ValueError):
+            DiffusionHead((2, 4), cond_width=5, hidden=8, num_steps=50)
 
     def test_time_embedding_sinusoid_structure(self):
         head = self.make_head()
@@ -307,3 +356,90 @@ class TestBoundCondition:
                 row = Tensor(sinusoid_table(np.array([float(t)]), 6))
                 np.testing.assert_array_equal(head.time_embedding(t).data,
                                               head.time_proj(row).data)
+
+
+class TestPlan:
+    """A condition bound with the unit's timesteps: one table of time terms."""
+
+    PLAN = np.array([45, 30, 17, 4])
+    make_head = TestBoundCondition.make_head
+    inputs = TestBoundCondition.inputs
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_planned_matches_unplanned(self, batch):
+        """Output, condition gradient and all head gradients, with the plan
+        bound under the tape."""
+        head = self.make_head()
+        z, cond0 = self.inputs(batch, seed=1)
+        weight = np.random.default_rng(2).normal(size=z.shape)
+        for t in self.PLAN:
+            results = []
+            for plan in (self.PLAN, None):
+                head.store.zero_grads()
+                cond = Tensor(cond0, requires_grad=True)
+                out = head.denoise(z, int(t), head.condition(cond, plan))
+                tsum(mul(out, weight)).backward()
+                results.append((out.data, cond.grad,
+                                [p.grad for p in head.store.tensors()]))
+            (out_p, cond_p, params_p), (out_u, cond_u, params_u) = results
+            assert _rel_err(out_p, out_u) < 1e-12
+            assert _rel_err(cond_p, cond_u) < 1e-12
+            assert len(params_p) == 8
+            for g_p, g_u in zip(params_p, params_u):
+                assert _rel_err(g_p, g_u) < 1e-12
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_unplanned_timestep_is_bit_identical(self, batch):
+        head = self.make_head()
+        z, cond = self.inputs(batch, seed=3)
+        planned = head.condition(cond, self.PLAN)
+        for t in (0, 23, 49):
+            np.testing.assert_array_equal(head.denoise(z, t, planned).data,
+                                          head.denoise(z, t, cond).data)
+
+    def test_planned_step_records_only_the_z_dependent_nodes(self):
+        head = self.make_head()
+        z, cond = self.inputs(None, seed=5)
+        bound = head.condition(Tensor(cond, requires_grad=True), self.PLAN)
+        out = head.denoise(z, 17, bound)
+        binding = {id(n) for n in _topo_order(bound.table)}
+        step = [n for n in _topo_order(out) if id(n) not in binding]
+        assert sorted(_taped_ops(step)) == ["gelu", "linear", "linear",
+                                            "reshape", "take_slice"]
+
+    def test_planned_timestep_outside_schedule_rejected(self):
+        head = self.make_head()
+        for plan in ([49, 50], [-1], [3, 100]):
+            with pytest.raises(ValueError):
+                head.condition(np.zeros(6), np.array(plan))
+
+    def test_time_terms_follow_weight_writes(self):
+        head = self.make_head()
+        for scale in (1.0, 2.0):
+            head.wt.data *= scale
+            terms = head.time_terms(self.PLAN).data
+            for row, t in zip(terms, self.PLAN):
+                want = head.time_embedding(int(t)).data @ head.wt.data + head.b1.data
+                np.testing.assert_allclose(row, want[0], rtol=1e-12, atol=1e-15)
+
+    def test_head_denoiser_binds_inside_plan(self, monkeypatch):
+        """``head_denoiser`` only checks the condition; ``ddim_sample`` binds
+        it through ``plan``, and sampling matches an unplanned denoiser."""
+        head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=0)
+        s = build_schedule(100)
+        cond = np.random.default_rng(6).normal(size=6)
+        nodes = []
+        record = tensor._node
+        monkeypatch.setattr(tensor, "_node",
+                            lambda *a: nodes.append(a[-1]) or record(*a))
+        fn = head_denoiser(head, cond)
+        assert nodes == []
+        fn.plan(sample_timesteps(100, 10))
+        assert sorted(nodes) == ["add", "linear", "linear", "matmul",
+                                 "reshape", "reshape"]
+        monkeypatch.setattr(tensor, "_node", record)
+        planned = ddim_sample(head_denoiser(head, cond), s, 10,
+                              np.random.default_rng(7), (2, 4))
+        unplanned = ddim_sample(lambda z, t: head_denoiser(head, cond)(z, t), s, 10,
+                                np.random.default_rng(7), (2, 4))
+        assert _rel_err(planned, unplanned) < 1e-12

@@ -161,6 +161,17 @@ class TestCorruptInput:
         with pytest.raises(DataError, match="dtype code"):
             read_checkpoint(root / "bad")
 
+    def test_empty_tensor_with_overflowing_shape_rejected(self, tmp_path):
+        path = tmp_path / "ckpt"
+        write_checkpoint(path, {"e": np.zeros((0, 2, 2))}, {})
+        data = bytearray(path.read_bytes())
+        # u16 name length, the name "e", dtype code and rank, then three u32 extents
+        extents = 16 + int.from_bytes(data[8:16], "little") + 4 + 2 + 1 + 2
+        data[extents + 4:extents + 12] = (2**31).to_bytes(4, "little") * 2
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="too large"):
+            read_checkpoint(path)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(sorted(READERS)),
            flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),

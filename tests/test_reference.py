@@ -4,8 +4,10 @@
 and the loss rows of fixed-seed training calls. This test rebuilds them with
 the benchmark's own workloads, seed and sizes and compares them with the
 benchmark's own tolerance, so output drift shows in the unit tests and not
-only in a benchmark run. It imports from ``perfbench/`` and writes nothing
-there.
+only in a benchmark run. Over the same runs it also counts the tape nodes
+each operation records, against fixed upper bounds, so work that creeps back
+into the per-unit or per-step path fails here. It imports from
+``perfbench/`` and writes nothing there.
 """
 
 import sys
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from facestream import tensor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +46,26 @@ def test_reproduces_reference(name):
     assert workloads.close(got, expected), (
         f"{name}: max relative deviation "
         f"{np.max(np.abs(got - expected)) / np.max(np.abs(expected)):.3g}")
+
+
+# Tape nodes per emitted unit (streams) or optimizer step (training), counted
+# over the reference runs: a planned DDIM step records 5 nodes.
+NODE_BUDGET = {"solo_d10": 132, "multi_d50": 332, "train_s2": 133}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_BUDGET))
+def test_tape_nodes_per_operation(name, monkeypatch):
+    work = workloads.make_work(name, run.REF_SEED)
+    work.setup()
+    size = run.REF_SIZE[name]
+    ops = size * (len(work.dataset) if name == "train_s2" else work.n_sessions)
+    nodes = [0]
+    record = tensor._node
+
+    def counting(*args):
+        nodes[0] += 1
+        return record(*args)
+
+    monkeypatch.setattr(tensor, "_node", counting)
+    work.reference(run.REF_SEED, size)
+    assert nodes[0] / ops <= NODE_BUDGET[name]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from facestream import tensor as T
+from facestream.fileio import DataError
 from facestream.nn import MultiHeadAttention, alibi_bias, causal_mask
 from facestream.tensor import (
     NonFiniteError,
@@ -454,6 +455,41 @@ class TestParamStore:
         store.create("w", np.zeros((2, 2)))
         with pytest.raises(ValueError):
             store.load_state({"w": np.zeros(3)})
+
+    def make_store(self):
+        store = ParamStore()
+        store.create("a", np.zeros(2))
+        store.create("b", np.zeros((2, 2)))
+        return store
+
+    def assert_load_rejected(self, state, error):
+        store = self.make_store()
+        with pytest.raises(error):
+            store.load_state(state)
+        for name in ("a", "b"):   # nothing was written
+            np.testing.assert_array_equal(store[name].data, 0.0)
+
+    def test_load_state_missing_name_rejected(self):
+        self.assert_load_rejected({"a": np.ones(2)}, DataError)
+
+    def test_load_state_unexpected_name_rejected(self):
+        self.assert_load_rejected(
+            {"a": np.ones(2), "b": np.ones((2, 2)), "c": np.ones(1)}, DataError)
+
+    def test_load_state_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            self.assert_load_rejected(
+                {"a": np.ones(2), "b": np.full((2, 2), bad)}, DataError)
+
+    def test_failed_load_leaves_store_unchanged(self):
+        self.assert_load_rejected({"a": np.ones(2), "b": np.ones(3)}, ValueError)
+
+    def test_load_state_round_trip(self):
+        store = self.make_store()
+        state = {"a": np.arange(2.0), "b": np.arange(4.0).reshape(2, 2)}
+        store.load_state(state)
+        for name, arr in state.items():
+            np.testing.assert_array_equal(store[name].data, arr)
 
     def test_no_grad_suppresses_tape(self):
         w = Tensor(np.ones(2), requires_grad=True)
