@@ -9,6 +9,7 @@ one-hot speaker identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,9 @@ class FeatureExtractor:
     def __call__(self, waveform: np.ndarray, sample_rate: float,
                  target_rate: float) -> AudioFeatureSequence:
         waveform = np.asarray(waveform, dtype=np.float64).reshape(-1)
-        if sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        for name, rate in (("sample", sample_rate), ("target", target_rate)):
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} rate must be finite and positive, got {rate}")
         if waveform.size == 0:
             raise ValueError("empty waveform")
         window = max(2, int(round(WINDOW_SECONDS * sample_rate)))
@@ -108,28 +110,6 @@ class FeatureExtractor:
         spectrum = np.abs(np.fft.rfft(frames * hann, n=n_fft, axis=1))
         energies = np.log(spectrum @ bank.T + LOG_FLOOR)
         return AudioFeatureSequence(energies @ self.projection, target_rate)
-
-
-def resample_to_frames(feat: AudioFeatureSequence, num_frames: int) -> np.ndarray:
-    """Linearly interpolate features onto ``num_frames`` uniform positions.
-
-    The output spans the original extent; constants are preserved exactly and
-    ``num_frames == T_a`` is the identity.
-    """
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
-    source = feat.features
-    t_a = source.shape[0]
-    if num_frames == t_a:
-        return source.copy()
-    if t_a == 1:
-        return np.tile(source, (num_frames, 1))
-    positions = np.linspace(0.0, t_a - 1.0, num_frames)
-    base = np.arange(t_a, dtype=np.float64)
-    out = np.empty((num_frames, source.shape[1]))
-    for c in range(source.shape[1]):
-        out[:, c] = np.interp(positions, base, source[:, c])
-    return out
 
 
 class StyleEncoder:

@@ -192,7 +192,8 @@ class MotionCodec:
         return grid, st, gathered
 
     def decode(self, codes, frames: int | None = None, offset_frames: int = 0) -> Tensor:
-        """Latents (T', H, C) -> motion (frames, V, 3); padding rows trimmed."""
+        """Latents (T', H, C) -> motion (frames, V, 3): the first ``frames``
+        of the T' * H decoded rows, all by default; 1 <= frames <= T' * H."""
         codes = as_tensor(codes)
         c = self.config
         if codes.data.ndim != 3 or codes.data.shape[2] != c.width \
@@ -202,6 +203,9 @@ class MotionCodec:
         t_pad = codes.data.shape[0] * c.components
         if frames is None:
             frames = t_pad
+        elif not 0 < frames <= t_pad:
+            raise ValueError(f"frames must be in [1, {t_pad}] for "
+                             f"{codes.data.shape[0]} units, got {frames}")
         h = reshape(codes, (t_pad, c.width))
         h = add(h, sinusoid_table(np.arange(offset_frames, offset_frames + t_pad),
                                   c.width))

@@ -4,20 +4,22 @@ that predicts the clean latent unit directly, and a deterministic DDIM sampler.
 The denoiser consumes the noisy unit, the per-unit condition vector from the
 autoregressive predictor, and a sinusoidal timestep embedding. Its first layer
 keeps one weight block per input (noisy unit, condition, time). Only the
-noisy-unit block depends on ``z_t``, so a unit's DDIM loop is planned once:
-the sampler hands the head its timesteps, and the head binds the condition's
-product plus every planned step's time term in one batched product
-(``DiffusionHead.condition``). Each step then slices its row of that table
-and does only the work that depends on ``z_t``. The plan is rebuilt from the
-current weights for every unit, so it never goes stale. Sampling walks a
-uniform-stride descending subsequence of the training timesteps with eta=0;
-the final step returns the clean prediction itself, so a perfect denoiser is
-recovered exactly regardless of the step count.
+noisy-unit block depends on ``z_t``, so every ``denoise`` call reads a plan:
+``DiffusionHead.condition`` binds the condition's product plus the time term
+of each planned timestep in one fused node, and each step slices its row of
+that table and does only the work that depends on ``z_t``. Training and
+sampling share this one path. Stage-2 training draws one timestep per step
+and binds a one-step plan; the sampler plans a unit's whole descending
+timestep sequence once. The plan is rebuilt from the current weights for
+every unit, so it never goes stale. Sampling walks a uniform-stride
+descending subsequence of the training timesteps with eta=0; the final step
+returns the clean prediction itself, so a perfect denoiser is recovered
+exactly regardless of the step count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +28,9 @@ from .nn import Linear, glorot_uniform, sinusoid_table
 from .tensor import (
     ParamStore,
     Tensor,
-    add,
     as_tensor,
     gelu,
     linear,
-    matmul,
     no_grad,
     reshape,
     take_slice,
@@ -92,17 +92,15 @@ def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeadCondition:
-    """A condition bound to a head for the DDIM steps of one unit.
+    """A condition bound to a head for the planned DDIM steps of one unit.
 
-    ``term`` is the condition's product with the first layer's condition
-    block, (B, hidden). A plan adds ``table``, (S, B, hidden): ``term`` plus
-    the time term of each planned timestep, and ``planned``, which maps each
-    planned timestep to its row of ``table``.
+    ``table`` is (S, B, hidden): the condition's product with the first
+    layer's condition block plus the time term of each of the S planned
+    timesteps. ``planned`` maps each planned timestep to its row of ``table``.
     """
 
-    term: Tensor
-    table: Tensor | None = None
-    planned: dict[int, int] = field(default_factory=dict)
+    table: Tensor
+    planned: dict[int, int]
 
 
 class DiffusionHead:
@@ -133,26 +131,21 @@ class DiffusionHead:
         self._sinusoid_rows: dict[int, np.ndarray] = {}
 
     def _sinusoids(self, timesteps) -> np.ndarray:
-        """Sinusoid rows of ``timesteps``, (S, cond_width); each row is built
-        once per timestep, on first use."""
+        """Sinusoid rows of ``timesteps``, (S, 1, cond_width); each row is
+        built once per timestep, on first use."""
         rows = []
         for t in np.asarray(timesteps).tolist():
             if not 0 <= t < self.num_steps:
                 raise ValueError(f"timestep {t} outside schedule")
             if t not in self._sinusoid_rows:
                 self._sinusoid_rows[t] = sinusoid_table(
-                    np.array([float(t)]), self.cond_width)[0]
+                    np.array([float(t)]), self.cond_width)
             rows.append(self._sinusoid_rows[t])
         return np.array(rows)
 
-    def time_embedding(self, t: int) -> Tensor:
-        """Learned projection of interleaved sin/cos timestep features,
-        (1, cond_width)."""
-        return self.time_proj(self._sinusoids([t]))
-
     def time_terms(self, timesteps) -> Tensor:
-        """The first layer's time term ``time_embedding(t) @ wt + b`` for each
-        of ``timesteps``, (S, hidden), as two batched products."""
+        """The first layer's time term ``time_proj(sinusoid(t)) @ wt + b`` for
+        each of ``timesteps``, (S, 1, hidden), as two batched products."""
         return linear(self.time_proj(self._sinusoids(timesteps)), self.wt, self.b1)
 
     def _checked_condition(self, cond) -> Tensor:
@@ -162,45 +155,39 @@ class DiffusionHead:
                             f"(B, cond_width) with cond_width = {self.cond_width}")
         return cond
 
-    def condition(self, cond, timesteps=None) -> HeadCondition:
-        """Bind a condition, (cond_width,) or (B, cond_width), for ``denoise``.
+    def condition(self, cond, timesteps) -> HeadCondition:
+        """Plan ``timesteps`` for a condition, (cond_width,) or (B, cond_width).
 
-        With ``timesteps``, also plan them: one batched product binds every
-        planned step's time term, and ``denoise`` at a planned timestep only
-        slices its row. Binding records tape nodes like any op, so a plan
-        bound under the tape passes gradients to the condition and the head.
+        One fused ``linear`` node adds ``cond @ wc`` to every planned step's
+        time term (``time_terms``), which gives a (S, B, hidden) table;
+        ``denoise`` at a planned timestep only slices its row. The sampler plans a unit's whole timestep
+        sequence, and stage-2 training a one-step plan. Binding records tape
+        nodes like any op, so a plan bound under the tape passes gradients to
+        the condition and the head.
         """
         cond = self._checked_condition(cond)
         if cond.data.ndim == 1:
             cond = reshape(cond, (1, self.cond_width))
-        term = matmul(cond, self.wc)
-        if timesteps is None:
-            return HeadCondition(term)
-        times = self.time_terms(timesteps)
-        table = add(term, reshape(times, (times.data.shape[0], 1, times.data.shape[1])))
-        return HeadCondition(term, table, {int(t): i for i, t in enumerate(timesteps)})
+        table = linear(cond, self.wc, self.time_terms(timesteps))
+        return HeadCondition(table, {int(t): i for i, t in enumerate(timesteps)})
 
-    def denoise(self, z_t, t: int, cond) -> Tensor:
-        """Predict the clean unit: (H, C) with cond (cond_width,), or a batch
-        (B, H, C) with cond (B, cond_width). ``cond`` is a raw condition or a
-        ``HeadCondition`` from :meth:`condition`. A timestep the condition
-        planned takes its row of the plan; any other timestep computes its
-        time term here. ``z_t`` enters as data only; no caller needs its
-        gradient."""
+    def denoise(self, z_t, t: int, bound: HeadCondition) -> Tensor:
+        """Predict the clean unit: (H, C) with a plan of a (cond_width,)
+        condition, or a batch (B, H, C) with a plan of a (B, cond_width) one.
+        ``bound`` comes from :meth:`condition`; a timestep it did not plan
+        raises ``ValueError``. ``z_t`` enters as data only; no caller needs
+        its gradient."""
         z = as_tensor(z_t).data
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
                             f"with (H, C) = {self.unit_shape}")
-        if not isinstance(cond, HeadCondition):
-            cond = self.condition(cond)
         rows = z.reshape(-1, self.unit_shape[0] * self.unit_shape[1])
-        if cond.term.data.shape[0] != rows.shape[0]:
+        if bound.table.data.shape[1] != rows.shape[0]:
             raise DataError("condition rows do not match the batch")
-        row = cond.planned.get(t)
+        row = bound.planned.get(t)
         if row is None:
-            bias = add(cond.term, self.time_terms([t]))
-        else:
-            bias = take_slice(cond.table, row)
+            raise ValueError(f"timestep {t} is not in the plan")
+        bias = take_slice(bound.table, row)
         return reshape(self.lin2(gelu(linear(rows, self.wz, bias))), z.shape)
 
 
@@ -237,9 +224,9 @@ def head_denoiser(head: DiffusionHead, cond: np.ndarray):
     A wrong-width or wrong-rank condition raises ``DataError`` here. The
     returned callable has a ``plan``: ``ddim_sample`` calls it with the
     unit's timesteps, which binds the condition and every step's time term
-    at once (``DiffusionHead.condition``). Called without a plan, it binds
-    the condition alone on its first call. Each call is one ``head.denoise``
-    with the bound condition.
+    at once (``DiffusionHead.condition``). Each call is then one
+    ``head.denoise`` with that plan; a call before ``plan`` raises
+    ``ValueError``.
     """
     cond = head._checked_condition(cond)
     bound = None
@@ -250,10 +237,9 @@ def head_denoiser(head: DiffusionHead, cond: np.ndarray):
             bound = head.condition(cond, timesteps)
 
     def denoise_fn(z_t: np.ndarray, t: int) -> np.ndarray:
-        nonlocal bound
+        if bound is None:
+            raise ValueError("head_denoiser: plan(timesteps) must come first")
         with no_grad():
-            if bound is None:
-                bound = head.condition(cond)
             return head.denoise(z_t, t, bound).data
 
     denoise_fn.plan = plan

@@ -2,7 +2,8 @@
 
 All payloads are little-endian. Writers are deterministic (sorted tensor
 names, no timestamps) so identical state produces identical bytes. Readers
-raise ``DataError`` on truncated or corrupt input.
+raise ``DataError`` on truncated or corrupt input, and the motion and feature
+readers also on a non-finite value or a rate that is not finite and positive.
 
 Motion file ("SGMO"):   magic, version u32, T u32, V u32, frame_rate f32,
                         then T*V*3 float32 values.
@@ -48,6 +49,14 @@ def _utf8(raw: bytes, path) -> str:
         raise DataError(f"{path}: text is not UTF-8") from None
 
 
+def _check_values(payload: np.ndarray, rate: float, path) -> None:
+    """A rate must be finite and positive, and every payload value finite."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise DataError(f"{path}: rate {rate} is not finite and positive")
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: non-finite payload values")
+
+
 def write_motion(path, offsets: np.ndarray, frame_rate: float) -> None:
     offsets = np.asarray(offsets)
     if offsets.ndim != 3 or offsets.shape[2] != 3:
@@ -70,6 +79,7 @@ def read_motion(path) -> tuple[np.ndarray, float]:
     if len(raw) < 20 + 4 * t * v * 3:
         raise DataError(f"{path}: truncated motion payload")
     payload = np.frombuffer(raw, dtype="<f4", count=t * v * 3, offset=20)
+    _check_values(payload, rate, path)
     return payload.reshape(t, v, 3).astype(np.float64), float(rate)
 
 
@@ -93,6 +103,7 @@ def read_features(path) -> tuple[np.ndarray, float]:
     if len(raw) < 16 + 4 * t * c:
         raise DataError(f"{path}: truncated feature payload")
     payload = np.frombuffer(raw, dtype="<f4", count=t * c, offset=16)
+    _check_values(payload, rate, path)
     return payload.reshape(t, c).astype(np.float64), float(rate)
 
 

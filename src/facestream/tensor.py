@@ -2,18 +2,20 @@
 
 A recorded-tape engine sized for small transformer stacks: every op returns a
 new immutable ``Tensor`` whose closure knows how to push gradients back to its
-parents. The op vocabulary is deliberately small (elementwise arithmetic,
-matmul, GELU, embedding lookup, reshapes, reductions, L1/L2 losses, masked
-softmax) plus a straight-through combinator for non-differentiable
-quantizers. Three fused primitives, ``linear`` (x @ w + b), ``layer_norm``
-and ``attention`` (head split, scale, bias, mask, softmax, weighted sum and
-head merge), each record one tape node with a closed-form backward, so a
-transformer layer costs a handful of nodes instead of dozens; they keep the
-finite checks that the composed ops made. ``attention`` owns the multi-head
-layout: its inputs and output keep the heads side by side in the last axis,
-and it splits and merges them in numpy, so no layout node reaches the tape.
-A finite-difference checker ships with the engine so every op and every
-composed loss graph can be verified against central differences.
+parents. The op vocabulary holds only what the library runs: ``add``,
+``mul``, ``tabs``, ``square`` and ``gelu``; ``reshape``, ``concat``,
+``take_slice`` and ``take_rows``; ``tsum``, ``tmean``, ``l1_loss`` and
+``l2_loss``; ``stop_gradient`` and a straight-through combinator for
+non-differentiable quantizers. Three fused primitives, ``linear``
+(x @ w + b), ``layer_norm`` and ``attention`` (head split, scale, bias,
+mask, softmax, weighted sum and head merge), each record one tape node with
+a closed-form backward, so a transformer layer costs a handful of nodes
+instead of dozens; they keep the finite checks that the composed ops made.
+``attention`` owns the multi-head layout: its inputs and output keep the
+heads side by side in the last axis, and it splits and merges them in numpy,
+so no layout node reaches the tape. A finite-difference checker ships with
+the engine so every op and every composed loss graph can be verified against
+central differences.
 """
 
 from __future__ import annotations
@@ -82,10 +84,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -117,42 +115,13 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(as_tensor(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, power(other, -1.0))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take_slice(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -223,39 +192,6 @@ def mul(a, b) -> Tensor:
     return _node(out, (a, b), backward, "mul")
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    out = a.data ** p
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return _node(out, (a,), backward, "power")
-
-
-def tlog(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _node(out, (a,), backward, "log")
-
-
-def tsin(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sin(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.cos(a.data))
-
-    return _node(out, (a,), backward, "sin")
-
-
 def tabs(a) -> Tensor:
     a = as_tensor(a)
     out = np.abs(a.data)
@@ -304,17 +240,6 @@ def reshape(a, shape) -> Tensor:
             a._accumulate(g.reshape(a.data.shape))
 
     return _node(out, (a,), backward, "reshape")
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    out = np.swapaxes(a.data, ax1, ax2)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, ax1, ax2))
-
-    return _node(out, (a,), backward, "swapaxes")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -398,37 +323,31 @@ def l2_loss(a, b) -> Tensor:
 
 # -- structural ops --------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul expects arrays of rank >= 2")
-    out = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return _node(out, (a, b), backward, "matmul")
-
-
 def linear(x, w, b) -> Tensor:
-    """Affine map ``x @ w + b`` over the last axis of ``x``."""
+    """Affine map ``x @ w + b`` over the last axis of ``x``.
+
+    ``b`` may broadcast ``x @ w`` to a larger shape, e.g. a (B, n) product
+    against a (S, 1, n) bias. An ``x`` of rank above 2 is folded into one 2-D
+    product, which numpy computes several times faster than a stacked one.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim < 2 or w.data.ndim != 2:
         raise ValueError("linear expects x of rank >= 2 and a 2-D weight")
-    out = x.data @ w.data + b.data
+    lead = x.data.shape[:-1]
+    if x.data.ndim == 2:
+        out = x.data @ w.data + b.data
+    else:
+        out = (x.data.reshape(-1, x.data.shape[-1]) @ w.data).reshape(
+            lead + w.data.shape[1:]) + b.data
 
     def backward(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        g = _unbroadcast(g, lead + g.shape[-1:])   # sum what b broadcast x along
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
             w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _node(out, (x, w, b), backward, "linear")
 
@@ -449,22 +368,6 @@ def _softmax(x: np.ndarray, mask) -> np.ndarray:
 def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Vector-Jacobian product of the softmax at output ``weights``."""
     return weights * (g - (g * weights).sum(axis=-1, keepdims=True))
-
-
-def masked_softmax(scores, mask=None) -> Tensor:
-    """Softmax over the last axis; positions where ``mask`` is False get weight 0.
-
-    A query row with no admissible key is a contract violation and raises
-    ``ValueError('degenerate attention row')``.
-    """
-    scores = as_tensor(scores)
-    out = _softmax(scores.data, mask)
-
-    def backward(g):
-        if scores.requires_grad:
-            scores._accumulate(_softmax_grad(out, g))
-
-    return _node(out, (scores,), backward, "masked_softmax")
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:

@@ -185,7 +185,7 @@ def _stage2_forward(example: SequenceExample, codec: MotionCodec,
     audio = example.features[start * h:(next_unit + 1) * h]
     conditions = predictor(window, audio, example.speaker)
     z_t = add_noise(targets, t_step, eps, schedule)
-    z_pred = head.denoise(z_t, t_step, conditions)
+    z_pred = head.denoise(z_t, t_step, head.condition(conditions, [t_step]))
     x_pred = codec.decode(z_pred, offset_frames=start * h)
     x_target = example.motion[start * h:(next_unit + 1) * h]
     return stage2_loss(z_pred, targets, x_pred, x_target)

@@ -1,0 +1,72 @@
+"""Tape ops that only the tests compose: references for the fused primitives.
+
+``linear``, ``attention`` and ``layer_norm`` each record one fused node; the
+tests check them against the same maths built from these smaller ops, which
+the library itself never runs.
+"""
+
+import numpy as np
+
+from facestream.tensor import (
+    Tensor,
+    _node,
+    _softmax,
+    _softmax_grad,
+    _unbroadcast,
+    as_tensor,
+)
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul expects arrays of rank >= 2")
+    out = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            a._accumulate(_unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            b._accumulate(_unbroadcast(gb, b.data.shape))
+
+    return _node(out, (a, b), backward, "matmul")
+
+
+def masked_softmax(scores, mask=None) -> Tensor:
+    """Softmax over the last axis; positions where ``mask`` is False get weight 0.
+
+    A query row with no admissible key raises
+    ``ValueError('degenerate attention row')``.
+    """
+    scores = as_tensor(scores)
+    out = _softmax(scores.data, mask)
+
+    def backward(g):
+        if scores.requires_grad:
+            scores._accumulate(_softmax_grad(out, g))
+
+    return _node(out, (scores,), backward, "masked_softmax")
+
+
+def swapaxes(a, ax1: int, ax2: int) -> Tensor:
+    a = as_tensor(a)
+    out = np.swapaxes(a.data, ax1, ax2)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.swapaxes(g, ax1, ax2))
+
+    return _node(out, (a,), backward, "swapaxes")
+
+
+def power(a, p: float) -> Tensor:
+    a = as_tensor(a)
+    out = a.data ** p
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * p * a.data ** (p - 1.0))
+
+    return _node(out, (a,), backward, "power")

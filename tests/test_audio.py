@@ -1,15 +1,10 @@
-"""Audio frontend tests: frame-count law, resampling oracle, style embedding."""
+"""Audio frontend tests: frame-count law, rate checks, style embedding."""
 
 import numpy as np
 import pytest
 
 from facestream import audio
-from facestream.audio import (
-    AudioFeatureSequence,
-    FeatureExtractor,
-    StyleEncoder,
-    resample_to_frames,
-)
+from facestream.audio import FeatureExtractor, StyleEncoder
 from facestream.tensor import ParamStore
 
 
@@ -72,34 +67,13 @@ class TestFeatureExtractor:
         with pytest.raises(ValueError):
             fe(np.zeros(100), 0, 25)
 
-
-class TestResample:
-    def test_identity_when_counts_match(self):
-        feats = AudioFeatureSequence(np.random.default_rng(0).normal(size=(7, 3)), 25)
-        out = resample_to_frames(feats, 7)
-        np.testing.assert_array_equal(out, feats.features)
-
-    def test_midpoint(self):
-        rows = np.array([[0.0, 2.0], [4.0, 6.0]])
-        out = resample_to_frames(AudioFeatureSequence(rows, 25), 3)
-        np.testing.assert_allclose(out[1], (rows[0] + rows[1]) / 2)
-
-    def test_matches_scalar_piecewise_linear_oracle(self):
-        r = np.random.default_rng(5)
-        rows = r.normal(size=(5, 4))
-        out = resample_to_frames(AudioFeatureSequence(rows, 25), 7)
-        positions = np.linspace(0.0, 4.0, 7)
-        for i, p in enumerate(positions):
-            lo = min(int(np.floor(p)), 3)
-            frac = p - lo
-            expected = rows[lo] * (1 - frac) + rows[lo + 1] * frac
-            np.testing.assert_allclose(out[i], expected, atol=1e-12)
-
-    def test_preserves_constants(self):
-        rows = np.tile([1.5, -2.0, 0.25], (4, 1))
-        out = resample_to_frames(AudioFeatureSequence(rows, 25), 11)
-        for row in out:
-            np.testing.assert_allclose(row, rows[0], atol=1e-15)
+    @pytest.mark.parametrize("rate", [0, -25.0, np.nan, np.inf, -np.inf])
+    def test_bad_rates_rejected_up_front(self, rate):
+        fe = FeatureExtractor()
+        with pytest.raises(ValueError, match="sample rate must be finite and positive"):
+            fe(np.zeros(100), rate, 25)
+        with pytest.raises(ValueError, match="target rate must be finite and positive"):
+            fe(np.zeros(100), 16000, rate)
 
 
 class TestStyleEncoder:

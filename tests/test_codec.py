@@ -137,6 +137,18 @@ class TestEncodeDecode:
         with pytest.raises(DataError):
             codec.decode(np.zeros((3, 2, 9)))
 
+    def test_decode_frames_bounded_by_the_units(self):
+        codec = tiny_codec()   # 2 units of H = 2 frames
+        codes = np.random.default_rng(6).normal(size=(2, 2, 8))
+        with no_grad():
+            full = codec.decode(codes).data
+            for frames in (1, 3, 4):
+                np.testing.assert_array_equal(codec.decode(codes, frames=frames).data,
+                                              full[:frames])
+            for frames in (0, -3, 5, 100):
+                with pytest.raises(ValueError, match="frames"):
+                    codec.decode(codes, frames=frames)
+
     def test_quantized_codes_are_exact_codebook_rows(self):
         codec = tiny_codec()
         x = np.random.default_rng(5).normal(size=(4, 5, 3))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from composed_ops import matmul
 from facestream import tensor
 from facestream.diffusion import (
     DiffusionHead,
@@ -22,7 +23,7 @@ from facestream.tensor import (
     as_tensor,
     concat,
     gelu,
-    matmul,
+    linear,
     mul,
     reshape,
     tsum,
@@ -134,13 +135,8 @@ class TestDDIM:
         head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100,
                              seed=0)
         cond = np.random.default_rng(2).normal(size=6)
-
-        def fn(z_t, t):
-            from facestream.diffusion import head_denoiser
-            return head_denoiser(head, cond)(z_t, t)
-
-        a = ddim_sample(fn, s, 10, np.random.default_rng(42), (2, 4))
-        b = ddim_sample(fn, s, 10, np.random.default_rng(42), (2, 4))
+        a = ddim_sample(head_denoiser(head, cond), s, 10, np.random.default_rng(42), (2, 4))
+        b = ddim_sample(head_denoiser(head, cond), s, 10, np.random.default_rng(42), (2, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_plan_called_once_with_the_timesteps(self):
@@ -193,6 +189,11 @@ def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
     return z
 
 
+def _one_step(head, z_t, t, cond):
+    """``denoise`` at ``t`` through a one-step plan, as stage 2 binds it."""
+    return head.denoise(z_t, t, head.condition(cond, [t]))
+
+
 class TestHead:
     def make_head(self, seed=0):
         return DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=50,
@@ -203,10 +204,10 @@ class TestHead:
         z_t = np.random.default_rng(1).normal(size=(2, 4))
         cond = np.random.default_rng(2).normal(size=6)
         for t in [0, 7, 49]:
-            out = head.denoise(z_t, t, cond)
+            out = _one_step(head, z_t, t, cond)
             assert out.data.shape == (2, 4)
-        a = head.denoise(z_t, 3, cond).data
-        b = head.denoise(z_t, 3, cond).data
+        a = _one_step(head, z_t, 3, cond).data
+        b = _one_step(head, z_t, 3, cond).data
         np.testing.assert_array_equal(a, b)
 
     def test_batched_matches_single(self):
@@ -214,35 +215,38 @@ class TestHead:
         r = np.random.default_rng(3)
         z = r.normal(size=(5, 2, 4))
         cond = r.normal(size=(5, 6))
-        batch = head.denoise(z, 11, cond).data
+        batch = _one_step(head, z, 11, cond).data
         for i in range(5):
-            single = head.denoise(z[i], 11, cond[i]).data
+            single = _one_step(head, z[i], 11, cond[i]).data
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         from facestream.fileio import DataError
         head = self.make_head()
         with pytest.raises(DataError):
-            head.denoise(np.zeros((3, 4)), 0, np.zeros(6))
+            _one_step(head, np.zeros((3, 4)), 0, np.zeros(6))
         with pytest.raises(DataError):
-            head.denoise(np.zeros((2, 4)), 0, np.zeros(5))
+            _one_step(head, np.zeros((2, 4)), 0, np.zeros(5))
         # condition rows that do not match the batch, and a unit stack of rank 4
         for z_shape, cond_shape in [((5, 2, 4), (3, 6)), ((5, 2, 4), (6,)),
                                     ((2, 4), (3, 6)), ((3, 5, 2, 4), (15, 6))]:
             with pytest.raises(DataError):
-                head.denoise(np.zeros(z_shape), 0, np.zeros(cond_shape))
+                _one_step(head, np.zeros(z_shape), 0, np.zeros(cond_shape))
 
     def test_noisy_input_and_slices_stay_off_the_tape(self):
         head = self.make_head()
         r = np.random.default_rng(4)
         z_t = Tensor(r.normal(size=(2, 4)), requires_grad=True)
-        out = head.denoise(z_t, 5, r.normal(size=6))
+        bound = head.condition(Tensor(r.normal(size=6), requires_grad=True), [9, 5])
+        out = head.denoise(z_t, 5, bound)
         tsum(out).backward()
         order = _topo_order(out)
         assert all(node is not z_t for node in order)
         assert z_t.grad is None
-        ops = [n._backward.__qualname__.split(".")[0] for n in order if n._backward]
-        assert "take_slice" not in ops
+        slices = [n for n in order if n._backward
+                  and n._backward.__qualname__.split(".")[0] == "take_slice"]
+        assert len(slices) == 1
+        assert slices[0]._parents == (bound.table,)
 
     def test_odd_cond_width_rejected(self):
         with pytest.raises(ValueError):
@@ -272,7 +276,8 @@ def _concatenated_denoise(head, z_t, t, cond):
     rows = as_tensor(z_t.reshape(-1, head.wz.data.shape[0]))
     if cond.data.ndim == 1:
         cond = reshape(cond, (1, head.cond_width))
-    t_rows = matmul(as_tensor(np.ones((rows.data.shape[0], 1))), head.time_embedding(t))
+    t_emb = head.time_proj(sinusoid_table(np.array([float(t)]), head.cond_width))
+    t_rows = matmul(as_tensor(np.ones((rows.data.shape[0], 1))), t_emb)
     x = concat([rows, cond, t_rows], axis=1)
     w1 = concat([head.wz, head.wc, head.wt], axis=0)
     return reshape(head.lin2(gelu(add(matmul(x, w1), head.b1))), z_t.shape)
@@ -302,47 +307,57 @@ class TestBoundCondition:
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_matches_concatenated_reference(self, batch):
+        """Output, condition gradient and all head gradients at every planned
+        timestep, with the plan bound under the tape: the unit's whole plan,
+        as the sampler binds it, and a one-step plan, as stage 2 binds it."""
         head = self.make_head()
         z, cond0 = self.inputs(batch, seed=1)
         weight = np.random.default_rng(2).normal(size=z.shape)
-        results = []
-        for fn in (head.denoise, lambda *a: _concatenated_denoise(head, *a)):
-            head.store.zero_grads()
-            cond = Tensor(cond0, requires_grad=True)
-            out = fn(z, 17, cond)
-            tsum(mul(out, weight)).backward()
-            results.append((out.data, cond.grad,
-                            [p.grad for p in head.store.tensors()]))
-        (out_s, cond_s, params_s), (out_c, cond_c, params_c) = results
-        assert _rel_err(out_s, out_c) < 1e-12
-        assert _rel_err(cond_s, cond_c) < 1e-12
-        assert len(params_s) == 8
-        for g_s, g_c in zip(params_s, params_c):
-            assert _rel_err(g_s, g_c) < 1e-12
+        for t in TestPlan.PLAN.tolist():
+            results = []
+            for fn in (lambda z, t, c: head.denoise(z, t, head.condition(c, TestPlan.PLAN)),
+                       lambda *a: _one_step(head, *a),
+                       lambda *a: _concatenated_denoise(head, *a)):
+                head.store.zero_grads()
+                cond = Tensor(cond0, requires_grad=True)
+                out = fn(z, t, cond)
+                tsum(mul(out, weight)).backward()
+                results.append((out.data, cond.grad,
+                                [p.grad for p in head.store.tensors()]))
+            out_c, cond_c, params_c = results[-1]
+            for out_s, cond_s, params_s in results[:-1]:
+                assert _rel_err(out_s, out_c) < 1e-12
+                assert _rel_err(cond_s, cond_c) < 1e-12
+                assert len(params_s) == 8
+                for g_s, g_c in zip(params_s, params_c):
+                    assert _rel_err(g_s, g_c) < 1e-12
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_bound_paths_are_bit_identical(self, batch):
         head = self.make_head()
         z, cond = self.inputs(batch, seed=4)
-        direct = head.denoise(z, 23, cond).data
-        np.testing.assert_array_equal(
-            head.denoise(z, 23, head.condition(cond)).data, direct)
-        np.testing.assert_array_equal(head_denoiser(head, cond)(z, 23), direct)
+        direct = head.denoise(z, 23, head.condition(cond, [40, 23, 6])).data
+        fn = head_denoiser(head, cond)
+        fn.plan(np.array([40, 23, 6]))
+        np.testing.assert_array_equal(fn(z, 23), direct)
 
     def test_step_records_only_the_step_dependent_nodes(self):
+        """A one-step plan, as stage 2 binds it: the step slices the plan's
+        only row and records the same nodes as a sampler step."""
         head = self.make_head()
         z, cond = self.inputs(None, seed=5)
-        bound = head.condition(Tensor(cond, requires_grad=True))
+        bound = head.condition(Tensor(cond, requires_grad=True), [9])
         out = head.denoise(z, 9, bound)
-        binding = {id(n) for n in _topo_order(bound.term)}
+        binding = {id(n) for n in _topo_order(bound.table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
-        assert sorted(_taped_ops(step)) == ["add", "gelu"] + ["linear"] * 4 + ["reshape"]
+        assert sorted(_taped_ops(step)) == ["gelu", "linear", "linear",
+                                            "reshape", "take_slice"]
 
     def test_wrong_condition_rejected_when_bound(self):
         head = self.make_head()
         for shape in [(5,), (2, 7), (1, 2, 6), ()]:
             with pytest.raises(DataError):
-                head.condition(np.zeros(shape))
+                head.condition(np.zeros(shape), [0])
             with pytest.raises(DataError):
                 head_denoiser(head, np.zeros(shape))
 
@@ -354,8 +369,8 @@ class TestBoundCondition:
             head.time_proj.w.data *= scale
             for t in (7, 3, 7):
                 row = Tensor(sinusoid_table(np.array([float(t)]), 6))
-                np.testing.assert_array_equal(head.time_embedding(t).data,
-                                              head.time_proj(row).data)
+                want = linear(head.time_proj(row), head.wt, head.b1).data
+                np.testing.assert_array_equal(head.time_terms([t]).data[0], want)
 
 
 class TestPlan:
@@ -366,36 +381,13 @@ class TestPlan:
     inputs = TestBoundCondition.inputs
 
     @pytest.mark.parametrize("batch", [None, 3])
-    def test_planned_matches_unplanned(self, batch):
-        """Output, condition gradient and all head gradients, with the plan
-        bound under the tape."""
-        head = self.make_head()
-        z, cond0 = self.inputs(batch, seed=1)
-        weight = np.random.default_rng(2).normal(size=z.shape)
-        for t in self.PLAN:
-            results = []
-            for plan in (self.PLAN, None):
-                head.store.zero_grads()
-                cond = Tensor(cond0, requires_grad=True)
-                out = head.denoise(z, int(t), head.condition(cond, plan))
-                tsum(mul(out, weight)).backward()
-                results.append((out.data, cond.grad,
-                                [p.grad for p in head.store.tensors()]))
-            (out_p, cond_p, params_p), (out_u, cond_u, params_u) = results
-            assert _rel_err(out_p, out_u) < 1e-12
-            assert _rel_err(cond_p, cond_u) < 1e-12
-            assert len(params_p) == 8
-            for g_p, g_u in zip(params_p, params_u):
-                assert _rel_err(g_p, g_u) < 1e-12
-
-    @pytest.mark.parametrize("batch", [None, 3])
-    def test_unplanned_timestep_is_bit_identical(self, batch):
+    def test_unplanned_timestep_rejected(self, batch):
         head = self.make_head()
         z, cond = self.inputs(batch, seed=3)
         planned = head.condition(cond, self.PLAN)
         for t in (0, 23, 49):
-            np.testing.assert_array_equal(head.denoise(z, t, planned).data,
-                                          head.denoise(z, t, cond).data)
+            with pytest.raises(ValueError, match="not in the plan"):
+                head.denoise(z, t, planned)
 
     def test_planned_step_records_only_the_z_dependent_nodes(self):
         head = self.make_head()
@@ -418,13 +410,16 @@ class TestPlan:
         for scale in (1.0, 2.0):
             head.wt.data *= scale
             terms = head.time_terms(self.PLAN).data
+            assert terms.shape == (len(self.PLAN), 1, 8)
             for row, t in zip(terms, self.PLAN):
-                want = head.time_embedding(int(t)).data @ head.wt.data + head.b1.data
-                np.testing.assert_allclose(row, want[0], rtol=1e-12, atol=1e-15)
+                emb = head.time_proj(sinusoid_table(np.array([float(t)]), 6)).data
+                want = emb @ head.wt.data + head.b1.data
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-15)
 
     def test_head_denoiser_binds_inside_plan(self, monkeypatch):
         """``head_denoiser`` only checks the condition; ``ddim_sample`` binds
-        it through ``plan``, and sampling matches an unplanned denoiser."""
+        it through ``plan``, and sampling matches a denoiser that binds a
+        one-step plan at every step."""
         head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=0)
         s = build_schedule(100)
         cond = np.random.default_rng(6).normal(size=6)
@@ -434,12 +429,14 @@ class TestPlan:
                             lambda *a: nodes.append(a[-1]) or record(*a))
         fn = head_denoiser(head, cond)
         assert nodes == []
+        with pytest.raises(ValueError, match="plan"):
+            fn(np.zeros((2, 4)), 99)
+        assert nodes == []
         fn.plan(sample_timesteps(100, 10))
-        assert sorted(nodes) == ["add", "linear", "linear", "matmul",
-                                 "reshape", "reshape"]
+        assert sorted(nodes) == ["linear", "linear", "linear", "reshape"]
         monkeypatch.setattr(tensor, "_node", record)
         planned = ddim_sample(head_denoiser(head, cond), s, 10,
                               np.random.default_rng(7), (2, 4))
-        unplanned = ddim_sample(lambda z, t: head_denoiser(head, cond)(z, t), s, 10,
-                                np.random.default_rng(7), (2, 4))
-        assert _rel_err(planned, unplanned) < 1e-12
+        one_step = ddim_sample(lambda z, t: _one_step(head, z, t, cond).data, s, 10,
+                               np.random.default_rng(7), (2, 4))
+        assert _rel_err(planned, one_step) < 1e-12

@@ -110,6 +110,32 @@ class TestManifestAndCSV:
         assert repr(0.1 + 0.2) in text  # round-trippable float formatting
 
 
+class TestNonFiniteInput:
+    """A non-finite payload value, or a rate that is not finite and positive,
+    raises ``DataError``."""
+
+    WRITERS = {"motion": (write_motion, read_motion, (2, 3, 3)),
+               "features": (write_features, read_features, (3, 2))}
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    @pytest.mark.parametrize("rate", [0.0, -25.0, np.nan, np.inf, -np.inf])
+    def test_bad_rate_rejected(self, kind, rate, tmp_path):
+        write, read, shape = self.WRITERS[kind]
+        write(tmp_path / kind, np.zeros(shape), rate)
+        with pytest.raises(DataError, match="rate"):
+            read(tmp_path / kind)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, kind, value, tmp_path):
+        write, read, shape = self.WRITERS[kind]
+        payload = np.zeros(shape)
+        payload.flat[-1] = value
+        write(tmp_path / kind, payload, 25.0)
+        with pytest.raises(DataError, match="non-finite"):
+            read(tmp_path / kind)
+
+
 class TestCorruptInput:
     """Every prefix of a valid file, and any byte flips, either parse or
     raise ``DataError``; no parser error leaks."""
@@ -130,11 +156,16 @@ class TestCorruptInput:
         return root, {kind: (root / kind).read_bytes() for kind in self.READERS}
 
     def parses_or_rejects(self, kind, data, path):
+        """A parsed motion or feature file holds finite values and a finite,
+        positive rate."""
         path.write_bytes(data)
         try:
-            self.READERS[kind](path)
+            parsed = self.READERS[kind](path)
         except DataError:
-            pass
+            return
+        if kind != "checkpoint":
+            values, rate = parsed
+            assert np.isfinite(values).all() and np.isfinite(rate) and rate > 0
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_every_prefix(self, kind, valid):
@@ -171,6 +202,17 @@ class TestCorruptInput:
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match="too large"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_every_single_byte_flip(self, kind, valid):
+        """Each byte, flipped in its lowest and highest bit: an exhaustive
+        sweep, so it explores the same inputs at every commit."""
+        root, files = valid
+        for where in range(len(files[kind])):
+            for mask in (0x01, 0x80):
+                data = bytearray(files[kind])
+                data[where] ^= mask
+                self.parses_or_rejects(kind, bytes(data), root / "flip")
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(sorted(READERS)),

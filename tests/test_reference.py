@@ -50,7 +50,7 @@ def test_reproduces_reference(name):
 
 # Tape nodes per emitted unit (streams) or optimizer step (training), counted
 # over the reference runs: a planned DDIM step records 5 nodes.
-NODE_BUDGET = {"solo_d10": 132, "multi_d50": 332, "train_s2": 133}
+NODE_BUDGET = {"solo_d10": 128, "multi_d50": 328, "train_s2": 133}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_BUDGET))
