@@ -283,6 +283,25 @@ def _concatenated_denoise(head, z_t, t, cond):
     return reshape(head.lin2(gelu(add(matmul(x, w1), head.b1))), z_t.shape)
 
 
+def _run_with_grads(head, fn, z, t, cond0, weight):
+    """``fn(z, t, cond)``'s output, with the gradients of a weighted sum of it
+    for the condition and every head parameter."""
+    head.store.zero_grads()
+    cond = Tensor(cond0, requires_grad=True)
+    out = fn(z, t, cond)
+    tsum(mul(out, weight)).backward()
+    return out.data, cond.grad, [p.grad for p in head.store.tensors()]
+
+
+def _assert_runs_close(got, want):
+    (out_g, cond_g, params_g), (out_w, cond_w, params_w) = got, want
+    assert _rel_err(out_g, out_w) < 1e-12
+    assert _rel_err(cond_g, cond_w) < 1e-12
+    assert len(params_g) == 8
+    for g_g, g_w in zip(params_g, params_w):
+        assert _rel_err(g_g, g_w) < 1e-12
+
+
 class TestBoundCondition:
     """The first layer split by input block, with the condition bound once."""
 
@@ -314,23 +333,11 @@ class TestBoundCondition:
         z, cond0 = self.inputs(batch, seed=1)
         weight = np.random.default_rng(2).normal(size=z.shape)
         for t in TestPlan.PLAN.tolist():
-            results = []
+            want = _run_with_grads(head, lambda *a: _concatenated_denoise(head, *a),
+                                   z, t, cond0, weight)
             for fn in (lambda z, t, c: head.denoise(z, t, head.condition(c, TestPlan.PLAN)),
-                       lambda *a: _one_step(head, *a),
-                       lambda *a: _concatenated_denoise(head, *a)):
-                head.store.zero_grads()
-                cond = Tensor(cond0, requires_grad=True)
-                out = fn(z, t, cond)
-                tsum(mul(out, weight)).backward()
-                results.append((out.data, cond.grad,
-                                [p.grad for p in head.store.tensors()]))
-            out_c, cond_c, params_c = results[-1]
-            for out_s, cond_s, params_s in results[:-1]:
-                assert _rel_err(out_s, out_c) < 1e-12
-                assert _rel_err(cond_s, cond_c) < 1e-12
-                assert len(params_s) == 8
-                for g_s, g_c in zip(params_s, params_c):
-                    assert _rel_err(g_s, g_c) < 1e-12
+                       lambda *a: _one_step(head, *a)):
+                _assert_runs_close(_run_with_grads(head, fn, z, t, cond0, weight), want)
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_bound_paths_are_bit_identical(self, batch):
@@ -379,6 +386,22 @@ class TestPlan:
     PLAN = np.array([45, 30, 17, 4])
     make_head = TestBoundCondition.make_head
     inputs = TestBoundCondition.inputs
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_planned_matches_unplanned(self, batch):
+        """Output, condition gradient and all head gradients, with the plan
+        bound under the tape: the unit's whole plan against a plan of only
+        the step being taken, bound afresh at every step."""
+        head = self.make_head()
+        z, cond0 = self.inputs(batch, seed=1)
+        weight = np.random.default_rng(2).normal(size=z.shape)
+        for t in self.PLAN.tolist():
+            planned = _run_with_grads(
+                head, lambda z, t, c: head.denoise(z, t, head.condition(c, self.PLAN)),
+                z, t, cond0, weight)
+            unplanned = _run_with_grads(head, lambda *a: _one_step(head, *a),
+                                        z, t, cond0, weight)
+            _assert_runs_close(planned, unplanned)
 
     @pytest.mark.parametrize("batch", [None, 3])
     def test_unplanned_timestep_rejected(self, batch):
