@@ -32,8 +32,9 @@ class AudioFeatureSequence:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValueError("features must have shape (T_a, C_a)")
-        if self.rate <= 0:
-            raise ValueError("feature rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"feature rate must be finite and positive, "
+                             f"got {self.rate}")
         if not np.isfinite(self.features).all():
             raise ValueError("non-finite feature values")
 

@@ -9,6 +9,7 @@ straight-through estimator so encoder gradients pass the quantizer unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class MotionSequence:
             raise ValueError("need at least one frame")
         if not np.isfinite(self.offsets).all():
             raise ValueError("non-finite motion values")
+        if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
+            raise ValueError(f"frame rate must be finite and positive, "
+                             f"got {self.frame_rate}")
 
     @property
     def num_frames(self) -> int:
@@ -105,8 +109,10 @@ def nearest_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     if entries.size == 0:
         raise ValueError("empty codebook")
     flat = np.asarray(vectors).reshape(-1, entries.shape[1])
-    # squared L2 has the same argmin as L2; np.argmin takes the first minimum
-    d2 = ((flat[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
+    # |a - b|^2 less the per-vector constant |a|^2 has the same argmin, with
+    # no (N, K, C) difference tensor; np.argmin takes the first minimum, and
+    # duplicate entries give bit-equal columns
+    d2 = (entries * entries).sum(axis=1) - 2.0 * (flat @ entries.T)
     return d2.argmin(axis=1).reshape(np.asarray(vectors).shape[:-1])
 
 

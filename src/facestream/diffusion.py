@@ -7,14 +7,16 @@ keeps one weight block per input (noisy unit, condition, time). Only the
 noisy-unit block depends on ``z_t``, so every ``denoise`` call reads a plan:
 ``DiffusionHead.condition`` binds the condition's product plus the time term
 of each planned timestep in one fused node, and each step slices its row of
-that table and does only the work that depends on ``z_t``. Training and
-sampling share this one path. Stage-2 training draws one timestep per step
-and binds a one-step plan; the sampler plans a unit's whole descending
-timestep sequence once. The plan is rebuilt from the current weights for
-every unit, so it never goes stale. Sampling walks a uniform-stride
-descending subsequence of the training timesteps with eta=0; the final step
-returns the clean prediction itself, so a perfect denoiser is recovered
-exactly regardless of the step count.
+that table and does only the work that depends on ``z_t``. ``denoise``
+returns flat (B, H*C) rows; callers restore the unit shape, the sampler in
+numpy and stage-2 training on the tape. Training and sampling share this one
+path. Stage-2 training draws one timestep per step and binds a one-step
+plan; the sampler plans a unit's whole descending timestep sequence once.
+The plan is rebuilt from the current weights for every unit, so it never
+goes stale. Sampling walks a uniform-stride descending subsequence of the
+training timesteps with eta=0; the final step returns the clean prediction
+itself, so a perfect denoiser is recovered exactly regardless of the step
+count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .tensor import (
     gelu,
     linear,
     no_grad,
-    reshape,
     take_slice,
 )
 
@@ -150,33 +151,31 @@ class DiffusionHead:
 
     def _checked_condition(self, cond) -> Tensor:
         cond = as_tensor(cond)
-        if cond.data.ndim not in (1, 2) or cond.data.shape[-1] != self.cond_width:
-            raise DataError(f"condition {cond.data.shape} is not (cond_width,) or "
-                            f"(B, cond_width) with cond_width = {self.cond_width}")
+        if cond.data.ndim != 2 or cond.data.shape[1] != self.cond_width:
+            raise DataError(f"condition {cond.data.shape} is not (B, cond_width) "
+                            f"with cond_width = {self.cond_width}")
         return cond
 
     def condition(self, cond, timesteps) -> HeadCondition:
-        """Plan ``timesteps`` for a condition, (cond_width,) or (B, cond_width).
+        """Plan ``timesteps`` for a (B, cond_width) condition.
 
         One fused ``linear`` node adds ``cond @ wc`` to every planned step's
         time term (``time_terms``), which gives a (S, B, hidden) table;
-        ``denoise`` at a planned timestep only slices its row. The sampler plans a unit's whole timestep
-        sequence, and stage-2 training a one-step plan. Binding records tape
-        nodes like any op, so a plan bound under the tape passes gradients to
-        the condition and the head.
+        ``denoise`` at a planned timestep only slices its row. The sampler
+        plans a unit's whole timestep sequence, and stage-2 training a
+        one-step plan. Binding records tape nodes like any op, so a plan
+        bound under the tape passes gradients to the condition and the head.
         """
         cond = self._checked_condition(cond)
-        if cond.data.ndim == 1:
-            cond = reshape(cond, (1, self.cond_width))
         table = linear(cond, self.wc, self.time_terms(timesteps))
         return HeadCondition(table, {int(t): i for i, t in enumerate(timesteps)})
 
     def denoise(self, z_t, t: int, bound: HeadCondition) -> Tensor:
-        """Predict the clean unit: (H, C) with a plan of a (cond_width,)
-        condition, or a batch (B, H, C) with a plan of a (B, cond_width) one.
-        ``bound`` comes from :meth:`condition`; a timestep it did not plan
-        raises ``ValueError``. ``z_t`` enters as data only; no caller needs
-        its gradient."""
+        """Predict the clean units of ``z_t``, (H, C) or (B, H, C), as
+        (B, H*C) rows, one per row of the plan's (B, cond_width) condition
+        (B = 1 for a single unit). ``bound`` comes from :meth:`condition`; a
+        timestep it did not plan raises ``ValueError``. ``z_t`` enters as data
+        only; no caller needs its gradient."""
         z = as_tensor(z_t).data
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
@@ -188,7 +187,7 @@ class DiffusionHead:
         if row is None:
             raise ValueError(f"timestep {t} is not in the plan")
         bias = take_slice(bound.table, row)
-        return reshape(self.lin2(gelu(linear(rows, self.wz, bias))), z.shape)
+        return self.lin2(gelu(linear(rows, self.wz, bias)))
 
 
 def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,
@@ -219,16 +218,18 @@ def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,
 
 
 def head_denoiser(head: DiffusionHead, cond: np.ndarray):
-    """Bind a condition into a ``denoise_fn`` for ``ddim_sample``.
+    """Bind a condition, (cond_width,) or (B, cond_width), into a
+    ``denoise_fn`` for ``ddim_sample``.
 
     A wrong-width or wrong-rank condition raises ``DataError`` here. The
     returned callable has a ``plan``: ``ddim_sample`` calls it with the
     unit's timesteps, which binds the condition and every step's time term
     at once (``DiffusionHead.condition``). Each call is then one
-    ``head.denoise`` with that plan; a call before ``plan`` raises
-    ``ValueError``.
+    ``head.denoise`` with that plan, returned in ``z_t``'s shape; a call
+    before ``plan`` raises ``ValueError``.
     """
-    cond = head._checked_condition(cond)
+    cond = np.asarray(cond, dtype=np.float64)
+    cond = head._checked_condition(cond.reshape(1, -1) if cond.ndim == 1 else cond)
     bound = None
 
     def plan(timesteps: np.ndarray) -> None:
@@ -240,7 +241,7 @@ def head_denoiser(head: DiffusionHead, cond: np.ndarray):
         if bound is None:
             raise ValueError("head_denoiser: plan(timesteps) must come first")
         with no_grad():
-            return head.denoise(z_t, t, bound).data
+            return head.denoise(z_t, t, bound).data.reshape(np.shape(z_t))
 
     denoise_fn.plan = plan
     return denoise_fn

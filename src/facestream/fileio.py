@@ -4,6 +4,8 @@ All payloads are little-endian. Writers are deterministic (sorted tensor
 names, no timestamps) so identical state produces identical bytes. Readers
 raise ``DataError`` on truncated or corrupt input, and the motion and feature
 readers also on a non-finite value or a rate that is not finite and positive.
+The motion and feature writers raise the same ``DataError`` before they open
+the file, checking the values as stored, after the cast to float32.
 
 Motion file ("SGMO"):   magic, version u32, T u32, V u32, frame_rate f32,
                         then T*V*3 float32 values.
@@ -57,15 +59,26 @@ def _check_values(payload: np.ndarray, rate: float, path) -> None:
         raise DataError(f"{path}: non-finite payload values")
 
 
+def _stored(values: np.ndarray, rate: float, path) -> tuple[np.ndarray, float]:
+    """``values`` and ``rate`` cast to float32 as a file stores them, checked
+    as the readers check them: a float64 value that overflows float32 fails."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(values, dtype="<f4")
+        rate = float(np.float32(rate))
+    _check_values(payload, rate, path)
+    return payload, rate
+
+
 def write_motion(path, offsets: np.ndarray, frame_rate: float) -> None:
     offsets = np.asarray(offsets)
     if offsets.ndim != 3 or offsets.shape[2] != 3:
         raise DataError("motion payload must have shape (T, V, 3)")
     t, v, _ = offsets.shape
+    payload, frame_rate = _stored(offsets, frame_rate, path)
     with open(path, "wb") as f:
         f.write(MOTION_MAGIC)
-        f.write(struct.pack("<IIIf", FORMAT_VERSION, t, v, float(frame_rate)))
-        f.write(np.ascontiguousarray(offsets, dtype="<f4").tobytes())
+        f.write(struct.pack("<IIIf", FORMAT_VERSION, t, v, frame_rate))
+        f.write(payload.tobytes())
 
 
 def read_motion(path) -> tuple[np.ndarray, float]:
@@ -88,10 +101,11 @@ def write_features(path, features: np.ndarray, rate: float) -> None:
     if features.ndim != 2:
         raise DataError("feature payload must have shape (T_a, C_a)")
     t, c = features.shape
+    payload, rate = _stored(features, rate, path)
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<IIf", t, c, float(rate)))
-        f.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
+        f.write(struct.pack("<IIf", t, c, rate))
+        f.write(payload.tobytes())
 
 
 def read_features(path) -> tuple[np.ndarray, float]:

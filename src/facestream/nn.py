@@ -19,6 +19,7 @@ from .tensor import (
     gelu,
     layer_norm,
     linear,
+    take_slice,
 )
 
 
@@ -143,7 +144,14 @@ class EncoderBlock:
 
 
 class DecoderBlock:
-    """Pre-norm block: biased causal self-attention, cross-attention, feed-forward."""
+    """Pre-norm block: biased causal self-attention, cross-attention, feed-forward.
+
+    ``rows``, a slice of the query rows, computes only those output rows:
+    self-attention keys and values still come from every row of ``x``, and
+    cross-attention reads only the span of ``memory`` that ``cross_mask``
+    admits for the selected rows. A stack can pass it to its last block when
+    only some rows are read.
+    """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
                  d_ff: int, rng: np.random.Generator, d_cross: int):
@@ -157,8 +165,15 @@ class DecoderBlock:
         self.ff = FeedForward(store, f"{name}.ff", d_model, d_ff, rng)
 
     def __call__(self, x: Tensor, memory: Tensor, self_bias, self_mask,
-                 cross_mask) -> Tensor:
+                 cross_mask, rows: slice | None = None) -> Tensor:
         h = self.ln1(x)
-        x = add(x, self.self_attn(h, h, bias=self_bias, mask=self_mask))
+        q = h
+        if rows is not None:
+            q, x = take_slice(h, rows), take_slice(x, rows)
+            self_bias, self_mask = self_bias[:, rows], self_mask[rows]
+            keys = np.flatnonzero(cross_mask[rows].any(axis=0))
+            span = slice(keys[0], keys[-1] + 1)
+            memory, cross_mask = take_slice(memory, span), cross_mask[rows, span]
+        x = add(x, self.self_attn(q, h, bias=self_bias, mask=self_mask))
         x = add(x, self.cross_attn(self.ln2(x), memory, mask=cross_mask))
         return add(x, self.ff(self.ln3(x)))

@@ -7,6 +7,12 @@ gives each unit exactly its own H motion frames of audio. The output row at
 position i is the condition vector used to generate unit i: position 0 (the
 begin token) conditions the first window unit, and the final row conditions
 the next, not-yet-generated unit.
+
+A call returns only that final row, the next unit's condition, which is all a
+stream reads: the last decoder block computes its queries, cross-attention
+and feed-forward for that one row, over its own H audio rows. Teacher-forced
+stage-2 training reads every row through ``every_row``, the same forward with
+no row selection.
 """
 
 from __future__ import annotations
@@ -102,12 +108,23 @@ class ConditionPredictor:
 
     def __call__(self, window: Sequence[np.ndarray], audio: np.ndarray,
                  style_index: int) -> Tensor:
-        """Condition rows (len(window) + 1, hidden).
+        """The next unit's condition, (1, hidden): the final row of
+        :meth:`every_row`, with the last block computing only that row.
 
         ``audio`` must hold at least (len(window) + 1) * H frames starting at
         the window's first motion frame; extra trailing audio is ignored by
         the alignment mask but must not precede the window.
         """
+        return self._forward(window, audio, style_index, slice(-1, None))
+
+    def every_row(self, window: Sequence[np.ndarray], audio: np.ndarray,
+                  style_index: int) -> Tensor:
+        """Condition rows (len(window) + 1, hidden), one per window unit plus
+        the next unit's; teacher-forced stage 2 reads them all. ``audio`` is
+        as for a call."""
+        return self._forward(window, audio, style_index, None)
+
+    def _forward(self, window, audio, style_index: int, rows: slice | None) -> Tensor:
         c = self.config
         units = list(window)
         if len(units) > c.history_units:
@@ -117,21 +134,20 @@ class ConditionPredictor:
             raise DataError(f"audio features must be (T, {c.audio_width})")
 
         length = len(units) + 1
-        style_row = self.style.embed(style_index)
-        tokens = [add(self.begin_token, style_row)]
+        x = self.begin_token
         if units:
             units = [np.asarray(u) for u in units]
             if any(u.size != c.unit_size for u in units):
                 raise DataError("history unit shape does not match codec config")
             stacked = np.stack([u.reshape(c.unit_size) for u in units])
-            embedded = self.unit_embed(as_tensor(stacked))
-            tokens.append(add(embedded, style_row))
-        x = concat(tokens, axis=0)
+            x = concat([x, self.unit_embed(as_tensor(stacked))], axis=0)
+        x = add(x, self.style.embed(style_index))
 
         self_bias = self._self_bias(length)
         self_mask = causal_mask(length)
         cross_mask = alignment_mask(length, audio.shape[0], c.components)
         memory = self.audio_embed(as_tensor(audio))
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x, memory, self_bias, self_mask, cross_mask)
+        x = self.blocks[-1](x, memory, self_bias, self_mask, cross_mask, rows)
         return self.norm(x)

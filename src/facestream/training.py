@@ -26,6 +26,7 @@ from .tensor import (
     as_tensor,
     backward,
     l1_loss,
+    reshape,
     square,
     tmean,
     tsum,
@@ -183,9 +184,10 @@ def _stage2_forward(example: SequenceExample, codec: MotionCodec,
     window = list(grid.codes[start:next_unit])
     targets = grid.codes[start:next_unit + 1]
     audio = example.features[start * h:(next_unit + 1) * h]
-    conditions = predictor(window, audio, example.speaker)
+    conditions = predictor.every_row(window, audio, example.speaker)
     z_t = add_noise(targets, t_step, eps, schedule)
-    z_pred = head.denoise(z_t, t_step, head.condition(conditions, [t_step]))
+    z_pred = reshape(head.denoise(z_t, t_step, head.condition(conditions, [t_step])),
+                     z_t.shape)
     x_pred = codec.decode(z_pred, offset_frames=start * h)
     x_target = example.motion[start * h:(next_unit + 1) * h]
     return stage2_loss(z_pred, targets, x_pred, x_target)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from facestream import audio
-from facestream.audio import FeatureExtractor, StyleEncoder
+from facestream.audio import AudioFeatureSequence, FeatureExtractor, StyleEncoder
 from facestream.tensor import ParamStore
 
 
@@ -74,6 +74,13 @@ class TestFeatureExtractor:
             fe(np.zeros(100), rate, 25)
         with pytest.raises(ValueError, match="target rate must be finite and positive"):
             fe(np.zeros(100), 16000, rate)
+
+
+class TestAudioFeatureSequence:
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="feature rate must be finite and positive"):
+            AudioFeatureSequence(np.zeros((2, 3)), rate)
 
 
 class TestStyleEncoder:

@@ -57,6 +57,12 @@ class TestQuantizer:
         vectors = r.normal(size=(100, 4))
         got = nearest_indices(vectors, entries)
         np.testing.assert_array_equal(got, brute_force_nearest(vectors, entries))
+        # codec scale, C = K = 64, with some vectors equal to entries
+        entries = r.normal(size=(64, 64))
+        vectors = np.concatenate([r.normal(size=(40, 64)), entries[[0, 17, 63]]])
+        got = nearest_indices(vectors, entries)
+        np.testing.assert_array_equal(got, brute_force_nearest(vectors, entries))
+        np.testing.assert_array_equal(got[-3:], [0, 17, 63])
 
     def test_idempotent_on_quantized_codes(self):
         r = np.random.default_rng(3)
@@ -267,3 +273,8 @@ class TestMotionSequence:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             MotionSequence(bad, 25.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_frame_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="frame rate must be finite and positive"):
+            MotionSequence(np.zeros((2, 2, 3)), rate)

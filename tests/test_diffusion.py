@@ -25,7 +25,6 @@ from facestream.tensor import (
     gelu,
     linear,
     mul,
-    reshape,
     tsum,
 )
 
@@ -202,10 +201,10 @@ class TestHead:
     def test_output_shape_and_determinism(self):
         head = self.make_head()
         z_t = np.random.default_rng(1).normal(size=(2, 4))
-        cond = np.random.default_rng(2).normal(size=6)
+        cond = np.random.default_rng(2).normal(size=(1, 6))
         for t in [0, 7, 49]:
             out = _one_step(head, z_t, t, cond)
-            assert out.data.shape == (2, 4)
+            assert out.data.shape == (1, 8)
         a = _one_step(head, z_t, 3, cond).data
         b = _one_step(head, z_t, 3, cond).data
         np.testing.assert_array_equal(a, b)
@@ -217,18 +216,18 @@ class TestHead:
         cond = r.normal(size=(5, 6))
         batch = _one_step(head, z, 11, cond).data
         for i in range(5):
-            single = _one_step(head, z[i], 11, cond[i]).data
-            np.testing.assert_allclose(batch[i], single, atol=1e-12)
+            single = _one_step(head, z[i], 11, cond[i:i + 1]).data
+            np.testing.assert_allclose(batch[i], single[0], atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         from facestream.fileio import DataError
         head = self.make_head()
         with pytest.raises(DataError):
-            _one_step(head, np.zeros((3, 4)), 0, np.zeros(6))
+            _one_step(head, np.zeros((3, 4)), 0, np.zeros((1, 6)))
         with pytest.raises(DataError):
-            _one_step(head, np.zeros((2, 4)), 0, np.zeros(5))
+            _one_step(head, np.zeros((2, 4)), 0, np.zeros((1, 5)))
         # condition rows that do not match the batch, and a unit stack of rank 4
-        for z_shape, cond_shape in [((5, 2, 4), (3, 6)), ((5, 2, 4), (6,)),
+        for z_shape, cond_shape in [((5, 2, 4), (3, 6)), ((5, 2, 4), (1, 6)),
                                     ((2, 4), (3, 6)), ((3, 5, 2, 4), (15, 6))]:
             with pytest.raises(DataError):
                 _one_step(head, np.zeros(z_shape), 0, np.zeros(cond_shape))
@@ -237,7 +236,8 @@ class TestHead:
         head = self.make_head()
         r = np.random.default_rng(4)
         z_t = Tensor(r.normal(size=(2, 4)), requires_grad=True)
-        bound = head.condition(Tensor(r.normal(size=6), requires_grad=True), [9, 5])
+        bound = head.condition(Tensor(r.normal(size=(1, 6)), requires_grad=True),
+                               [9, 5])
         out = head.denoise(z_t, 5, bound)
         tsum(out).backward()
         order = _topo_order(out)
@@ -274,22 +274,20 @@ def _rel_err(a, b):
 def _concatenated_denoise(head, z_t, t, cond):
     """The first layer as one concatenated input times the stacked blocks."""
     rows = as_tensor(z_t.reshape(-1, head.wz.data.shape[0]))
-    if cond.data.ndim == 1:
-        cond = reshape(cond, (1, head.cond_width))
     t_emb = head.time_proj(sinusoid_table(np.array([float(t)]), head.cond_width))
     t_rows = matmul(as_tensor(np.ones((rows.data.shape[0], 1))), t_emb)
     x = concat([rows, cond, t_rows], axis=1)
     w1 = concat([head.wz, head.wc, head.wt], axis=0)
-    return reshape(head.lin2(gelu(add(matmul(x, w1), head.b1))), z_t.shape)
+    return head.lin2(gelu(add(matmul(x, w1), head.b1)))
 
 
 def _run_with_grads(head, fn, z, t, cond0, weight):
-    """``fn(z, t, cond)``'s output, with the gradients of a weighted sum of it
-    for the condition and every head parameter."""
+    """``fn(z, t, cond)``'s output rows, with the gradients of a weighted sum
+    of them for the condition and every head parameter."""
     head.store.zero_grads()
     cond = Tensor(cond0, requires_grad=True)
     out = fn(z, t, cond)
-    tsum(mul(out, weight)).backward()
+    tsum(mul(out, weight.reshape(out.data.shape))).backward()
     return out.data, cond.grad, [p.grad for p in head.store.tensors()]
 
 
@@ -312,7 +310,7 @@ class TestBoundCondition:
     def inputs(self, batch, seed=0):
         r = np.random.default_rng(seed)
         lead = () if batch is None else (batch,)
-        return r.normal(size=lead + (2, 4)), r.normal(size=lead + (6,))
+        return r.normal(size=lead + (2, 4)), r.normal(size=(batch or 1, 6))
 
     def test_blocks_are_rows_of_one_glorot_draw(self):
         head = self.make_head(seed=3)
@@ -346,7 +344,7 @@ class TestBoundCondition:
         direct = head.denoise(z, 23, head.condition(cond, [40, 23, 6])).data
         fn = head_denoiser(head, cond)
         fn.plan(np.array([40, 23, 6]))
-        np.testing.assert_array_equal(fn(z, 23), direct)
+        np.testing.assert_array_equal(fn(z, 23), direct.reshape(z.shape))
 
     def test_step_records_only_the_step_dependent_nodes(self):
         """A one-step plan, as stage 2 binds it: the step slices the plan's
@@ -358,7 +356,7 @@ class TestBoundCondition:
         binding = {id(n) for n in _topo_order(bound.table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
         assert sorted(_taped_ops(step)) == ["gelu", "linear", "linear",
-                                            "reshape", "take_slice"]
+                                            "take_slice"]
 
     def test_wrong_condition_rejected_when_bound(self):
         head = self.make_head()
@@ -367,6 +365,19 @@ class TestBoundCondition:
                 head.condition(np.zeros(shape), [0])
             with pytest.raises(DataError):
                 head_denoiser(head, np.zeros(shape))
+        # head_denoiser binds a (cond_width,) condition as one row; condition
+        # itself takes only (B, cond_width) rows
+        with pytest.raises(DataError):
+            head.condition(np.zeros(6), [0])
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_head_denoiser_returns_the_noisy_shape(self, batch):
+        head = self.make_head()
+        z, cond = self.inputs(batch, seed=6)
+        fn = head_denoiser(head, cond[0] if batch is None else cond)
+        fn.plan(np.array([40, 23, 6]))
+        for t in (40, 23, 6):
+            assert fn(z, t).shape == z.shape
 
     def test_time_embedding_follows_timestep_and_weight_writes(self):
         """The sinusoid row is memoised per timestep; the learned projection
@@ -420,13 +431,13 @@ class TestPlan:
         binding = {id(n) for n in _topo_order(bound.table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
         assert sorted(_taped_ops(step)) == ["gelu", "linear", "linear",
-                                            "reshape", "take_slice"]
+                                            "take_slice"]
 
     def test_planned_timestep_outside_schedule_rejected(self):
         head = self.make_head()
         for plan in ([49, 50], [-1], [3, 100]):
             with pytest.raises(ValueError):
-                head.condition(np.zeros(6), np.array(plan))
+                head.condition(np.zeros((1, 6)), np.array(plan))
 
     def test_time_terms_follow_weight_writes(self):
         head = self.make_head()
@@ -456,10 +467,11 @@ class TestPlan:
             fn(np.zeros((2, 4)), 99)
         assert nodes == []
         fn.plan(sample_timesteps(100, 10))
-        assert sorted(nodes) == ["linear", "linear", "linear", "reshape"]
+        assert sorted(nodes) == ["linear", "linear", "linear"]
         monkeypatch.setattr(tensor, "_node", record)
         planned = ddim_sample(head_denoiser(head, cond), s, 10,
                               np.random.default_rng(7), (2, 4))
-        one_step = ddim_sample(lambda z, t: _one_step(head, z, t, cond).data, s, 10,
-                               np.random.default_rng(7), (2, 4))
+        one_step = ddim_sample(
+            lambda z, t: _one_step(head, z, t, cond[None]).data.reshape(z.shape),
+            s, 10, np.random.default_rng(7), (2, 4))
         assert _rel_err(planned, one_step) < 1e-12

@@ -1,5 +1,7 @@
 """File format round trips and determinism of writers."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,28 +114,63 @@ class TestManifestAndCSV:
 
 class TestNonFiniteInput:
     """A non-finite payload value, or a rate that is not finite and positive,
-    raises ``DataError``."""
+    raises ``DataError``: the writers refuse it before opening the file, and
+    the readers reject a file that holds it."""
 
-    WRITERS = {"motion": (write_motion, read_motion, (2, 3, 3)),
-               "features": (write_features, read_features, (3, 2))}
+    # writer, reader, payload shape, byte offset of the f32 rate (the payload follows)
+    WRITERS = {"motion": (write_motion, read_motion, (2, 3, 3), 16),
+               "features": (write_features, read_features, (3, 2), 12)}
+
+    def forge(self, kind, path, payload, rate):
+        """A file that stores ``payload`` and ``rate``, which the writer refuses."""
+        write, _, shape, rate_at = self.WRITERS[kind]
+        write(path, np.zeros(shape), 25.0)
+        data = bytearray(path.read_bytes())
+        data[rate_at:rate_at + 4] = struct.pack("<f", rate)
+        data[rate_at + 4:] = np.asarray(payload, dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     @pytest.mark.parametrize("rate", [0.0, -25.0, np.nan, np.inf, -np.inf])
     def test_bad_rate_rejected(self, kind, rate, tmp_path):
-        write, read, shape = self.WRITERS[kind]
-        write(tmp_path / kind, np.zeros(shape), rate)
+        write, read, shape, _ = self.WRITERS[kind]
+        with pytest.raises(DataError, match="rate"):
+            write(tmp_path / kind, np.zeros(shape), rate)
+        assert not (tmp_path / kind).exists()
+        self.forge(kind, tmp_path / kind, np.zeros(shape), rate)
         with pytest.raises(DataError, match="rate"):
             read(tmp_path / kind)
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, kind, value, tmp_path):
-        write, read, shape = self.WRITERS[kind]
+        write, read, shape, _ = self.WRITERS[kind]
         payload = np.zeros(shape)
         payload.flat[-1] = value
-        write(tmp_path / kind, payload, 25.0)
+        with pytest.raises(DataError, match="non-finite"):
+            write(tmp_path / kind, payload, 25.0)
+        assert not (tmp_path / kind).exists()
+        self.forge(kind, tmp_path / kind, payload, 25.0)
         with pytest.raises(DataError, match="non-finite"):
             read(tmp_path / kind)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_float32_overflow_rejected_by_the_writer(self, kind, tmp_path):
+        """Values are checked as stored: finite float64 that overflows float32."""
+        write, _, shape, _ = self.WRITERS[kind]
+        payload = np.zeros(shape)
+        payload.flat[0] = -1e300
+        with pytest.raises(DataError, match="non-finite"):
+            write(tmp_path / kind, payload, 25.0)
+        with pytest.raises(DataError, match="rate"):
+            write(tmp_path / kind, np.zeros(shape), 1e39)
+        assert not (tmp_path / kind).exists()
+
+    def test_writer_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.sgmo"
+        with pytest.raises(DataError):
+            write_motion(path, np.full((1, 1, 3), np.inf), -1.0)
+        assert not path.exists()
 
 
 class TestCorruptInput:

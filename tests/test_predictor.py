@@ -12,7 +12,7 @@ from facestream.predictor import (
     history_capacity,
     select_history,
 )
-from facestream.tensor import no_grad
+from facestream.tensor import backward, mul, no_grad, tsum
 
 
 def tiny_config(**overrides):
@@ -90,15 +90,18 @@ class TestPredictor:
         self.model = ConditionPredictor(self.cfg, seed=0)
 
     def conditions(self, units, audio, style=0):
+        """Every condition row, as stage 2 reads them."""
         with no_grad():
             window = select_history(units, self.cfg.history_frames,
                                     self.cfg.components)
-            return self.model(window, audio, style).data
+            return self.model.every_row(window, audio, style).data
 
     def test_empty_window_gives_single_condition(self):
         audio = np.random.default_rng(0).normal(size=(2, 4))
         out = self.conditions([], audio)
         assert out.shape == (1, self.cfg.hidden)
+        with no_grad():
+            assert self.model([], audio, 0).data.shape == (1, self.cfg.hidden)
 
     def test_output_length_is_window_plus_one(self):
         r = np.random.default_rng(1)
@@ -168,3 +171,55 @@ class TestPredictor:
         with pytest.raises(DataError, match="history unit shape"):
             with no_grad():
                 self.model(units, np.zeros((6, 4)), 0)
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestNextCondition:
+    """A call computes only the next unit's row in the last block; it equals
+    the final row of the every-row forward."""
+
+    CONFIGS = {"one_block": tiny_config(),
+               "two_blocks": tiny_config(layers=2),
+               "h4_three_blocks": tiny_config(layers=3, components=4,
+                                              history_frames=16)}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_last_row_for_every_window_length(self, name):
+        cfg = self.CONFIGS[name]
+        model = ConditionPredictor(cfg, seed=1)
+        r = np.random.default_rng(2)
+        units = random_units(cfg.history_units, cfg.components, cfg.latent_width,
+                             seed=3)
+        for n in range(cfg.history_units + 1):
+            # trailing audio past the window, which the alignment mask hides
+            audio = r.normal(size=((n + 1) * cfg.components + 3, cfg.audio_width))
+            for style in range(cfg.num_speakers):
+                with no_grad():
+                    every = model.every_row(units[:n], audio, style).data
+                    nxt = model(units[:n], audio, style).data
+                assert every.shape == (n + 1, cfg.hidden)
+                assert nxt.shape == (1, cfg.hidden)
+                assert _rel_err(nxt[0], every[-1]) < 1e-12
+
+    def test_gradients_match_last_row(self):
+        """Under the tape, the row slices pass the same gradients to every
+        parameter as the last row of the every-row forward."""
+        cfg = self.CONFIGS["two_blocks"]
+        model = ConditionPredictor(cfg, seed=4)
+        r = np.random.default_rng(5)
+        units = random_units(3, cfg.components, cfg.latent_width, seed=6)
+        audio = r.normal(size=(9, cfg.audio_width))
+        weight = r.normal(size=(1, cfg.hidden))
+        grads = []
+        for forward in (lambda: model(units, audio, 1),
+                        lambda: model.every_row(units, audio, 1)[-1:]):
+            model.store.zero_grads()
+            backward(tsum(mul(forward(), weight)), model.store)
+            grads.append({n: t.grad.copy() for n, t in model.store.items()})
+        scale = max(np.abs(g).max() for g in grads[1].values())
+        assert scale > 0
+        for name, want in grads[1].items():
+            assert np.abs(grads[0][name] - want).max() <= 1e-12 * scale, name

@@ -49,8 +49,8 @@ def test_reproduces_reference(name):
 
 
 # Tape nodes per emitted unit (streams) or optimizer step (training), counted
-# over the reference runs: a planned DDIM step records 5 nodes.
-NODE_BUDGET = {"solo_d10": 128, "multi_d50": 328, "train_s2": 133}
+# over the reference runs: a planned DDIM step records 4 nodes.
+NODE_BUDGET = {"solo_d10": 119, "multi_d50": 279, "train_s2": 132}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_BUDGET))
