@@ -228,7 +228,7 @@ def head_denoiser(head: DiffusionHead, cond: np.ndarray):
     ``head.denoise`` with that plan, returned in ``z_t``'s shape; a call
     before ``plan`` raises ``ValueError``.
     """
-    cond = np.asarray(cond, dtype=np.float64)
+    cond = np.asarray(cond)
     cond = head._checked_condition(cond.reshape(1, -1) if cond.ndim == 1 else cond)
     bound = None
 
