@@ -65,11 +65,6 @@ class LatentGrid:
 
     codes: np.ndarray    # (T', H, C)
     indices: np.ndarray  # (T', H) integer codebook rows
-    frames: int          # original frame count before padding
-
-    @property
-    def num_units(self) -> int:
-        return self.codes.shape[0]
 
 
 @dataclass
@@ -116,17 +111,14 @@ def nearest_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1).reshape(np.asarray(vectors).shape[:-1])
 
 
-def quantize(z_hat: np.ndarray, entries: np.ndarray, frames: int | None = None) -> LatentGrid:
+def quantize(z_hat: np.ndarray, entries: np.ndarray) -> LatentGrid:
     """Snap each feature vector of (T', H, C) latents to its nearest codebook entry."""
     z_hat = np.asarray(z_hat)
     entries = np.asarray(entries)
     if z_hat.shape[-1] != entries.shape[-1]:
         raise DataError("latent width does not match codebook width")
     idx = nearest_indices(z_hat, entries)
-    codes = entries[idx]
-    if frames is None:
-        frames = z_hat.shape[0] * z_hat.shape[1]
-    return LatentGrid(codes=codes, indices=idx, frames=frames)
+    return LatentGrid(codes=entries[idx], indices=idx)
 
 
 class MotionCodec:
@@ -159,12 +151,10 @@ class MotionCodec:
 
     # -- forward paths ---------------------------------------------------------
 
-    def encode(self, offsets: np.ndarray, offset_frames: int = 0) -> tuple[Tensor, int]:
+    def encode(self, offsets: np.ndarray) -> Tensor:
         """Motion (T, V, 3) -> continuous latents (T', H, C).
 
-        Frames are right-padded to a unit boundary by repeating the last frame;
-        ``offset_frames`` shifts the positional encoding for window/unit encodes.
-        Returns (latents, original T).
+        Frames are right-padded to a unit boundary by repeating the last frame.
         """
         offsets = np.asarray(offsets, dtype=np.float64)
         c = self.config
@@ -172,26 +162,24 @@ class MotionCodec:
             raise DataError(
                 f"motion shape {offsets.shape} does not match template "
                 f"({c.vertices} vertices)")
-        t = offsets.shape[0]
         padded = pad_to_units(offsets, c.components)
         t_pad = padded.shape[0]
         x = as_tensor(padded.reshape(t_pad, c.vertices * 3))
         h = self.frame_embed(x)
-        h = add(h, sinusoid_table(np.arange(offset_frames, offset_frames + t_pad),
-                                  c.width))
+        h = add(h, sinusoid_table(np.arange(t_pad), c.width))
         for block in self.enc_blocks:
             h = block(h)
         h = self.enc_norm(h)
-        return reshape(h, (t_pad // c.components, c.components, c.width)), t
+        return reshape(h, (t_pad // c.components, c.components, c.width))
 
-    def quantize_latents(self, z_hat: Tensor, frames: int) -> tuple[LatentGrid, Tensor, Tensor]:
+    def quantize_latents(self, z_hat: Tensor) -> tuple[LatentGrid, Tensor, Tensor]:
         """Returns (grid, straight-through codes, gathered codebook rows).
 
         The straight-through tensor holds the exact codebook entries on the
         forward pass and routes gradients unchanged into ``z_hat``; the
         gathered tensor is the differentiable path into the codebook itself.
         """
-        grid = quantize(z_hat.data, self.codebook.data, frames)
+        grid = quantize(z_hat.data, self.codebook.data)
         st = straight_through(z_hat, grid.codes)
         gathered = reshape(take_rows(self.codebook, grid.indices.reshape(-1)),
                            z_hat.data.shape)
@@ -221,18 +209,16 @@ class MotionCodec:
         out = reshape(self.frame_out(h), (t_pad, c.vertices, 3))
         return out[:frames] if frames != t_pad else out
 
-    def encode_quantized(self, offsets: np.ndarray, offset_frames: int = 0) -> LatentGrid:
+    def encode_quantized(self, offsets: np.ndarray) -> LatentGrid:
         """Inference path: motion -> quantized latent grid (no gradients)."""
         with no_grad():
-            z_hat, t = self.encode(offsets, offset_frames)
-            return quantize(z_hat.data, self.codebook.data, t)
+            return quantize(self.encode(offsets).data, self.codebook.data)
 
     def reconstruct(self, offsets: np.ndarray) -> np.ndarray:
         """Round trip encode -> quantize -> decode, returned as numpy."""
         with no_grad():
-            z_hat, t = self.encode(offsets)
-            grid = quantize(z_hat.data, self.codebook.data, t)
-            return self.decode(as_tensor(grid.codes), frames=t).data
+            grid = self.encode_quantized(offsets)
+            return self.decode(grid.codes, frames=len(offsets)).data
 
 
 def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor, z_gathered: Tensor,

@@ -29,33 +29,37 @@ class RegionSpec:
             raise ValueError("mouth pair vertices must be distinct")
 
 
-def _check_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(pred, gt, region: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
     if pred.ndim != 3 or pred.shape[2] != 3:
         raise ValueError("motion arrays must be (T, V, 3)")
+    v = pred.shape[1]
+    for name, idx in (("lip", region.lip_indices),
+                      ("upper-face", region.upper_face_indices),
+                      ("mouth-pair", np.asarray(region.mouth_pair))):
+        if idx.min() < 0 or idx.max() >= v:
+            raise ValueError(f"{name} vertex indices must lie in [0, {v}), "
+                             f"got {idx.tolist()}")
     return pred, gt
 
 
-def lve(pred, gt, region: RegionSpec, aggregate: str = "max") -> float:
-    """Lip vertex error: per-frame L2 distance over the lip region, averaged
-    over frames. ``aggregate`` picks max-over-lips (default) or mean-over-lips."""
-    pred, gt = _check_pair(pred, gt)
-    if aggregate not in ("max", "mean"):
-        raise ValueError("aggregate must be 'max' or 'mean'")
+def lve(pred, gt, region: RegionSpec) -> float:
+    """Lip vertex error: per-frame maximum L2 distance over the lip region,
+    averaged over frames."""
+    pred, gt = _check_pair(pred, gt, region)
     diff = pred[:, region.lip_indices] - gt[:, region.lip_indices]
     dist = np.linalg.norm(diff, axis=2)  # (T, lips)
-    per_frame = dist.max(axis=1) if aggregate == "max" else dist.mean(axis=1)
-    return float(per_frame.mean())
+    return float(dist.max(axis=1).mean())
 
 
 def fdd(pred, gt, region: RegionSpec) -> float:
     """Face dynamics distance: signed difference of temporal standard
     deviations of each upper-face vertex's offset norm, averaged over the
     region. Positive means the prediction moves more than the ground truth."""
-    pred, gt = _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt, region)
     if pred.shape[0] < 2:
         raise ValueError("need at least two frames for a temporal deviation")
     idx = region.upper_face_indices
@@ -66,17 +70,16 @@ def fdd(pred, gt, region: RegionSpec) -> float:
 
 def mouth_open_diff(pred, gt, region: RegionSpec) -> float:
     """Mean absolute difference in mouth opening (mouth-pair separation)."""
-    pred, gt = _check_pair(pred, gt)
+    pred, gt = _check_pair(pred, gt, region)
     upper, lower = region.mouth_pair
     open_pred = np.linalg.norm(pred[:, upper] - pred[:, lower], axis=1)
     open_gt = np.linalg.norm(gt[:, upper] - gt[:, lower], axis=1)
     return float(np.abs(open_pred - open_gt).mean())
 
 
-def evaluate_pair(pred, gt, region: RegionSpec,
-                  lve_aggregate: str = "max") -> dict[str, float]:
+def evaluate_pair(pred, gt, region: RegionSpec) -> dict[str, float]:
     return {
-        "lve": lve(pred, gt, region, aggregate=lve_aggregate),
+        "lve": lve(pred, gt, region),
         "fdd": fdd(pred, gt, region),
         "mod": mouth_open_diff(pred, gt, region),
     }

@@ -26,6 +26,8 @@ _SPEAKER_TAG = 37
 _FEATURE_MAP_TAG = 53
 
 CHANNELS = ("mouth_open", "lip_round", "brow_raise")
+AMPLITUDES = (1.0, 0.6, 0.6)   # envelope gain per channel
+FEATURE_NOISE = 0.01           # std of the noise added to the features
 
 
 @dataclass
@@ -131,8 +133,7 @@ def _feature_maps(base_seed: int, feature_width: int) -> tuple[np.ndarray, np.nd
 
 def generate_pair(seed: int, num_frames: int, topology: SynthTopology,
                   num_speakers: int, speaker_index: int, fps: float = 25.0,
-                  feature_width: int = 16, feature_noise: float = 0.01,
-                  amplitudes: tuple[float, float, float] = (1.0, 0.6, 0.6),
+                  feature_width: int = 16,
                   dataset_seed: int = 0) -> tuple[AudioFeatureSequence, MotionSequence]:
     """One paired sequence. ``dataset_seed`` fixes the feature maps and the
     per-speaker style offsets shared across a dataset; ``seed`` drives the
@@ -148,7 +149,7 @@ def generate_pair(seed: int, num_frames: int, topology: SynthTopology,
     # mouth opening must be non-negative so the pair distance tracks it linearly
     envelopes[:, 0] -= envelopes[:, 0].min()
     offsets = _speaker_offsets(dataset_seed, speaker_index)
-    envelopes = envelopes * np.asarray(amplitudes) + offsets
+    envelopes = envelopes * np.asarray(AMPLITUDES) + offsets
 
     motion = np.zeros((num_frames, topology.num_vertices, 3))
     for c, name in enumerate(CHANNELS):
@@ -157,7 +158,7 @@ def generate_pair(seed: int, num_frames: int, topology: SynthTopology,
     linear, bent = _feature_maps(dataset_seed, feature_width)
     features = np.concatenate([envelopes @ linear, np.tanh(envelopes @ bent)], axis=1)
     noise_rng = np.random.default_rng([seed, _NOISE_TAG])
-    features = features + feature_noise * noise_rng.standard_normal(features.shape)
+    features = features + FEATURE_NOISE * noise_rng.standard_normal(features.shape)
 
     return (AudioFeatureSequence(features, fps),
             MotionSequence(motion, fps))
@@ -203,7 +204,7 @@ def make_splits(num_train: int = 8, num_val: int = 2, num_test: int = 2,
 
 def write_dataset(directory, entries: list[SplitEntry], topology: SynthTopology,
                   num_speakers: int, fps: float = 25.0, feature_width: int = 16,
-                  dataset_seed: int = 0, feature_noise: float = 0.01) -> None:
+                  dataset_seed: int = 0) -> None:
     """Writes SGMO/SGAF pairs plus a plain-text split manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -211,8 +212,7 @@ def write_dataset(directory, entries: list[SplitEntry], topology: SynthTopology,
     for e in entries:
         feats, motion = generate_pair(
             e.seed, e.num_frames, topology, num_speakers, e.speaker_index,
-            fps=fps, feature_width=feature_width, dataset_seed=dataset_seed,
-            feature_noise=feature_noise)
+            fps=fps, feature_width=feature_width, dataset_seed=dataset_seed)
         write_motion(directory / f"{e.sequence_id}.sgmo", motion.offsets, fps)
         write_features(directory / f"{e.sequence_id}.sgaf", feats.features, fps)
         lines.append(f"{e.sequence_id} {e.split} {e.seed} {e.speaker_index} "

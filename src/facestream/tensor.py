@@ -550,16 +550,6 @@ class ParamStore:
             self._params[name].data = arr
 
 
-def backward(loss: Tensor, params: ParamStore | None = None) -> ParamStore | None:
-    """Backpropagate a scalar loss; unreachable parameters get zero gradient."""
-    loss.backward()
-    if params is not None:
-        for _, t in params.items():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-    return params
-
-
 # -- verification -----------------------------------------------------------------
 
 def finite_diff_check(fn: Callable[[Tensor], Tensor], point: np.ndarray,

@@ -13,7 +13,7 @@ from facestream.codec import (
     stage1_loss,
 )
 from facestream.fileio import DataError
-from facestream.tensor import Tensor, as_tensor, backward, finite_diff_check, no_grad
+from facestream.tensor import Tensor, as_tensor, finite_diff_check, no_grad
 
 
 def tiny_codec(seed=0, **overrides):
@@ -98,14 +98,13 @@ class TestEncodeDecode:
     def test_shape_law_single_unit(self):
         codec = tiny_codec()
         x = np.random.default_rng(1).normal(size=(2, 5, 3))  # T = H = 2
-        z, t = codec.encode(x)
+        z = codec.encode(x)
         assert z.data.shape == (1, 2, 8)
-        assert t == 2
 
     def test_padding_rule_shape(self):
         codec = tiny_codec()
         x = np.random.default_rng(2).normal(size=(3, 5, 3))  # H+1 -> padded to 2H
-        z, _ = codec.encode(x)
+        z = codec.encode(x)
         assert z.data.shape == (2, 2, 8)
 
     def test_encoder_not_constant_in_last_frame(self):
@@ -114,8 +113,8 @@ class TestEncodeDecode:
         x = r.normal(size=(4, 5, 3))
         y = x.copy()
         y[-1] += r.normal(size=(5, 3))
-        za, _ = codec.encode(x)
-        zb, _ = codec.encode(y)
+        za = codec.encode(x)
+        zb = codec.encode(y)
         assert np.abs(za.data - zb.data).max() > 0
 
     def test_vertex_mismatch_rejected(self):
@@ -209,11 +208,11 @@ class TestStraightThrough:
         codec = tiny_codec(seed=11)
         x = np.random.default_rng(12).normal(size=(4, 5, 3)) * 0.5
 
-        z_hat, t = codec.encode(x)
-        grid, st, gathered = codec.quantize_latents(z_hat, t)
-        x_hat = codec.decode(st, frames=t)
+        z_hat = codec.encode(x)
+        grid, st, gathered = codec.quantize_latents(z_hat)
+        x_hat = codec.decode(st, frames=len(x))
         total, _, _ = stage1_loss(x, x_hat, z_hat, gathered)
-        backward(total, codec.store)
+        total.backward()
         analytic = {n: t.grad.copy() for n, t in codec.store.items()}
 
         frozen_idx = grid.indices.copy()
@@ -224,11 +223,11 @@ class TestStraightThrough:
         from facestream.tensor import add as tadd, l1_loss, l2_loss, reshape, take_rows
 
         def surrogate():
-            z_hat, t = codec.encode(x)
+            z_hat = codec.encode(x)
             st = tadd(z_hat, frozen_offset)
             gathered = reshape(take_rows(codec.codebook, frozen_idx.reshape(-1)),
                                z_hat.data.shape)
-            x_hat = codec.decode(st, frames=t)
+            x_hat = codec.decode(st, frames=len(x))
             rec = l1_loss(x_hat, x)
             quant = tadd(l2_loss(gathered, z_hat_base),
                          0.25 * l2_loss(z_hat, gathered_base))
@@ -258,8 +257,8 @@ class TestStraightThrough:
     def test_decoder_input_is_exact_codebook_entries(self):
         codec = tiny_codec(seed=1)
         x = np.random.default_rng(2).normal(size=(4, 5, 3))
-        z_hat, t = codec.encode(x)
-        grid, st, _ = codec.quantize_latents(z_hat, t)
+        z_hat = codec.encode(x)
+        grid, st, _ = codec.quantize_latents(z_hat)
         np.testing.assert_array_equal(st.data, codec.codebook.data[grid.indices])
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from facestream.metrics import RegionSpec, fdd, lve, mouth_open_diff
+from facestream.metrics import RegionSpec, evaluate_pair, fdd, lve, mouth_open_diff
 
 
 def region():
@@ -44,14 +44,6 @@ class TestLVE:
             expected += worst
         expected /= pred.shape[0]
         assert lve(pred, gt, reg) == pytest.approx(expected, rel=1e-12)
-
-    def test_mean_aggregate_variant(self):
-        pred, gt = random_pair(2)
-        reg = region()
-        dist = np.linalg.norm(pred[:, reg.lip_indices] - gt[:, reg.lip_indices],
-                              axis=2)
-        assert lve(pred, gt, reg, aggregate="mean") == pytest.approx(
-            dist.mean(), rel=1e-12)
 
     def test_invariant_to_out_of_region_vertices(self):
         pred, gt = random_pair(3)
@@ -141,3 +133,26 @@ class TestRegionSpec:
     def test_duplicate_mouth_pair_rejected(self):
         with pytest.raises(ValueError):
             RegionSpec(lip_indices=[0], upper_face_indices=[1], mouth_pair=(2, 2))
+
+
+BAD_REGIONS = {
+    "lip_too_large": dict(lip_indices=[0, 6]),
+    "lip_negative": dict(lip_indices=[-1]),
+    "upper_face_too_large": dict(upper_face_indices=[100]),
+    "upper_face_negative": dict(upper_face_indices=[3, -3]),
+    "mouth_too_large": dict(mouth_pair=(0, 99)),
+    "mouth_negative": dict(mouth_pair=(-1, 1)),
+}
+
+
+@pytest.mark.parametrize("metric", [lve, fdd, mouth_open_diff, evaluate_pair])
+@pytest.mark.parametrize("bad", sorted(BAD_REGIONS))
+def test_vertex_index_outside_the_mesh_rejected(metric, bad):
+    """Every metric checks every index set against V = 6: a too-large index
+    must not leak numpy's IndexError and a negative one must not silently
+    score a vertex counted from the end."""
+    spec = dict(lip_indices=[0, 1, 2], upper_face_indices=[3, 4], mouth_pair=(0, 1))
+    spec.update(BAD_REGIONS[bad])
+    pred, gt = random_pair(9, t=5)
+    with pytest.raises(ValueError, match="indices must lie in"):
+        metric(pred, gt, RegionSpec(**spec))

@@ -12,7 +12,7 @@ from facestream.predictor import (
     history_capacity,
     select_history,
 )
-from facestream.tensor import backward, mul, no_grad, tsum
+from facestream.tensor import mul, no_grad, tsum
 
 
 def tiny_config(**overrides):
@@ -217,7 +217,7 @@ class TestNextCondition:
         for forward in (lambda: model(units, audio, 1),
                         lambda: model.every_row(units, audio, 1)[-1:]):
             model.store.zero_grads()
-            backward(tsum(mul(forward(), weight)), model.store)
+            tsum(mul(forward(), weight)).backward()
             grads.append({n: t.grad.copy() for n, t in model.store.items()})
         scale = max(np.abs(g).max() for g in grads[1].values())
         assert scale > 0

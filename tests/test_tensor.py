@@ -14,7 +14,6 @@ from facestream.tensor import (
     ParamStore,
     Tensor,
     attention,
-    backward,
     finite_diff_check,
     gelu,
     layer_norm,
@@ -43,15 +42,6 @@ class TestBackwardBasics:
         loss = tsum(square(w))
         loss.backward()
         np.testing.assert_allclose(w.grad, [2.0, 4.0])
-
-    def test_unreachable_param_gets_zero(self):
-        store = ParamStore()
-        used = store.create("used", np.array([3.0]))
-        unused = store.create("unused", np.array([1.0, 1.0]))
-        loss = tsum(square(used))
-        backward(loss, store)
-        np.testing.assert_allclose(used.grad, [6.0])
-        np.testing.assert_allclose(unused.grad, [0.0, 0.0])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
