@@ -19,6 +19,7 @@ from .nn import normal_init
 
 WINDOW_SECONDS = 0.025
 LOG_FLOOR = 1e-10
+NUM_FILTERS = 24   # mel filterbank channels before the projection
 
 
 @dataclass
@@ -78,12 +79,9 @@ class FeatureExtractor:
     always produce identical features.
     """
 
-    def __init__(self, width: int = 16, num_filters: int = 24, seed: int = 0):
-        self.width = width
-        self.num_filters = num_filters
-        self.seed = seed
+    def __init__(self, width: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.projection = rng.normal(size=(num_filters, width)) / np.sqrt(num_filters)
+        self.projection = rng.normal(size=(NUM_FILTERS, width)) / np.sqrt(NUM_FILTERS)
         self._tables: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, waveform: np.ndarray, sample_rate: float,
@@ -101,7 +99,7 @@ class FeatureExtractor:
         key = (window, n_fft, sample_rate)
         if key not in self._tables:
             self._tables[key] = (np.hanning(window),
-                                 _mel_filterbank(self.num_filters, n_fft, sample_rate))
+                                 _mel_filterbank(NUM_FILTERS, n_fft, sample_rate))
         hann, bank = self._tables[key]
 
         frames = np.zeros((num_frames, window))

@@ -2,14 +2,16 @@
 
 A motion sequence of per-frame vertex offsets (T, V, 3) is embedded per
 frame, transformed by a small self-attention stack, and reshaped into latent
-units of H consecutive frame features. Each feature vector is snapped to the
-nearest codebook entry; the decoder inverts the path. Training uses the
-straight-through estimator so encoder gradients pass the quantizer unchanged.
+units of H consecutive frame features. ``quantize`` returns the index of
+each feature vector's nearest codebook entry, and those entries are the
+codes; the decoder inverts the path. Training uses the straight-through
+estimator so encoder gradients pass the quantizer unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ from .tensor import (
     straight_through,
     take_rows,
 )
+
+COMMITMENT = 0.25   # weight of the commitment term in the stage-1 loss
 
 
 @dataclass
@@ -60,14 +64,6 @@ class MotionSequence:
 
 
 @dataclass
-class LatentGrid:
-    """Quantized latents: units x components x width, plus codebook indices."""
-
-    codes: np.ndarray    # (T', H, C)
-    indices: np.ndarray  # (T', H) integer codebook rows
-
-
-@dataclass
 class CodecConfig:
     vertices: int = 30
     width: int = 64          # latent width C
@@ -95,30 +91,21 @@ def pad_to_units(frames: np.ndarray, components: int) -> np.ndarray:
     return np.concatenate([frames, pad], axis=0)
 
 
-def nearest_indices(vectors: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Exhaustive nearest-codebook-entry assignment, lowest index on ties.
-
-    ``vectors`` is (..., C); returns integer indices of shape ``vectors.shape[:-1]``.
-    """
-    entries = np.asarray(entries)
-    if entries.size == 0:
-        raise ValueError("empty codebook")
-    flat = np.asarray(vectors).reshape(-1, entries.shape[1])
-    # |a - b|^2 less the per-vector constant |a|^2 has the same argmin, with
-    # no (N, K, C) difference tensor; np.argmin takes the first minimum, and
-    # duplicate entries give bit-equal columns
-    d2 = (entries * entries).sum(axis=1) - 2.0 * (flat @ entries.T)
-    return d2.argmin(axis=1).reshape(np.asarray(vectors).shape[:-1])
-
-
-def quantize(z_hat: np.ndarray, entries: np.ndarray) -> LatentGrid:
-    """Snap each feature vector of (T', H, C) latents to its nearest codebook entry."""
+def quantize(z_hat: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Index of the nearest codebook entry for each feature vector of
+    (..., C) latents, of shape ``z_hat.shape[:-1]``; lowest index on ties."""
     z_hat = np.asarray(z_hat)
     entries = np.asarray(entries)
     if z_hat.shape[-1] != entries.shape[-1]:
         raise DataError("latent width does not match codebook width")
-    idx = nearest_indices(z_hat, entries)
-    return LatentGrid(codes=entries[idx], indices=idx)
+    if entries.size == 0:
+        raise ValueError("empty codebook")
+    flat = z_hat.reshape(-1, entries.shape[1])
+    # |a - b|^2 less the per-vector constant |a|^2 has the same argmin, with
+    # no (N, K, C) difference tensor; np.argmin takes the first minimum, and
+    # duplicate entries give bit-equal columns
+    d2 = (entries * entries).sum(axis=1) - 2.0 * (flat @ entries.T)
+    return d2.argmin(axis=1).reshape(z_hat.shape[:-1])
 
 
 class MotionCodec:
@@ -162,6 +149,8 @@ class MotionCodec:
             raise DataError(
                 f"motion shape {offsets.shape} does not match template "
                 f"({c.vertices} vertices)")
+        if offsets.shape[0] == 0:
+            raise DataError("motion has no frames")
         padded = pad_to_units(offsets, c.components)
         t_pad = padded.shape[0]
         x = as_tensor(padded.reshape(t_pad, c.vertices * 3))
@@ -172,18 +161,19 @@ class MotionCodec:
         h = self.enc_norm(h)
         return reshape(h, (t_pad // c.components, c.components, c.width))
 
-    def quantize_latents(self, z_hat: Tensor) -> tuple[LatentGrid, Tensor, Tensor]:
-        """Returns (grid, straight-through codes, gathered codebook rows).
+    def quantize_latents(self, z_hat: Tensor) -> tuple[np.ndarray, Tensor, Tensor]:
+        """Returns (codebook indices, straight-through codes, gathered
+        codebook rows).
 
         The straight-through tensor holds the exact codebook entries on the
         forward pass and routes gradients unchanged into ``z_hat``; the
         gathered tensor is the differentiable path into the codebook itself.
         """
-        grid = quantize(z_hat.data, self.codebook.data)
-        st = straight_through(z_hat, grid.codes)
-        gathered = reshape(take_rows(self.codebook, grid.indices.reshape(-1)),
+        indices = quantize(z_hat.data, self.codebook.data)
+        st = straight_through(z_hat, self.codebook.data[indices])
+        gathered = reshape(take_rows(self.codebook, indices.reshape(-1)),
                            z_hat.data.shape)
-        return grid, st, gathered
+        return indices, st, gathered
 
     def decode(self, codes, frames: int | None = None, offset_frames: int = 0) -> Tensor:
         """Latents (T', H, C) -> motion (frames, V, 3): the first ``frames``
@@ -191,12 +181,14 @@ class MotionCodec:
         codes = as_tensor(codes)
         c = self.config
         if codes.data.ndim != 3 or codes.data.shape[2] != c.width \
-                or codes.data.shape[1] != c.components:
+                or codes.data.shape[1] != c.components or len(codes.data) == 0:
             raise DataError(f"latent shape {codes.data.shape} does not match codec "
                             f"(H={c.components}, C={c.width})")
         t_pad = codes.data.shape[0] * c.components
         if frames is None:
             frames = t_pad
+        elif not isinstance(frames, numbers.Integral):
+            raise ValueError(f"frames must be an integer, got {frames!r}")
         elif not 0 < frames <= t_pad:
             raise ValueError(f"frames must be in [1, {t_pad}] for "
                              f"{codes.data.shape[0]} units, got {frames}")
@@ -209,29 +201,25 @@ class MotionCodec:
         out = reshape(self.frame_out(h), (t_pad, c.vertices, 3))
         return out[:frames] if frames != t_pad else out
 
-    def encode_quantized(self, offsets: np.ndarray) -> LatentGrid:
-        """Inference path: motion -> quantized latent grid (no gradients)."""
+    def encode_quantized(self, offsets: np.ndarray) -> np.ndarray:
+        """Inference path: motion -> quantized codes (T', H, C), the exact
+        codebook entries (no gradients)."""
         with no_grad():
-            return quantize(self.encode(offsets).data, self.codebook.data)
-
-    def reconstruct(self, offsets: np.ndarray) -> np.ndarray:
-        """Round trip encode -> quantize -> decode, returned as numpy."""
-        with no_grad():
-            grid = self.encode_quantized(offsets)
-            return self.decode(grid.codes, frames=len(offsets)).data
+            codebook = self.codebook.data
+            return codebook[quantize(self.encode(offsets).data, codebook)]
 
 
-def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor, z_gathered: Tensor,
-                commitment: float = 0.25) -> tuple[Tensor, Tensor, Tensor]:
+def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor,
+                z_gathered: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Reconstruction + quantization objective.
 
     rec   = mean |x_hat - x|
-    quant = mean (sg(z_hat) - z_q)^2 + commitment * mean (z_hat - sg(z_q))^2
+    quant = mean (sg(z_hat) - z_q)^2 + COMMITMENT * mean (z_hat - sg(z_q))^2
     total = rec + quant  (unit weights)
     """
     rec = l1_loss(x_hat, np.asarray(x))
     codebook_pull = l2_loss(z_gathered, stop_gradient(z_hat))
     commit = l2_loss(z_hat, stop_gradient(z_gathered))
-    quant = add(codebook_pull, commitment * commit)
+    quant = add(codebook_pull, COMMITMENT * commit)
     total = add(rec, quant)
     return total, rec, quant

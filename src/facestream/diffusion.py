@@ -21,6 +21,7 @@ count.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ from .tensor import (
     take_slice,
 )
 
+BETA_START = 0.00085   # the schedule's first and last noise variances
+BETA_END = 0.012
+
+
+def _check_integer(value, name: str) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass
 class NoiseSchedule:
@@ -50,20 +59,17 @@ class NoiseSchedule:
         return self.beta.shape[0]
 
 
-def build_schedule(num_steps: int = 1000, beta_start: float = 0.00085,
-                   beta_end: float = 0.012) -> NoiseSchedule:
+def build_schedule(num_steps: int = 1000) -> NoiseSchedule:
     """Scaled-linear schedule: sqrt(beta) is linear in t.
 
-    Endpoints are pinned exactly to ``beta_start`` / ``beta_end`` (the sqrt
+    Endpoints are pinned exactly to ``BETA_START`` / ``BETA_END`` (the sqrt
     round trip can drift by an ulp otherwise).
     """
     if num_steps < 2:
         raise ValueError("schedule needs at least 2 steps")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
-    beta = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), num_steps) ** 2
-    beta[0] = beta_start
-    beta[-1] = beta_end
+    beta = np.linspace(np.sqrt(BETA_START), np.sqrt(BETA_END), num_steps) ** 2
+    beta[0] = BETA_START
+    beta[-1] = BETA_END
     alpha_bar = np.cumprod(1.0 - beta)
     return NoiseSchedule(beta=beta, alpha_bar=alpha_bar)
 
@@ -71,6 +77,7 @@ def build_schedule(num_steps: int = 1000, beta_start: float = 0.00085,
 def add_noise(z0: np.ndarray, t: int, eps: np.ndarray,
               schedule: NoiseSchedule) -> np.ndarray:
     """Forward process: z_t = sqrt(abar_t) z0 + sqrt(1 - abar_t) eps."""
+    _check_integer(t, "timestep")
     if not 0 <= t < schedule.num_steps:
         raise ValueError(f"timestep {t} outside schedule")
     z0 = np.asarray(z0)
@@ -83,6 +90,7 @@ def add_noise(z0: np.ndarray, t: int, eps: np.ndarray,
 
 def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
     """Descending uniform-stride subsequence that starts at the last timestep."""
+    _check_integer(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > num_steps:
@@ -136,6 +144,7 @@ class DiffusionHead:
         built once per timestep, on first use."""
         rows = []
         for t in np.asarray(timesteps).tolist():
+            _check_integer(t, "timestep")
             if not 0 <= t < self.num_steps:
                 raise ValueError(f"timestep {t} outside schedule")
             if t not in self._sinusoid_rows:

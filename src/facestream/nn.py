@@ -22,14 +22,16 @@ from .tensor import (
     take_slice,
 )
 
+INIT_STD = 0.02   # std of the normal initialisation of embeddings and codebooks
+
 
 def glorot_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (d_in + d_out))
     return rng.uniform(-limit, limit, size=(d_in, d_out))
 
 
-def normal_init(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    return rng.normal(0.0, std, size=shape)
+def normal_init(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.normal(0.0, INIT_STD, size=shape)
 
 
 def sinusoid_table(positions: np.ndarray, width: int) -> np.ndarray:
@@ -83,13 +85,12 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, store: ParamStore, name: str, width: int, eps: float = 1e-5):
+    def __init__(self, store: ParamStore, name: str, width: int):
         self.gain = store.create(f"{name}.gain", np.ones(width))
         self.bias = store.create(f"{name}.bias", np.zeros(width))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
+        return layer_norm(x, self.gain, self.bias)
 
 
 class MultiHeadAttention:
@@ -101,14 +102,13 @@ class MultiHeadAttention:
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
-                 rng: np.random.Generator, d_kv: int | None = None):
+                 rng: np.random.Generator):
         if d_model % num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
-        d_kv = d_model if d_kv is None else d_kv
         self.num_heads = num_heads
         self.wq = Linear(store, f"{name}.wq", d_model, d_model, rng)
-        self.wk = Linear(store, f"{name}.wk", d_kv, d_model, rng)
-        self.wv = Linear(store, f"{name}.wv", d_kv, d_model, rng)
+        self.wk = Linear(store, f"{name}.wk", d_model, d_model, rng)
+        self.wv = Linear(store, f"{name}.wv", d_model, d_model, rng)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model, rng)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, bias=None, mask=None) -> Tensor:
@@ -154,13 +154,13 @@ class DecoderBlock:
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
-                 d_ff: int, rng: np.random.Generator, d_cross: int):
+                 d_ff: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(store, f"{name}.ln1", d_model)
         self.self_attn = MultiHeadAttention(store, f"{name}.self_attn", d_model,
                                             num_heads, rng)
         self.ln2 = LayerNorm(store, f"{name}.ln2", d_model)
         self.cross_attn = MultiHeadAttention(store, f"{name}.cross_attn", d_model,
-                                             num_heads, rng, d_kv=d_cross)
+                                             num_heads, rng)
         self.ln3 = LayerNorm(store, f"{name}.ln3", d_model)
         self.ff = FeedForward(store, f"{name}.ff", d_model, d_ff, rng)
 

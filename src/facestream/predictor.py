@@ -11,8 +11,8 @@ the next, not-yet-generated unit.
 A call returns only that final row, the next unit's condition, which is all a
 stream reads: the last decoder block computes its queries, cross-attention
 and feed-forward for that one row, over its own H audio rows. Teacher-forced
-stage-2 training reads every row through ``every_row``, the same forward with
-no row selection.
+stage-2 training makes the same call with ``every_row=True`` and reads every
+row; that is the only difference between the two.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ class ConditionPredictor:
                                              normal_init(rng, (1, c.hidden)))
         self.style = StyleEncoder(self.store, "style", c.num_speakers, c.hidden, rng)
         self.blocks = [
-            DecoderBlock(self.store, f"block{i}", c.hidden, c.heads, c.ff, rng,
-                         d_cross=c.hidden)
+            DecoderBlock(self.store, f"block{i}", c.hidden, c.heads, c.ff, rng)
             for i in range(c.layers)
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
@@ -107,24 +106,15 @@ class ConditionPredictor:
         return self._bias_cache[length]
 
     def __call__(self, window: Sequence[np.ndarray], audio: np.ndarray,
-                 style_index: int) -> Tensor:
-        """The next unit's condition, (1, hidden): the final row of
-        :meth:`every_row`, with the last block computing only that row.
+                 style_index: int, every_row: bool = False) -> Tensor:
+        """The next unit's condition, (1, hidden), with the last block
+        computing only that row; with ``every_row``, all the condition rows,
+        (len(window) + 1, hidden), one per window unit plus the next unit's.
 
         ``audio`` must hold at least (len(window) + 1) * H frames starting at
         the window's first motion frame; extra trailing audio is ignored by
         the alignment mask but must not precede the window.
         """
-        return self._forward(window, audio, style_index, slice(-1, None))
-
-    def every_row(self, window: Sequence[np.ndarray], audio: np.ndarray,
-                  style_index: int) -> Tensor:
-        """Condition rows (len(window) + 1, hidden), one per window unit plus
-        the next unit's; teacher-forced stage 2 reads them all. ``audio`` is
-        as for a call."""
-        return self._forward(window, audio, style_index, None)
-
-    def _forward(self, window, audio, style_index: int, rows: slice | None) -> Tensor:
         c = self.config
         units = list(window)
         if len(units) > c.history_units:
@@ -149,5 +139,6 @@ class ConditionPredictor:
         memory = self.audio_embed(as_tensor(audio))
         for block in self.blocks[:-1]:
             x = block(x, memory, self_bias, self_mask, cross_mask)
+        rows = None if every_row else slice(-1, None)
         x = self.blocks[-1](x, memory, self_bias, self_mask, cross_mask, rows)
         return self.norm(x)

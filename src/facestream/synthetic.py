@@ -9,7 +9,7 @@ and reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ _FEATURE_MAP_TAG = 53
 CHANNELS = ("mouth_open", "lip_round", "brow_raise")
 AMPLITUDES = (1.0, 0.6, 0.6)   # envelope gain per channel
 FEATURE_NOISE = 0.01           # std of the noise added to the features
+ENVELOPE_CUTOFF_HZ = 4.0       # envelopes hold little content above this
 
 
 @dataclass
@@ -36,17 +37,17 @@ class SynthTopology:
 
     The articulation basis fields are nonzero only inside their semantic
     regions; the mouth-open field pushes the mouth pair apart symmetrically
-    so the opening distance tracks its envelope linearly.
+    so the opening distance tracks its envelope linearly. Motion is offsets
+    from the template, so the basis fields fix its vertex count.
     """
 
-    template: np.ndarray                 # (V, 3)
     lip_indices: np.ndarray              # subset of [0, V)
     upper_face_indices: np.ndarray
     mouth_pair: tuple[int, int]          # (upper lip vertex, lower lip vertex)
-    basis: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (V, 3)
+    basis: dict[str, np.ndarray]         # channel name -> (V, 3)
 
     def __post_init__(self):
-        v = self.template.shape[0]
+        v = self.num_vertices
         if len(self.lip_indices) == 0 or len(self.upper_face_indices) == 0:
             raise ValueError("region index sets must be non-empty")
         if self.mouth_pair[0] == self.mouth_pair[1]:
@@ -57,7 +58,7 @@ class SynthTopology:
 
     @property
     def num_vertices(self) -> int:
-        return self.template.shape[0]
+        return self.basis[CHANNELS[0]].shape[0]
 
     def region_spec(self) -> RegionSpec:
         return RegionSpec(lip_indices=self.lip_indices,
@@ -65,13 +66,11 @@ class SynthTopology:
                           mouth_pair=self.mouth_pair)
 
 
-def default_topology(num_vertices: int = 30, seed: int = 0) -> SynthTopology:
+def default_topology(num_vertices: int = 30) -> SynthTopology:
     """Canonical layout: vertices 0-5 are lips (0 upper / 1 lower mouth pair),
     6-13 are upper face, the rest are cheeks/jaw filler."""
     if num_vertices < 14:
         raise ValueError("topology needs at least 14 vertices")
-    rng = np.random.default_rng(seed)
-    template = rng.normal(size=(num_vertices, 3)) * 0.5
     lips = np.arange(0, 6)
     upper = np.arange(6, 14)
     mouth_pair = (0, 1)
@@ -93,7 +92,6 @@ def default_topology(num_vertices: int = 30, seed: int = 0) -> SynthTopology:
         brow_raise[i] = [0.0, 0.35, 0.1 * (1 if i % 2 else -1)]
 
     return SynthTopology(
-        template=template,
         lip_indices=lips,
         upper_face_indices=upper,
         mouth_pair=mouth_pair,
@@ -102,14 +100,14 @@ def default_topology(num_vertices: int = 30, seed: int = 0) -> SynthTopology:
     )
 
 
-def band_limited_noise(rng: np.random.Generator, length: int, fps: float,
-                       cutoff_hz: float = 4.0) -> np.ndarray:
+def band_limited_noise(rng: np.random.Generator, length: int,
+                       fps: float) -> np.ndarray:
     """Moving-average-smoothed Gaussian noise via cumulative sums.
 
     The averaging window is fps/cutoff frames, which suppresses content above
-    roughly ``cutoff_hz`` at the given frame rate.
+    roughly ``ENVELOPE_CUTOFF_HZ`` at the given frame rate.
     """
-    window = max(1, int(round(fps / cutoff_hz)))
+    window = max(1, int(round(fps / ENVELOPE_CUTOFF_HZ)))
     raw = rng.standard_normal(length + window)
     csum = np.concatenate([[0.0], np.cumsum(raw)])
     smooth = (csum[window:] - csum[:-window]) / window
@@ -230,9 +228,11 @@ def read_manifest(directory) -> list[SplitEntry]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise DataError(f"bad manifest row: {line!r}")
-        entries.append(SplitEntry(parts[0], parts[1], int(parts[2]),
-                                  int(parts[3]), int(parts[4])))
+        try:
+            name, split, seed, speaker, frames = line.split()
+            entries.append(SplitEntry(name, split, int(seed), int(speaker),
+                                      int(frames)))
+        except ValueError:
+            # a wrong field count fails the unpacking, a non-integer int()
+            raise DataError(f"bad manifest row in {path}: {line!r}") from None
     return entries

@@ -28,6 +28,8 @@ from scipy.special import erf as _erf
 
 from .fileio import DataError
 
+LAYER_NORM_EPS = 1e-5   # added to the variance before the inverse square root
+
 
 class NonFiniteError(ArithmeticError):
     """Raised when an op would produce NaN or Inf values."""
@@ -430,7 +432,7 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     return _node(out, parents, backward, "attention")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The variance is checked for finiteness: an overflowing one would turn the
@@ -441,7 +443,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / width)
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width)
     _check_finite(var, "layer_norm variance")
-    inv = (var + eps) ** -0.5
+    inv = (var + LAYER_NORM_EPS) ** -0.5
     normed = centered * inv
     out = normed * gain.data + bias.data
 
@@ -499,12 +501,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)

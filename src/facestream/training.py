@@ -87,15 +87,18 @@ class SequenceExample:
             raise ValueError("features and motion must cover the same frames")
 
 
+# Adam moment decay rates and the denominator's guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Adam with decoupled weight decay over an explicit tensor list; a
     tensor with no gradient is stepped as if its gradient were zero."""
 
-    def __init__(self, params: list[Tensor], betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: list[Tensor], weight_decay: float):
         self.params = params
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in params]
@@ -103,16 +106,16 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
+            self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
+            self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
             p.data = (p.data
-                      - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                      - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                       - lr * self.weight_decay * p.data)
 
     def zero_grads(self) -> None:
@@ -132,7 +135,7 @@ def _train(stage: int, dataset: list[SequenceExample], params: list[Tensor],
     """
     if not dataset:
         raise ValueError("empty dataset")
-    optimizer = AdamW(params, weight_decay=config.weight_decay)
+    optimizer = AdamW(params, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     history = []
     for epoch in range(epochs):
@@ -213,7 +216,7 @@ def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
     if config.finetune_decoder:
         params += [codec.store[n] for n in codec.decoder_param_names()]
     # the encoder is frozen, so ground-truth latents never change
-    grids = [codec.encode_quantized(ex.motion) for ex in dataset]
+    all_codes = [codec.encode_quantized(ex.motion) for ex in dataset]
 
     def example_loss(i, example, rng):
         """One teacher-forced graph: a random next unit behind its history
@@ -223,11 +226,11 @@ def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
         window_len = min(predictor.config.history_units, next_unit)
         eps = rng.standard_normal((window_len + 1, h, codec.config.width))
         start = next_unit - window_len
-        codes = grids[i].codes
+        codes = all_codes[i]
         targets = codes[start:next_unit + 1]
         audio = example.features[start * h:(next_unit + 1) * h]
-        conditions = predictor.every_row(list(codes[start:next_unit]), audio,
-                                         example.speaker)
+        conditions = predictor(list(codes[start:next_unit]), audio,
+                               example.speaker, every_row=True)
         z_t = add_noise(targets, t_step, eps, schedule)
         z_pred = reshape(head.denoise(z_t, t_step, head.condition(conditions, [t_step])),
                          z_t.shape)

@@ -7,7 +7,6 @@ from facestream.codec import (
     CodecConfig,
     MotionCodec,
     MotionSequence,
-    nearest_indices,
     pad_to_units,
     quantize,
     stage1_loss,
@@ -40,27 +39,27 @@ class TestQuantizer:
     def test_exact_entry_hits_index_with_zero_distance(self):
         entries = np.random.default_rng(0).normal(size=(8, 4))
         z = entries[3].reshape(1, 1, 4).copy()
-        grid = quantize(z, entries)
-        assert grid.indices[0, 0] == 3
-        np.testing.assert_array_equal(grid.codes[0, 0], entries[3])
+        indices = quantize(z, entries)
+        assert indices.shape == (1, 1)
+        assert indices[0, 0] == 3
 
     def test_tie_breaks_to_lowest_index(self):
         entries = np.zeros((4, 3))
         entries[1] = [1.0, 0.0, 0.0]
         entries[2] = [1.0, 0.0, 0.0]  # duplicate of entry 1
         z = np.array([[[1.1, 0.0, 0.0]]])
-        assert quantize(z, entries).indices[0, 0] == 1
+        assert quantize(z, entries)[0, 0] == 1
 
     def test_matches_exhaustive_scan(self):
         r = np.random.default_rng(7)
         entries = r.normal(size=(8, 4))
         vectors = r.normal(size=(100, 4))
-        got = nearest_indices(vectors, entries)
+        got = quantize(vectors, entries)
         np.testing.assert_array_equal(got, brute_force_nearest(vectors, entries))
         # codec scale, C = K = 64, with some vectors equal to entries
         entries = r.normal(size=(64, 64))
         vectors = np.concatenate([r.normal(size=(40, 64)), entries[[0, 17, 63]]])
-        got = nearest_indices(vectors, entries)
+        got = quantize(vectors, entries)
         np.testing.assert_array_equal(got, brute_force_nearest(vectors, entries))
         np.testing.assert_array_equal(got[-3:], [0, 17, 63])
 
@@ -68,13 +67,12 @@ class TestQuantizer:
         r = np.random.default_rng(3)
         entries = r.normal(size=(6, 4))
         z = r.normal(size=(5, 2, 4))
-        grid = quantize(z, entries)
-        again = quantize(grid.codes, entries)
-        np.testing.assert_array_equal(grid.indices, again.indices)
+        indices = quantize(z, entries)
+        np.testing.assert_array_equal(quantize(entries[indices], entries), indices)
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError, match="empty codebook"):
-            nearest_indices(np.zeros((1, 3)), np.zeros((0, 3)))
+            quantize(np.zeros((1, 3)), np.zeros((0, 3)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -125,10 +123,18 @@ class TestEncodeDecode:
     def test_round_trip_shape_and_determinism(self):
         codec = tiny_codec()
         x = np.random.default_rng(4).normal(size=(5, 5, 3))
-        first = codec.reconstruct(x)
-        second = codec.reconstruct(x)
+        with no_grad():
+            first, second = (codec.decode(codec.encode_quantized(x), frames=len(x)).data
+                             for _ in range(2))
         assert first.shape == x.shape
         np.testing.assert_array_equal(first, second)
+
+    def test_zero_frames_rejected(self):
+        codec = tiny_codec()
+        with pytest.raises(DataError, match="no frames"):
+            codec.encode(np.zeros((0, 5, 3)))
+        with pytest.raises(DataError, match="latent shape"):
+            codec.decode(np.zeros((0, 2, 8)))
 
     def test_zero_latents_decode_deterministic(self):
         codec = tiny_codec()
@@ -150,16 +156,19 @@ class TestEncodeDecode:
             for frames in (1, 3, 4):
                 np.testing.assert_array_equal(codec.decode(codes, frames=frames).data,
                                               full[:frames])
-            for frames in (0, -3, 5, 100):
+            for frames in (0, -3, 5, 100, 1.5, 2.0, "2"):
                 with pytest.raises(ValueError, match="frames"):
                     codec.decode(codes, frames=frames)
+            np.testing.assert_array_equal(codec.decode(codes, frames=np.int64(3)).data,
+                                          full[:3])
 
     def test_quantized_codes_are_exact_codebook_rows(self):
         codec = tiny_codec()
         x = np.random.default_rng(5).normal(size=(4, 5, 3))
-        grid = codec.encode_quantized(x)
-        np.testing.assert_array_equal(grid.codes,
-                                      codec.codebook.data[grid.indices])
+        codes = codec.encode_quantized(x)
+        assert codes.shape == (2, 2, 8)
+        indices = quantize(codec.encode(x).data, codec.codebook.data)
+        np.testing.assert_array_equal(codes, codec.codebook.data[indices])
 
 
 class TestStage1Loss:
@@ -209,14 +218,14 @@ class TestStraightThrough:
         x = np.random.default_rng(12).normal(size=(4, 5, 3)) * 0.5
 
         z_hat = codec.encode(x)
-        grid, st, gathered = codec.quantize_latents(z_hat)
+        indices, st, gathered = codec.quantize_latents(z_hat)
         x_hat = codec.decode(st, frames=len(x))
         total, _, _ = stage1_loss(x, x_hat, z_hat, gathered)
         total.backward()
         analytic = {n: t.grad.copy() for n, t in codec.store.items()}
 
-        frozen_idx = grid.indices.copy()
-        frozen_offset = grid.codes - z_hat.data
+        frozen_idx = indices.copy()
+        frozen_offset = codec.codebook.data[indices] - z_hat.data
         z_hat_base = z_hat.data.copy()
         gathered_base = gathered.data.copy()
 
@@ -258,8 +267,8 @@ class TestStraightThrough:
         codec = tiny_codec(seed=1)
         x = np.random.default_rng(2).normal(size=(4, 5, 3))
         z_hat = codec.encode(x)
-        grid, st, _ = codec.quantize_latents(z_hat)
-        np.testing.assert_array_equal(st.data, codec.codebook.data[grid.indices])
+        indices, st, _ = codec.quantize_latents(z_hat)
+        np.testing.assert_array_equal(st.data, codec.codebook.data[indices])
 
 
 class TestMotionSequence:

@@ -31,12 +31,12 @@ from facestream.tensor import (
 
 class TestSchedule:
     def test_endpoints_exact(self):
-        s = build_schedule(1000, 0.00085, 0.012)
+        s = build_schedule(1000)
         assert s.beta[0] == 0.00085
         assert s.beta[-1] == 0.012
 
     def test_alpha_bar_strictly_decreasing(self):
-        s = build_schedule(1000, 0.00085, 0.012)
+        s = build_schedule(1000)
         assert np.all(np.diff(s.alpha_bar) < 0)
         assert s.alpha_bar[0] == 1.0 - s.beta[0]
         # independent oracle: direct product over the betas
@@ -47,17 +47,13 @@ class TestSchedule:
         assert s.alpha_bar[-1] < 0.01
 
     def test_betas_in_open_interval(self):
-        s = build_schedule(500, 1e-4, 0.05)
+        s = build_schedule(500)
         assert np.all(s.beta > 0)
         assert np.all(s.beta < 1)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             build_schedule(1)
-
-    def test_bad_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            build_schedule(10, 0.5, 0.1)
 
 
 class TestAddNoise:
@@ -94,6 +90,15 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(3), 5, np.zeros(4), s)
 
+    def test_non_integer_timestep_rejected(self):
+        s = build_schedule(10)
+        z0, eps = np.ones(3), np.full(3, 0.5)
+        for t in (1.5, 2.0, np.float64(3.0), "4"):
+            with pytest.raises(ValueError, match="integer"):
+                add_noise(z0, t, eps, s)
+        np.testing.assert_array_equal(add_noise(z0, np.int64(4), eps, s),
+                                      add_noise(z0, 4, eps, s))
+
 
 class TestTimesteps:
     def test_uniform_stride_descending_from_last(self):
@@ -109,6 +114,16 @@ class TestTimesteps:
     def test_steps_beyond_schedule_rejected(self):
         with pytest.raises(ValueError):
             sample_timesteps(10, 11)
+
+    def test_non_integer_steps_rejected(self):
+        for steps in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="integer"):
+                sample_timesteps(1000, steps)
+            with pytest.raises(ValueError, match="integer"):
+                ddim_sample(lambda z, t: z, build_schedule(100), steps,
+                            np.random.default_rng(0), (1,))
+        np.testing.assert_array_equal(sample_timesteps(1000, np.int32(50)),
+                                      sample_timesteps(1000, 50))
 
 
 class TestDDIM:
@@ -438,6 +453,18 @@ class TestPlan:
         for plan in ([49, 50], [-1], [3, 100]):
             with pytest.raises(ValueError):
                 head.condition(np.zeros((1, 6)), np.array(plan))
+
+    def test_non_integer_timestep_rejected(self):
+        """A fractional timestep is not planned under its integer part."""
+        head = self.make_head()
+        z, cond = self.inputs(None, seed=6)
+        for plan in ([5.5], np.array([5.5]), [5.0], [3, 5.5]):
+            with pytest.raises(ValueError, match="integer"):
+                head.condition(cond, plan)
+        want = head.denoise(z, 5, head.condition(cond, [5])).data
+        for plan in ([np.int64(5)], np.array([5], dtype=np.int32)):
+            np.testing.assert_array_equal(
+                head.denoise(z, 5, head.condition(cond, plan)).data, want)
 
     def test_time_terms_follow_weight_writes(self):
         head = self.make_head()

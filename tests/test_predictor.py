@@ -94,7 +94,7 @@ class TestPredictor:
         with no_grad():
             window = select_history(units, self.cfg.history_frames,
                                     self.cfg.components)
-            return self.model.every_row(window, audio, style).data
+            return self.model(window, audio, style, every_row=True).data
 
     def test_empty_window_gives_single_condition(self):
         audio = np.random.default_rng(0).normal(size=(2, 4))
@@ -198,7 +198,7 @@ class TestNextCondition:
             audio = r.normal(size=((n + 1) * cfg.components + 3, cfg.audio_width))
             for style in range(cfg.num_speakers):
                 with no_grad():
-                    every = model.every_row(units[:n], audio, style).data
+                    every = model(units[:n], audio, style, every_row=True).data
                     nxt = model(units[:n], audio, style).data
                 assert every.shape == (n + 1, cfg.hidden)
                 assert nxt.shape == (1, cfg.hidden)
@@ -215,7 +215,7 @@ class TestNextCondition:
         weight = r.normal(size=(1, cfg.hidden))
         grads = []
         for forward in (lambda: model(units, audio, 1),
-                        lambda: model.every_row(units, audio, 1)[-1:]):
+                        lambda: model(units, audio, 1, every_row=True)[-1:]):
             model.store.zero_grads()
             tsum(mul(forward(), weight)).backward()
             grads.append({n: t.grad.copy() for n, t in model.store.items()})

@@ -69,3 +69,19 @@ def test_tape_nodes_per_operation(name, monkeypatch):
     monkeypatch.setattr(tensor, "_node", counting)
     work.reference(run.REF_SEED, size)
     assert nodes[0] / ops <= NODE_BUDGET[name]
+
+
+def test_tracer_times_every_stage2_predictor_forward():
+    """Stage 2 runs the predictor through the call the stream makes, so the
+    benchmark's traced run counts its forward as predictor time, once per
+    optimizer step, and not as driver time."""
+    work = workloads.make_work("train_s2", run.REF_SEED)
+    work.setup()
+    dataset, epochs = work.dataset[:2], 2
+    tracer = run.Tracer()
+    tracer.install()
+    try:
+        work.call(work.models, dataset, epochs, run.REF_SEED)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["predictor.forward"] == epochs * len(dataset)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from facestream.fileio import DataError
 from facestream.synthetic import (
     band_limited_noise,
     default_topology,
@@ -79,7 +80,7 @@ class TestGeneratePair:
 class TestBandLimitedNoise:
     def test_high_frequency_energy_suppressed(self):
         rng = np.random.default_rng(0)
-        x = band_limited_noise(rng, 2000, fps=25.0, cutoff_hz=4.0)
+        x = band_limited_noise(rng, 2000, fps=25.0)   # 4 Hz cutoff
         spectrum = np.abs(np.fft.rfft(x - x.mean())) ** 2
         freqs = np.fft.rfftfreq(2000, d=1 / 25.0)
         low = spectrum[freqs <= 4.0].sum()
@@ -131,3 +132,13 @@ class TestSplits:
         loaded = read_manifest(tmp_path)
         assert [e.sequence_id for e in loaded] == [e.sequence_id for e in entries]
         assert [e.seed for e in loaded] == [e.seed for e in entries]
+
+    @pytest.mark.parametrize("row", ["a train x 0 240", "a train 1 0 2.5",
+                                     "a train 1 0", "a train 1 0 240 extra"])
+    def test_bad_manifest_row_rejected(self, tmp_path, row):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"# id split seed speaker frames\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            read_manifest(tmp_path)
+        assert str(path) in str(caught.value)
+        assert row in str(caught.value)

@@ -395,9 +395,9 @@ class TestMultiHeadAttention:
             inputs = [r.normal(size=(5, 8))]   # self-attention: one input
             bias, mask = alibi_bias(5, 2), causal_mask(5)
         else:
-            # a batch of two; keys and values come from a narrower memory
-            mha = MultiHeadAttention(store, "attn", 8, 2, r, d_kv=6)
-            inputs = [r.normal(size=(2, 4, 8)), r.normal(size=(2, 7, 6))]
+            # a batch of two; keys and values come from a second sequence
+            mha = MultiHeadAttention(store, "attn", 8, 2, r)
+            inputs = [r.normal(size=(2, 4, 8)), r.normal(size=(2, 7, 8))]
             bias, mask = None, r.random((4, 7)) > 0.3
             mask[:, 0] = True
 

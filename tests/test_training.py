@@ -6,6 +6,7 @@ import pytest
 
 from facestream.codec import CodecConfig, MotionCodec
 from facestream.diffusion import DiffusionHead, build_schedule
+from facestream.fileio import DataError
 from facestream.predictor import ConditionPredictor, PredictorConfig
 from facestream.training import (
     STAGE1_FIELDS,
@@ -100,6 +101,12 @@ class TestLoop:
     def test_empty_dataset_rejected(self, stage, fields):
         with pytest.raises(ValueError, match="empty"):
             run_stage(stage, [], tiny_models(), config())
+
+    def test_example_without_frames_rejected(self, stage, fields):
+        dataset = tiny_dataset() + tiny_dataset(n=1, frames=0)
+        error = (DataError, "no frames") if stage == 1 else (ValueError, "shorter")
+        with pytest.raises(error[0], match=error[1]):
+            run_stage(stage, dataset, tiny_models(), config())
 
 
 @pytest.mark.parametrize("finetune_decoder", [False, True])
