@@ -21,10 +21,12 @@ class RegionSpec:
     mouth_pair: tuple[int, int]
 
     def __post_init__(self):
+        for name in ("lip_indices", "upper_face_indices", "mouth_pair"):
+            arr = np.asarray(getattr(self, name))   # a fraction must not truncate
+            if arr.size == 0 or not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must be non-empty integers, got {arr.tolist()}")
         self.lip_indices = np.asarray(self.lip_indices, dtype=int)
         self.upper_face_indices = np.asarray(self.upper_face_indices, dtype=int)
-        if self.lip_indices.size == 0 or self.upper_face_indices.size == 0:
-            raise ValueError("region index sets must be non-empty")
         if self.mouth_pair[0] == self.mouth_pair[1]:
             raise ValueError("mouth pair vertices must be distinct")
 
@@ -36,6 +38,8 @@ def _check_pair(pred, gt, region: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
     if pred.ndim != 3 or pred.shape[2] != 3:
         raise ValueError("motion arrays must be (T, V, 3)")
+    if pred.shape[0] < 1:
+        raise ValueError("motion arrays need at least one frame")
     v = pred.shape[1]
     for name, idx in (("lip", region.lip_indices),
                       ("upper-face", region.upper_face_indices),

@@ -13,9 +13,11 @@ a closed-form backward, so a transformer layer costs a handful of nodes
 instead of dozens; they keep the finite checks that the composed ops made.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
-so no layout node reaches the tape. A finite-difference checker ships with
-the engine so every op and every composed loss graph can be verified against
-central differences.
+so no layout node reaches the tape. ``attention`` scales, biases and
+normalises its scores in one buffer, and a gradient's first write is one
+pass, ``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``. A
+finite-difference checker ships with the engine so every op and every
+composed loss graph can be verified against central differences.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse sweep from a scalar; accumulates into reachable ``grad``s."""
@@ -355,16 +358,17 @@ def linear(x, w, b) -> Tensor:
 
 
 def _softmax(x: np.ndarray, mask) -> np.ndarray:
-    """Masked softmax over the last axis; masked positions get exactly 0."""
-    if mask is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    if not m.any(axis=-1).all():
-        raise ValueError("degenerate attention row")
-    z = np.where(m, x, -np.inf)
-    e = np.where(m, np.exp(z - z.max(axis=-1, keepdims=True)), 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Masked softmax over the last axis, written over ``x`` and returned;
+    masked positions are set to -inf, so their weight is exactly exp(-inf) = 0."""
+    if mask is not None:
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        if not m.any(axis=-1).all():
+            raise ValueError("degenerate attention row")
+        np.copyto(x, -np.inf, where=~m)
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -390,7 +394,7 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     Shapes: q (..., L_q, heads*d), k (..., L_k, heads*d), v (..., L_k, heads*d_v),
     heads side by side in the last axis; the result is (..., L_q, heads*d_v).
     Head k attends with its own slice of width d, scaled by 1/sqrt(d). bias
-    broadcasts against the (..., heads, L_q, L_k) score tensor, so a per-head
+    broadcasts into the (..., heads, L_q, L_k) score tensor, so a per-head
     bias is (heads, L_q, L_k); mask is boolean with the same broadcast rule.
     Masked keys receive exactly zero weight. The biased scores are checked for
     finiteness before the mask can hide a non-finite entry.
@@ -404,11 +408,12 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
         raise ValueError("query and value widths must be divisible by heads")
     qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qs.shape[-1])
-    scores = (qs @ np.swapaxes(ks, -1, -2)) * scale
+    scores = qs @ np.swapaxes(ks, -1, -2)
+    scores *= scale
     parents = (q, k, v)
     if bias is not None:
         bias = as_tensor(bias)
-        scores = scores + bias.data
+        scores += bias.data
         parents = (q, k, v, bias)
     _check_finite(scores, "attention scores")
     weights = _softmax(scores, mask)

@@ -49,6 +49,12 @@ class DivergenceError(RuntimeError):
     """Training produced non-finite values."""
 
 
+def _check_weight_decay(weight_decay: float) -> None:
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight decay must be finite and non-negative, "
+                         f"got {weight_decay}")
+
+
 @dataclass
 class TrainConfig:
     stage1_epochs: int = 400
@@ -63,9 +69,7 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight decay must be finite and non-negative, "
-                             f"got {self.weight_decay}")
+        _check_weight_decay(self.weight_decay)
         if min(self.stage1_epochs, self.stage2_epochs,
                self.lr_halving_interval) < 1:
             raise ValueError("epoch counts must be positive")
@@ -95,9 +99,15 @@ ADAM_EPS = 1e-8
 
 class AdamW:
     """Adam with decoupled weight decay over an explicit tensor list; a
-    tensor with no gradient is stepped as if its gradient were zero."""
+    tensor with no gradient is stepped as if its gradient were zero.
+
+    ``step`` updates each parameter's array, and the moment arrays, in
+    place, so a view of ``p.data`` sees the step; take a snapshot with
+    ``ParamStore.state()``, which copies.
+    """
 
     def __init__(self, params: list[Tensor], weight_decay: float):
+        _check_weight_decay(weight_decay)
         self.params = params
         self.weight_decay = weight_decay
         self.t = 0
@@ -108,15 +118,27 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, p in enumerate(self.params):
+        decay = lr * self.weight_decay
+        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p, with the
+        # out-of-place formula's roundings, through two temporaries a and b
+        for m, v, p in zip(self._m, self._v, self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
-            self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.data = (p.data
-                      - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                      - lr * self.weight_decay * p.data)
+            a = (1.0 - ADAM_BETA1) * g
+            m *= ADAM_BETA1
+            m += a
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            a *= g
+            v *= ADAM_BETA2
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            b = m / bc1
+            b *= lr
+            b /= a
+            np.multiply(p.data, decay, out=a)
+            p.data -= b
+            p.data -= a
 
     def zero_grads(self) -> None:
         for p in self.params:

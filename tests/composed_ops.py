@@ -41,7 +41,7 @@ def masked_softmax(scores, mask=None) -> Tensor:
     ``ValueError('degenerate attention row')``.
     """
     scores = as_tensor(scores)
-    out = _softmax(scores.data, mask)
+    out = _softmax(scores.data.copy(), mask)   # _softmax writes in place
 
     def backward(g):
         if scores.requires_grad:

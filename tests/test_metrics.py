@@ -134,6 +134,32 @@ class TestRegionSpec:
         with pytest.raises(ValueError):
             RegionSpec(lip_indices=[0], upper_face_indices=[1], mouth_pair=(2, 2))
 
+    @pytest.mark.parametrize("bad", [dict(lip_indices=[0.9, 1.7]),
+                                     dict(upper_face_indices=[3, 4.5]),
+                                     dict(upper_face_indices=[3.0, 4.0]),
+                                     dict(lip_indices=["0", "1"]),
+                                     dict(mouth_pair=(0.5, 1))])
+    def test_non_integer_indices_rejected(self, bad):
+        # a fractional index must not be truncated to a vertex it never named
+        spec = dict(lip_indices=[0, 1], upper_face_indices=[3, 4], mouth_pair=(0, 1))
+        spec.update(bad)
+        with pytest.raises(ValueError, match="must be non-empty integers"):
+            RegionSpec(**spec)
+
+    def test_numpy_integer_indices_accepted(self):
+        reg = RegionSpec(lip_indices=np.array([0, 1, 2], dtype=np.int32),
+                         upper_face_indices=np.arange(3, 5, dtype=np.uint8),
+                         mouth_pair=(np.int64(0), 1))
+        pred, gt = random_pair(10)
+        assert evaluate_pair(pred, gt, reg) == evaluate_pair(pred, gt, region())
+
+
+@pytest.mark.parametrize("metric", [lve, fdd, mouth_open_diff, evaluate_pair])
+def test_zero_frame_motion_rejected(metric):
+    empty = np.zeros((0, 6, 3))
+    with pytest.raises(ValueError, match="at least one frame"):
+        metric(empty, empty.copy(), region())
+
 
 BAD_REGIONS = {
     "lip_too_large": dict(lip_indices=[0, 6]),

@@ -83,6 +83,21 @@ class TestBackwardBasics:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             attention(q, k, Tensor(np.ones((2, 1))), bias=bias)
 
+    def test_negative_zero_first_gradient_lands_as_positive_zero(self):
+        # the first write is g + 0.0, which has the signs of zeros + g
+        w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        tsum(mul(w, -0.0)).backward()
+        assert w.grad.tobytes() == np.zeros(2).tobytes()
+
+    def test_first_gradient_is_a_fresh_array_of_the_leaf_dtype(self):
+        w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        g = np.array([0.1, -0.0, 3.0])
+        w._accumulate(g)
+        assert w.grad.dtype == np.float32 and not np.shares_memory(w.grad, g)
+        zeros = np.zeros(3, dtype=np.float32)
+        zeros += g
+        assert w.grad.tobytes() == zeros.tobytes()
+
     def test_stop_gradient_blocks(self):
         w = Tensor(np.array([2.0]), requires_grad=True)
         loss = tsum(stop_gradient(w) * w)
@@ -276,6 +291,26 @@ class TestAttention:
         mask = np.array([[True, False, True], [False, False, False]])
         with pytest.raises(ValueError, match="degenerate attention row"):
             masked_softmax(scores, mask)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_leaves_its_inputs_and_upstream_gradient_alone(self, masked):
+        """The scores are worked on in place; no input may be among them."""
+        r = rng(13)
+        q, k, v = (Tensor(r.normal(size=(2, 3, 4)), requires_grad=True),
+                   Tensor(r.normal(size=(2, 5, 4)), requires_grad=True),
+                   Tensor(r.normal(size=(2, 5, 6)), requires_grad=True))
+        bias = Tensor(r.normal(size=(2, 3, 5)), requires_grad=True)
+        mask = r.random((3, 5)) > 0.4 if masked else None
+        if masked:
+            mask[:, 0] = True
+        g = r.normal(size=(2, 3, 6))
+        inputs = (q, k, v, bias)
+        before = [t.data.tobytes() for t in inputs] + [g.tobytes()]
+        out = attention(q, k, v, bias=bias, mask=mask, heads=2)
+        assert [t.data.tobytes() for t in inputs] == before[:4]
+        out._backward(g)
+        assert [t.data.tobytes() for t in inputs] + [g.tobytes()] == before
+        assert all(t.grad is not None for t in inputs)
 
     def test_permutation_equivariance_over_keys(self):
         r = rng(11)

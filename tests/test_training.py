@@ -8,9 +8,14 @@ from facestream.codec import CodecConfig, MotionCodec
 from facestream.diffusion import DiffusionHead, build_schedule
 from facestream.fileio import DataError
 from facestream.predictor import ConditionPredictor, PredictorConfig
+from facestream.tensor import Tensor
 from facestream.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     STAGE1_FIELDS,
     STAGE2_FIELDS,
+    AdamW,
     DivergenceError,
     SequenceExample,
     TrainConfig,
@@ -141,3 +146,59 @@ def test_bad_optimizer_settings_rejected(field, value):
 
 def test_zero_weight_decay_accepted():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+
+@pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+def test_adamw_rejects_bad_weight_decay(value):
+    params = [Tensor(np.ones(3), requires_grad=True)]
+    with pytest.raises(ValueError, match="weight decay must be finite and non-negative"):
+        AdamW(params, weight_decay=value)
+
+
+class AllocatingAdamW:
+    """Reference: Adam with decoupled weight decay written out of place,
+    one new array per operation."""
+
+    def __init__(self, params, weight_decay):
+        self.params, self.weight_decay, self.t = params, weight_decay, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self, lr):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p.data = (p.data
+                      - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                      - lr * self.weight_decay * p.data)
+
+
+def test_adamw_matches_allocating_reference_bit_for_bit():
+    """Six steps with a changing learning rate, weight decay and one
+    parameter that never gets a gradient: the in-place step writes the same
+    bytes as the out-of-place formula, into the arrays it was given."""
+    r = np.random.default_rng(3)
+    shapes = [(4, 5), (5,), (2, 3, 2)]
+    start = [r.normal(size=s) for s in shapes]
+    ours = [Tensor(a.copy(), requires_grad=True) for a in start]
+    theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
+    views = [p.data[...] for p in ours]
+    optimizer, reference = AdamW(ours, 0.05), AllocatingAdamW(theirs, 0.05)
+    for step, lr in enumerate([1e-2, 3e-3, 5e-2, 1e-3, 2e-2, 7e-3]):
+        for a, b in zip(ours[:2], theirs[:2]):   # the last parameter has no gradient
+            a.grad = r.normal(size=a.data.shape) * 10.0 ** (step - 3)
+            b.grad = a.grad.copy()
+        optimizer.step(lr)
+        reference.step(lr)
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a.data, b.data)
+            assert a.data.tobytes() == b.data.tobytes()
+    for view, p, first in zip(views, ours, start):
+        assert view.tobytes() == p.data.tobytes()
+        assert not np.array_equal(view, first)
