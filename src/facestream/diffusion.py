@@ -7,9 +7,10 @@ keeps one weight block per input (noisy unit, condition, time). Only the
 noisy-unit block depends on ``z_t``, so every ``denoise`` call reads a plan:
 ``DiffusionHead.condition`` binds the condition's product plus the time term
 of each planned timestep in one fused node, and each step slices its row of
-that table and does only the work that depends on ``z_t``. ``denoise``
-returns flat (B, H*C) rows; callers restore the unit shape, the sampler in
-numpy and stage-2 training on the tape. Training and sampling share this one
+that table and does only the work that depends on ``z_t``: one fused
+``feed_forward`` node whose first bias is that row. ``denoise`` returns
+flat (B, H*C) rows; callers restore the unit shape, the sampler in numpy
+and stage-2 training on the tape. Training and sampling share this one
 path. Stage-2 training draws one timestep per step and binds a one-step
 plan; the sampler plans a unit's whole descending timestep sequence once.
 The plan is rebuilt from the current weights for every unit, so it never
@@ -32,7 +33,7 @@ from .tensor import (
     ParamStore,
     Tensor,
     as_tensor,
-    gelu,
+    feed_forward,
     linear,
     no_grad,
     take_slice,
@@ -43,7 +44,8 @@ BETA_END = 0.012
 
 
 def _check_integer(value, name: str) -> None:
-    if not isinstance(value, numbers.Integral):
+    """Reject a non-integer ``value``; a bool is not taken for 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -183,20 +185,22 @@ class DiffusionHead:
         """Predict the clean units of ``z_t``, (H, C) or (B, H, C), as
         (B, H*C) rows, one per row of the plan's (B, cond_width) condition
         (B = 1 for a single unit). ``bound`` comes from :meth:`condition`; a
-        timestep it did not plan raises ``ValueError``. ``z_t`` enters as data
-        only; no caller needs its gradient."""
-        z = as_tensor(z_t).data
+        timestep it did not plan, or one that is not an integer, raises
+        ``ValueError``. ``z_t`` enters as data only, wrapped and checked
+        once; no caller needs its gradient."""
+        _check_integer(t, "timestep")
+        z = np.asarray(z_t.data if isinstance(z_t, Tensor) else z_t)
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
                             f"with (H, C) = {self.unit_shape}")
-        rows = z.reshape(-1, self.unit_shape[0] * self.unit_shape[1])
-        if bound.table.data.shape[1] != rows.shape[0]:
+        rows = Tensor(z.reshape(-1, self.unit_shape[0] * self.unit_shape[1]))
+        if bound.table.data.shape[1] != rows.data.shape[0]:
             raise DataError("condition rows do not match the batch")
         row = bound.planned.get(t)
         if row is None:
             raise ValueError(f"timestep {t} is not in the plan")
         bias = take_slice(bound.table, row)
-        return self.lin2(gelu(linear(rows, self.wz, bias)))
+        return feed_forward(rows, self.wz, bias, self.lin2.w, self.lin2.b)
 
 
 def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,

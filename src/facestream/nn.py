@@ -16,7 +16,7 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    gelu,
+    feed_forward,
     layer_norm,
     linear,
     take_slice,
@@ -118,13 +118,16 @@ class MultiHeadAttention:
 
 
 class FeedForward:
+    """Two affine layers with an exact GELU between them, run as the one
+    fused ``feed_forward`` node."""
+
     def __init__(self, store: ParamStore, name: str, d_model: int, d_hidden: int,
                  rng: np.random.Generator):
         self.lin1 = Linear(store, f"{name}.lin1", d_model, d_hidden, rng)
         self.lin2 = Linear(store, f"{name}.lin2", d_hidden, d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(gelu(self.lin1(x)))
+        return feed_forward(x, self.lin1.w, self.lin1.b, self.lin2.w, self.lin2.b)
 
 
 class EncoderBlock:

@@ -3,14 +3,17 @@
 A recorded-tape engine sized for small transformer stacks: every op returns a
 new immutable ``Tensor`` whose closure knows how to push gradients back to its
 parents. The op vocabulary holds only what the library runs: ``add``,
-``mul``, ``tabs``, ``square`` and ``gelu``; ``reshape``, ``concat``,
-``take_slice`` and ``take_rows``; ``tsum``, ``tmean``, ``l1_loss`` and
-``l2_loss``; ``stop_gradient`` and a straight-through combinator for
-non-differentiable quantizers. Three fused primitives, ``linear``
-(x @ w + b), ``layer_norm`` and ``attention`` (head split, scale, bias,
-mask, softmax, weighted sum and head merge), each record one tape node with
-a closed-form backward, so a transformer layer costs a handful of nodes
-instead of dozens; they keep the finite checks that the composed ops made.
+``mul``, ``tabs`` and ``square``; ``reshape``, ``concat``, ``take_slice``
+and ``take_rows``; ``tsum``, ``tmean``, ``l1_loss`` and ``l2_loss``;
+``stop_gradient`` and a straight-through combinator for non-differentiable
+quantizers. Four fused primitives, ``linear`` (x @ w + b),
+``feed_forward`` (linear, exact GELU, linear), ``layer_norm`` and
+``attention`` (head split, scale, bias, mask, softmax, weighted sum and head
+merge), each record one tape node with a closed-form backward, so a
+transformer layer costs a handful of nodes instead of dozens; they keep the
+finite checks that the composed ops made. Off the tape (under ``no_grad``,
+or when no input needs a gradient) an op's output becomes a bare node: it
+is checked for finiteness like any other, but holds no parents or closure.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
 so no layout node reaches the tape. ``attention`` scales, biases and
@@ -153,10 +156,25 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
+    """Op ``op``'s output as a tensor: on the tape when recording and some
+    parent requires a gradient, else a bare node with no parents or closure.
+
+    ``value`` is a float array computed from tensors' data, so the bare node
+    skips the leaf coercions; numpy returns a 0-d result as a scalar, which
+    is wrapped back into an array. Both kinds are checked for finiteness.
+    """
     if _tape_enabled and any(p.requires_grad for p in parents):
         return Tensor(value, requires_grad=True, _parents=tuple(parents),
                       _backward=backward, _op=op)
-    return Tensor(value, _op=op)
+    if type(value) is not np.ndarray:
+        value = np.asarray(value)
+    node = Tensor.__new__(Tensor)
+    node.data = _check_finite(value, op)
+    node.grad = None
+    node.requires_grad = False
+    node._parents = ()
+    node._backward = None
+    return node
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,21 +235,6 @@ def square(a) -> Tensor:
             a._accumulate(g * 2.0 * a.data)
 
     return _node(out, (a,), backward, "square")
-
-
-def gelu(a) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF."""
-    a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
-    out = x * cdf
-
-    def backward(g):
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            a._accumulate(g * (cdf + x * pdf))
-
-    return _node(out, (a,), backward, "gelu")
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -328,33 +331,83 @@ def l2_loss(a, b) -> Tensor:
 
 # -- structural ops --------------------------------------------------------------
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` over the last axis of ``x``. An ``x`` of rank above 2 is
+    folded into one 2-D product, which numpy computes several times faster
+    than a stacked one."""
+    if x.ndim == 2:
+        return x @ w + b
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:]) + b
+
+
+def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
+                     wants_x: bool) -> np.ndarray | None:
+    """Accumulate the gradients of ``_affine(x, w.data, b.data)`` under the
+    upstream ``g`` into ``w`` and ``b``; return the gradient of ``x`` if
+    ``wants_x``."""
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
+    g = _unbroadcast(g, x.shape[:-1] + g.shape[-1:])   # sum what b broadcast x along
+    gx = g @ w.data.T if wants_x else None
+    if w.requires_grad:
+        w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.data.shape))
+    return gx
+
+
+def _check_affine(op: str, x: Tensor, *weights: Tensor) -> None:
+    if x.data.ndim < 2 or any(w.data.ndim != 2 for w in weights):
+        raise ValueError(f"{op} expects x of rank >= 2 and 2-D weights")
+
+
 def linear(x, w, b) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of ``x``.
 
     ``b`` may broadcast ``x @ w`` to a larger shape, e.g. a (B, n) product
     against a (S, 1, n) bias. An ``x`` of rank above 2 is folded into one 2-D
-    product, which numpy computes several times faster than a stacked one.
+    product.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim < 2 or w.data.ndim != 2:
-        raise ValueError("linear expects x of rank >= 2 and a 2-D weight")
-    lead = x.data.shape[:-1]
-    if x.data.ndim == 2:
-        out = x.data @ w.data + b.data
-    else:
-        out = (x.data.reshape(-1, x.data.shape[-1]) @ w.data).reshape(
-            lead + w.data.shape[1:]) + b.data
+    _check_affine("linear", x, w)
+    out = _affine(x.data, w.data, b.data)
 
     def backward(g):
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-        g = _unbroadcast(g, lead + g.shape[-1:])   # sum what b broadcast x along
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        gx = _affine_backward(g, x.data, w, b, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
 
     return _node(out, (x, w, b), backward, "linear")
+
+
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node, with the exact
+    GELU x * Phi(x) and its Gaussian CDF.
+
+    Both products are ``linear``'s, ``x`` of rank >= 2 folded the same way
+    and ``b1`` broadcasting like its bias, and the GELU and its derivative
+    are the same expressions, so the output and every gradient equal the
+    three composed ops' bit for bit. The hidden pre-activation and the
+    output are checked for finiteness; GELU maps finite inputs to finite
+    outputs, so that is every check the composed ops made.
+    """
+    x, w1, b1 = as_tensor(x), as_tensor(w1), as_tensor(b1)
+    w2, b2 = as_tensor(w2), as_tensor(b2)
+    _check_affine("feed_forward", x, w1, w2)
+    pre = _check_finite(_affine(x.data, w1.data, b1.data), "feed_forward hidden")
+    cdf = 0.5 * (1.0 + _erf(pre / math.sqrt(2.0)))
+    hidden = pre * cdf
+    out = _affine(hidden, w2.data, b2.data)
+
+    def backward(g):
+        first = x.requires_grad or w1.requires_grad or b1.requires_grad
+        g = _affine_backward(g, hidden, w2, b2, first)
+        if first:
+            pdf = np.exp(-0.5 * pre * pre) / math.sqrt(2.0 * math.pi)
+            gx = _affine_backward(g * (cdf + pre * pdf), x.data, w1, b1,
+                                  x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
+
+    return _node(out, (x, w1, b1, w2, b2), backward, "feed_forward")
 
 
 def _softmax(x: np.ndarray, mask) -> np.ndarray:
@@ -479,6 +532,8 @@ def straight_through(grad_path: Tensor, value: np.ndarray) -> Tensor:
     """
     grad_path = as_tensor(grad_path)
     value = np.asarray(value)
+    if value.dtype not in (np.float32, np.float64):
+        value = value.astype(np.float64)
     if value.shape != grad_path.data.shape:
         raise ValueError("straight_through shapes must match")
 

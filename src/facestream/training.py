@@ -229,14 +229,18 @@ def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
 
     The encoder and codebook receive no updates (they are absent from the
     optimizer and the latent targets are built under no_grad); the decoder
-    joins the optimizer only when ``finetune_decoder`` is set.
+    joins the optimizer only when ``finetune_decoder`` is set. Without it,
+    the decoder's parameters stop requiring gradients for the call, so no
+    backward computes one, and get their flags back when it returns.
     """
     h = codec.config.components
     if any(ex.motion.shape[0] < h for ex in dataset):
         raise ValueError("sequences shorter than one latent unit")
     params = predictor.store.tensors() + head.store.tensors()
+    decoder = [codec.store[n] for n in codec.decoder_param_names()]
     if config.finetune_decoder:
-        params += [codec.store[n] for n in codec.decoder_param_names()]
+        params += decoder
+    frozen = [] if config.finetune_decoder else [p for p in decoder if p.requires_grad]
     # the encoder is frozen, so ground-truth latents never change
     all_codes = [codec.encode_quantized(ex.motion) for ex in dataset]
 
@@ -260,8 +264,14 @@ def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
         x_target = example.motion[start * h:(next_unit + 1) * h]
         return stage2_loss(z_pred, targets, x_pred, x_target)
 
-    return _train(2, dataset, params, example_loss, config.stage2_epochs,
-                  STAGE2_FIELDS, config)
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        return _train(2, dataset, params, example_loss, config.stage2_epochs,
+                      STAGE2_FIELDS, config)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
 
 
 def write_loss_csv(path, history: list[dict]) -> None:

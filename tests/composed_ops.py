@@ -1,11 +1,14 @@
 """Tape ops that only the tests compose: references for the fused primitives.
 
-``linear``, ``attention`` and ``layer_norm`` each record one fused node; the
-tests check them against the same maths built from these smaller ops, which
-the library itself never runs.
+``linear``, ``feed_forward``, ``attention`` and ``layer_norm`` each record
+one fused node; the tests check them against the same maths built from these
+smaller ops, which the library itself never runs.
 """
 
+import math
+
 import numpy as np
+from scipy.special import erf
 
 from facestream.tensor import (
     Tensor,
@@ -70,3 +73,18 @@ def power(a, p: float) -> Tensor:
             a._accumulate(g * p * a.data ** (p - 1.0))
 
     return _node(out, (a,), backward, "power")
+
+
+def gelu(a) -> Tensor:
+    """Exact GELU: x * Phi(x) with the Gaussian CDF."""
+    a = as_tensor(a)
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    out = x * cdf
+
+    def backward(g):
+        if a.requires_grad:
+            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+            a._accumulate(g * (cdf + x * pdf))
+
+    return _node(out, (a,), backward, "gelu")

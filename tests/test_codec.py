@@ -12,7 +12,13 @@ from facestream.codec import (
     stage1_loss,
 )
 from facestream.fileio import DataError
-from facestream.tensor import Tensor, as_tensor, finite_diff_check, no_grad
+from facestream.tensor import (
+    NonFiniteError,
+    Tensor,
+    as_tensor,
+    finite_diff_check,
+    no_grad,
+)
 
 
 def tiny_codec(seed=0, **overrides):
@@ -286,3 +292,23 @@ class TestMotionSequence:
     def test_bad_frame_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="frame rate must be finite and positive"):
             MotionSequence(np.zeros((2, 2, 3)), rate)
+
+
+@pytest.mark.parametrize("weight", ["dec.block0.ff.lin1.w", "dec.block0.ff.lin2.w",
+                                    "dec.out.w"])
+def test_decode_raises_before_returning_non_finite_frames(weight):
+    """The stream's decode keeps its finite checks: scale one decoder weight
+    until decode stops returning, and every frame it returned on the way was
+    finite."""
+    codec = tiny_codec()
+    codes = np.random.default_rng(3).normal(size=(1, 2, 8))
+    param = codec.store[weight]
+    with np.errstate(over="ignore", invalid="ignore"), no_grad():
+        for _ in range(5):
+            param.data *= 1e100
+            try:
+                frames = codec.decode(codes, offset_frames=8).data
+            except NonFiniteError:
+                return
+            assert np.isfinite(frames).all()
+    pytest.fail("the scaled weight never overflowed")

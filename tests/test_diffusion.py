@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from composed_ops import matmul
+from composed_ops import gelu, matmul
 from facestream import tensor
 from facestream.diffusion import (
     DiffusionHead,
@@ -17,14 +17,15 @@ from facestream.diffusion import (
 from facestream.fileio import DataError
 from facestream.nn import glorot_uniform, sinusoid_table
 from facestream.tensor import (
+    NonFiniteError,
     Tensor,
     _topo_order,
     add,
     as_tensor,
     concat,
-    gelu,
     linear,
     mul,
+    no_grad,
     tsum,
 )
 
@@ -98,6 +99,23 @@ class TestAddNoise:
                 add_noise(z0, t, eps, s)
         np.testing.assert_array_equal(add_noise(z0, np.int64(4), eps, s),
                                       add_noise(z0, 4, eps, s))
+
+
+def test_bool_timestep_rejected():
+    """True and False hash like 1 and 0 but are not timesteps."""
+    s = build_schedule(10)
+    head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=10, seed=0)
+    z, cond = np.zeros((2, 4)), np.zeros((1, 6))
+    bound = head.condition(cond, [1, 0])
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="integer"):
+            add_noise(np.ones(3), flag, np.ones(3), s)
+        with pytest.raises(ValueError, match="integer"):
+            head.condition(cond, [flag])
+        with pytest.raises(ValueError, match="integer"):
+            head.denoise(z, flag, bound)
+    with pytest.raises(ValueError, match="integer"):
+        sample_timesteps(10, True)
 
 
 class TestTimesteps:
@@ -370,8 +388,7 @@ class TestBoundCondition:
         out = head.denoise(z, 9, bound)
         binding = {id(n) for n in _topo_order(bound.table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
-        assert sorted(_taped_ops(step)) == ["gelu", "linear", "linear",
-                                            "take_slice"]
+        assert sorted(_taped_ops(step)) == ["feed_forward", "take_slice"]
 
     def test_wrong_condition_rejected_when_bound(self):
         head = self.make_head()
@@ -445,8 +462,7 @@ class TestPlan:
         out = head.denoise(z, 17, bound)
         binding = {id(n) for n in _topo_order(bound.table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
-        assert sorted(_taped_ops(step)) == ["gelu", "linear", "linear",
-                                            "take_slice"]
+        assert sorted(_taped_ops(step)) == ["feed_forward", "take_slice"]
 
     def test_planned_timestep_outside_schedule_rejected(self):
         head = self.make_head()
@@ -465,6 +481,17 @@ class TestPlan:
         for plan in ([np.int64(5)], np.array([5], dtype=np.int32)):
             np.testing.assert_array_equal(
                 head.denoise(z, 5, head.condition(cond, plan)).data, want)
+
+    def test_denoise_rejects_non_integer_timestep(self):
+        """5.0 hashes like the planned 5, but is not a timestep."""
+        head = self.make_head()
+        z, cond = self.inputs(None, seed=7)
+        bound = head.condition(cond, [5, 1])
+        for t in (5.0, np.float64(5.0), 1.0, True, 5.5, "5"):
+            with pytest.raises(ValueError, match="integer"):
+                head.denoise(z, t, bound)
+        np.testing.assert_array_equal(head.denoise(z, np.int64(5), bound).data,
+                                      head.denoise(z, 5, bound).data)
 
     def test_time_terms_follow_weight_writes(self):
         head = self.make_head()
@@ -502,3 +529,24 @@ class TestPlan:
             lambda z, t: _one_step(head, z, t, cond[None]).data.reshape(z.shape),
             s, 10, np.random.default_rng(7), (2, 4))
         assert _rel_err(planned, one_step) < 1e-12
+
+
+@pytest.mark.parametrize("weight", ["lin1.wz", "lin2.w"])
+def test_sampler_raises_before_returning_non_finite_units(weight):
+    """The stream's head path keeps its finite checks: scale one weight until
+    the sampler stops returning, and every unit it returned on the way was
+    finite."""
+    head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=0)
+    s = build_schedule(100)
+    cond = np.random.default_rng(8).normal(size=6)
+    param = head.store[weight]
+    with np.errstate(over="ignore", invalid="ignore"), no_grad():
+        for _ in range(5):
+            param.data *= 1e100
+            try:
+                units = ddim_sample(head_denoiser(head, cond), s, 10,
+                                    np.random.default_rng(9), (2, 4))
+            except NonFiniteError:
+                return
+            assert np.isfinite(units).all()
+    pytest.fail("the scaled weight never overflowed")

@@ -49,8 +49,8 @@ def test_reproduces_reference(name):
 
 
 # Tape nodes per emitted unit (streams) or optimizer step (training), counted
-# over the reference runs: a planned DDIM step records 4 nodes.
-NODE_BUDGET = {"solo_d10": 119, "multi_d50": 279, "train_s2": 132}
+# over the reference runs: a planned DDIM step records 2 nodes.
+NODE_BUDGET = {"solo_d10": 91, "multi_d50": 171, "train_s2": 118}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_BUDGET))

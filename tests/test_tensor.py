@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from composed_ops import masked_softmax, matmul, power, swapaxes
+from composed_ops import gelu, masked_softmax, matmul, power, swapaxes
 from facestream import tensor as T
 from facestream.fileio import DataError
-from facestream.nn import MultiHeadAttention, alibi_bias, causal_mask
+from facestream.nn import FeedForward, MultiHeadAttention, alibi_bias, causal_mask
 from facestream.tensor import (
     NonFiniteError,
     ParamStore,
     Tensor,
     attention,
+    feed_forward,
     finite_diff_check,
-    gelu,
     layer_norm,
     linear,
     l1_loss,
@@ -410,6 +410,127 @@ class TestFusedMatchesComposed:
         # head plan binds it; x's gradient sums over the S axis
         arrays = [r.normal(size=(5, 4)), r.normal(size=(4, 3)), r.normal(size=(6, 1, 3))]
         self._check(linear, lambda x, w, b: matmul(x, w) + b, arrays, (6, 5, 3), seed)
+
+
+def _composed_feed_forward(x, w1, b1, w2, b2):
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+# (x, w1, b1, w2, b2) shapes: a rank-2 and a rank-3 x, each with a b1 that
+# broadcasts over x's rows, and a b1 that widens the hidden layer to (S, B, n)
+FF_SHAPES = {
+    "rank2": [(3, 4), (4, 5), (1, 5), (5, 2), (2,)],
+    "rank3": [(2, 3, 4), (4, 5), (3, 5), (5, 2), (2,)],
+    "wide_b1": [(3, 4), (4, 5), (2, 1, 5), (5, 2), (2,)],
+}
+FF_INPUTS = ["x", "w1", "b1", "w2", "b2"]
+
+
+def _ff_arrays(shapes, seed):
+    r = rng(seed)
+    return [r.normal(size=shape) for shape in shapes]
+
+
+class TestFeedForward:
+    """``feed_forward`` is ``linear(gelu(linear(...)))`` in one node."""
+
+    @pytest.mark.parametrize("name", FF_INPUTS)
+    @pytest.mark.parametrize("case", sorted(FF_SHAPES))
+    def test_matches_central_differences(self, case, name):
+        for seed in range(3):
+            args = dict(zip(FF_INPUTS, _ff_arrays(FF_SHAPES[case], seed)))
+            point, fn = _differentiate(args, name, feed_forward)
+            assert finite_diff_check(fn, point, eps=1e-5) < 1e-4, (case, name, seed)
+
+    @pytest.mark.parametrize("case", sorted(FF_SHAPES))
+    def test_bit_identical_to_composed_ops(self, case):
+        """Output and all five gradients, byte for byte."""
+        for seed in range(3):
+            arrays = _ff_arrays(FF_SHAPES[case], seed)
+            out_shape = _composed_feed_forward(*arrays).data.shape
+            weight = rng(seed + 100).normal(size=out_shape)
+            out_f, grads_f = _value_and_grads(feed_forward, arrays, weight)
+            out_c, grads_c = _value_and_grads(_composed_feed_forward, arrays, weight)
+            assert out_f.tobytes() == out_c.tobytes()
+            assert len(grads_f) == 5
+            for g_f, g_c in zip(grads_f, grads_c):
+                assert g_f.shape == g_c.shape and g_f.tobytes() == g_c.tobytes()
+
+    def test_gradient_reaches_only_inputs_that_require_it(self):
+        arrays = _ff_arrays(FF_SHAPES["rank2"], 4)
+        leaves = [Tensor(a, requires_grad=name in ("w2", "x"))
+                  for name, a in zip(FF_INPUTS, arrays)]
+        tsum(feed_forward(*leaves)).backward()
+        assert [t.grad is not None for t in leaves] == [True, False, False, True, False]
+
+    @pytest.mark.parametrize("taped", [True, False])
+    @pytest.mark.parametrize("where", ["hidden", "output"])
+    def test_overflow_raises(self, where, taped):
+        x, w1, b1, w2, b2 = _ff_arrays(FF_SHAPES["rank2"], 5)
+        if where == "hidden":
+            w1 = w1 * 1e200
+            x = x * 1e200
+        else:
+            # a finite hidden layer of about 1e300 whose product overflows
+            b1 = np.full_like(b1, 1e300)
+            w2 = w2 * 1e100
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+        message = "'feed_forward hidden'" if where == "hidden" else "'feed_forward'"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message):
+            if taped:
+                feed_forward(*leaves)
+            else:
+                with no_grad():
+                    feed_forward(*leaves)
+
+    def test_rejects_bad_ranks(self):
+        x, w1, b1, w2, b2 = _ff_arrays(FF_SHAPES["rank2"], 6)
+        for bad in ([x[0], w1, b1, w2, b2], [x, w1[0], b1, w2, b2],
+                    [x, w1, b1, w2[None], b2]):
+            with pytest.raises(ValueError, match="rank"):
+                feed_forward(*bad)
+
+    def test_untaped_node_holds_no_parents_or_closure(self):
+        arrays = _ff_arrays(FF_SHAPES["rank3"], 7)
+        with no_grad():
+            outs = [feed_forward(*[Tensor(a, requires_grad=True) for a in arrays])]
+        outs.append(feed_forward(*arrays))   # no input requires a gradient
+        for out in outs:
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad and out.grad is None
+            assert type(out.data) is np.ndarray
+            assert out.data.tobytes() == _composed_feed_forward(*arrays).data.tobytes()
+
+    def test_module_records_one_node(self):
+        r = rng(9)
+        ff = FeedForward(ParamStore(), "ff", 4, 6, r)
+        x = r.normal(size=(3, 4))
+        out = ff(Tensor(x, requires_grad=True))
+        assert _taped_ops(out) == ["feed_forward"]
+        want = _composed_feed_forward(x, ff.lin1.w, ff.lin1.b, ff.lin2.w, ff.lin2.b)
+        assert out.data.tobytes() == want.data.tobytes()
+
+
+class TestUntapedNodes:
+    def test_zero_dimensional_results_are_arrays(self):
+        """numpy returns 0-d results as scalars; a bare node keeps an array."""
+        x = Tensor(np.array([1.0, -2.0, 3.0]))
+        for out in (tsum(x), l1_loss(x, np.zeros(3)), mul(tsum(x), 2.0),
+                    x[1], square(tsum(x))):
+            assert type(out.data) is np.ndarray and out.data.shape == ()
+            assert out.data.dtype == np.float64
+
+    def test_straight_through_value_is_a_float_array(self):
+        """An integer value is coerced as a leaf would be, on or off the tape."""
+        for requires_grad in (False, True):
+            z = Tensor(np.zeros(3), requires_grad=requires_grad)
+            out = straight_through(z, np.array([1, 2, 3]))
+            assert out.data.dtype == np.float64
+            np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+
+    def test_non_finite_output_still_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError), no_grad():
+            square(Tensor(np.array([1e200]), requires_grad=True))
 
 
 def _taped_ops(out):

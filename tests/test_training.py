@@ -134,6 +134,45 @@ def test_stage2_trains_only_predictor_head_and_chosen_decoder(finetune_decoder):
             [n for n in old if new[n] == old[n]]
 
 
+@pytest.mark.parametrize("finetune_decoder", [False, True])
+def test_stage2_computes_only_the_gradients_it_steps(finetune_decoder):
+    """Without finetuning, no codec parameter gets a gradient, and the
+    decoder requires gradients again afterwards; with it, every decoder
+    parameter gets one and no other codec parameter does."""
+    codec, _, _, _ = models = tiny_models()
+    decoder = codec.decoder_param_names()
+    run_stage(2, tiny_dataset(), models, config(finetune_decoder=finetune_decoder))
+    with_grad = [n for n in codec.store.names() if codec.store[n].grad is not None]
+    assert with_grad == (decoder if finetune_decoder else [])
+    assert all(codec.store[n].requires_grad for n in codec.store.names())
+
+
+def test_stage2_decoder_freeze_changes_no_update(monkeypatch):
+    """Loss rows and every stepped parameter match, byte for byte, a run in
+    which the untrained decoder still computes its gradients."""
+    runs = []
+    for freeze in (True, False):
+        codec, predictor, head, _ = models = tiny_models()
+        if not freeze:
+            monkeypatch.setattr(codec, "decoder_param_names", lambda: [])
+        rows = run_stage(2, tiny_dataset(), models, config(epochs=3))
+        rows = np.array([list(row.values()) for row in rows]).tobytes()
+        runs.append((rows, param_bytes(predictor.store), param_bytes(head.store),
+                     param_bytes(codec.store)))
+        if not freeze:
+            assert codec.store["dec.out.w"].grad is not None
+    assert runs[0] == runs[1]
+
+
+def test_stage2_restores_the_decoder_after_divergence():
+    codec, _, head, _ = models = tiny_models()
+    head.store["lin2.b"].data[...] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError):
+        run_stage(2, tiny_dataset(), models, config())
+    assert all(codec.store[n].requires_grad for n in codec.store.names())
+
+
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", float("nan")),
     ("learning_rate", float("inf")), ("weight_decay", -1.0),
