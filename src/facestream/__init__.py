@@ -7,13 +7,12 @@ the next latent unit, which the codec decodes into mesh vertex offsets.
 Everything runs on a built-in numpy tape-autodiff engine.
 """
 
-from .tensor import NonFiniteError, ParamStore, Tensor, finite_diff_check, no_grad
+from .tensor import NonFiniteError, ParamStore, Tensor, no_grad
 
 __all__ = [
     "NonFiniteError",
     "ParamStore",
     "Tensor",
-    "finite_diff_check",
     "no_grad",
 ]
 

@@ -17,16 +17,16 @@ is checked for finiteness like any other, but holds no parents or closure.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
 so no layout node reaches the tape. ``attention`` scales, biases and
-normalises its scores in one buffer, and a gradient's first write is one
-pass, ``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``. A
-finite-difference checker ships with the engine so every op and every
-composed loss graph can be verified against central differences.
+normalises its scores in one buffer, and its backward builds the score
+gradient in one more, taking the softmax row term from the (L_q, d) output
+instead of an (L_q, L_k) product. A gradient's first write is one pass,
+``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -424,11 +424,6 @@ def _softmax(x: np.ndarray, mask) -> np.ndarray:
     return x
 
 
-def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of the softmax at output ``weights``."""
-    return weights * (g - (g * weights).sum(axis=-1, keepdims=True))
-
-
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., L, heads * d) -> (..., heads, L, d), as a view."""
     split = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
@@ -451,6 +446,13 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     bias is (heads, L_q, L_k); mask is boolean with the same broadcast rule.
     Masked keys receive exactly zero weight. The biased scores are checked for
     finiteness before the mask can hide a non-finite entry.
+
+    The backward keeps the softmax weights W and the output O = W V. The
+    softmax's row term sum_j dW_ij W_ij equals sum_d dO_id O_id (the
+    identity FlashAttention uses), so the score gradient W * (dO Vᵀ - rowsum)
+    is built in place in the one array dO Vᵀ, and 1/sqrt(d) scales the
+    (L, d) query and key products instead of it. No score gradient is made
+    when neither q, k nor bias needs one.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.shape[-1] != k.data.shape[-1]:
@@ -473,19 +475,28 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     out = _merge_heads(weights @ vs)
 
     def backward(g):
-        g = _split_heads(g, heads)
+        gh = _split_heads(g, heads)
         if v.requires_grad:
-            gv = np.swapaxes(weights, -1, -2) @ g
+            gv = np.swapaxes(weights, -1, -2) @ gh
             v._accumulate(_merge_heads(_unbroadcast(gv, vs.shape)))
-        gs = _softmax_grad(weights, g @ np.swapaxes(vs, -1, -2))
-        if bias is not None and bias.requires_grad:
+        wants_bias = bias is not None and bias.requires_grad
+        if not (q.requires_grad or k.requires_grad or wants_bias):
+            return
+        # the softmax row term comes from the output's array (its tensor would
+        # make a reference cycle) in the heads' layout
+        gs = gh @ np.swapaxes(vs, -1, -2)
+        gs -= _split_heads(g * out, heads).sum(axis=-1, keepdims=True)
+        gs *= weights
+        if wants_bias:
             bias._accumulate(_unbroadcast(gs, bias.data.shape))
-        gs = gs * scale
         if q.requires_grad:
-            q._accumulate(_merge_heads(_unbroadcast(gs @ ks, qs.shape)))
+            gq = _unbroadcast(gs @ ks, qs.shape)
+            gq *= scale
+            q._accumulate(_merge_heads(gq))
         if k.requires_grad:
-            gk = np.swapaxes(gs, -1, -2) @ qs
-            k._accumulate(_merge_heads(_unbroadcast(gk, ks.shape)))
+            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qs, ks.shape)
+            gk *= scale
+            k._accumulate(_merge_heads(gk))
 
     return _node(out, parents, backward, "attention")
 
@@ -604,35 +615,3 @@ class ParamStore:
             loaded[name] = arr
         for name, arr in loaded.items():
             self._params[name].data = arr
-
-
-# -- verification -----------------------------------------------------------------
-
-def finite_diff_check(fn: Callable[[Tensor], Tensor], point: np.ndarray,
-                      eps: float = 1e-5) -> float:
-    """Compare the tape gradient of ``fn`` at ``point`` with central differences.
-
-    Returns max over coordinates of |analytic - central| / max(1, |central|).
-    ``fn`` must map a Tensor to a scalar Tensor and be deterministic.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    leaf = Tensor(point.copy(), requires_grad=True)
-    out = fn(leaf)
-    if out.data.size != 1:
-        raise ValueError("finite_diff_check needs a scalar-valued fn")
-    out.backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(point)
-
-    flat = point.ravel()
-    worst = 0.0
-    with no_grad():
-        for i in range(flat.size):
-            bumped = flat.copy()
-            bumped[i] += eps
-            f_plus = fn(Tensor(bumped.reshape(point.shape))).item()
-            bumped[i] -= 2.0 * eps
-            f_minus = fn(Tensor(bumped.reshape(point.shape))).item()
-            central = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(analytic.ravel()[i] - central) / max(1.0, abs(central))
-            worst = max(worst, rel)
-    return worst

@@ -153,31 +153,35 @@ def _train(stage: int, dataset: list[SequenceExample], params: list[Tensor],
     """The loop both stages share; returns one row of mean losses per epoch.
 
     ``example_loss(i, dataset[i], rng)`` returns the loss tuple, total first,
-    in the order of ``fields`` after "epoch".
+    in the order of ``fields`` after "epoch". No parameter keeps a gradient
+    when the loop ends, by return or by error.
     """
     if not dataset:
         raise ValueError("empty dataset")
     optimizer = AdamW(params, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     history = []
-    for epoch in range(epochs):
-        lr = config.lr_at(epoch)
-        order = rng.permutation(len(dataset))
-        sums = np.zeros(len(fields) - 1)
-        for i in order:
-            try:
-                losses = example_loss(i, dataset[i], rng)
-            except NonFiniteError as exc:
-                raise DivergenceError(
-                    f"stage {stage} diverged at epoch {epoch}: {exc}") from exc
-            optimizer.zero_grads()
-            losses[0].backward()
-            optimizer.step(lr)
-            sums += [loss.item() for loss in losses]
-        means = sums / len(dataset)
-        if not np.isfinite(means).all():
-            raise DivergenceError(f"stage {stage} loss non-finite at epoch {epoch}")
-        history.append(dict(zip(fields, [epoch, *means])))
+    try:
+        for epoch in range(epochs):
+            lr = config.lr_at(epoch)
+            order = rng.permutation(len(dataset))
+            sums = np.zeros(len(fields) - 1)
+            for i in order:
+                try:
+                    losses = example_loss(i, dataset[i], rng)
+                except NonFiniteError as exc:
+                    raise DivergenceError(
+                        f"stage {stage} diverged at epoch {epoch}: {exc}") from exc
+                optimizer.zero_grads()
+                losses[0].backward()
+                optimizer.step(lr)
+                sums += [loss.item() for loss in losses]
+            means = sums / len(dataset)
+            if not np.isfinite(means).all():
+                raise DivergenceError(f"stage {stage} loss non-finite at epoch {epoch}")
+            history.append(dict(zip(fields, [epoch, *means])))
+    finally:
+        optimizer.zero_grads()
     return history
 
 

@@ -14,7 +14,6 @@ from facestream.tensor import (
     Tensor,
     _node,
     _softmax,
-    _softmax_grad,
     _unbroadcast,
     as_tensor,
 )
@@ -48,7 +47,7 @@ def masked_softmax(scores, mask=None) -> Tensor:
 
     def backward(g):
         if scores.requires_grad:
-            scores._accumulate(_softmax_grad(out, g))
+            scores._accumulate(out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return _node(out, (scores,), backward, "masked_softmax")
 

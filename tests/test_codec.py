@@ -12,13 +12,8 @@ from facestream.codec import (
     stage1_loss,
 )
 from facestream.fileio import DataError
-from facestream.tensor import (
-    NonFiniteError,
-    Tensor,
-    as_tensor,
-    finite_diff_check,
-    no_grad,
-)
+from facestream.tensor import NonFiniteError, Tensor, as_tensor, no_grad
+from finite_diff import finite_diff_check
 
 
 def tiny_codec(seed=0, **overrides):

@@ -1,6 +1,7 @@
 """Tape engine tests: gradients against central differences, attention laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from facestream.tensor import (
     Tensor,
     attention,
     feed_forward,
-    finite_diff_check,
     layer_norm,
     linear,
     l1_loss,
@@ -30,6 +30,7 @@ from facestream.tensor import (
     tmean,
     tsum,
 )
+from finite_diff import finite_diff_check
 
 
 def rng(seed=0):
@@ -147,14 +148,17 @@ def _random_case(op_name, seed):
         args = {"x": r.normal(size=(2, 3, 4)), "w": r.normal(size=(4, 2)),
                 "b": r.normal(size=2)}
         return _differentiate(args, op_name[-1], linear)
-    if op_name in ("attention_q", "attention_k", "attention_v", "attention_bias"):
+    if op_name in ATTENTION_CASES:
         # two heads side by side, a per-head bias and a mask shared across the
-        # head axis, as the predictor passes them; every query keeps a key
+        # head axis, as the predictor passes them; every query keeps a key. A
+        # batched q (2, 3, 8) reads shared keys and values, so their gradients
+        # and the bias's sum over the batch
         mask = r.random((1, 3, 5)) > 0.4
         mask[..., 0] = True
-        args = {"q": r.normal(size=(3, 8)), "k": r.normal(size=(5, 8)),
+        batch = (2,) if op_name.startswith("batched") else ()
+        args = {"q": r.normal(size=batch + (3, 8)), "k": r.normal(size=(5, 8)),
                 "v": r.normal(size=(5, 6)), "bias": r.normal(size=(2, 3, 5))}
-        return _differentiate(args, op_name.split("_")[1],
+        return _differentiate(args, op_name.rsplit("_", 1)[1],
                               lambda q, k, v, bias: attention(q, k, v, bias, mask,
                                                               heads=2))
     if op_name in ("layer_norm_gain", "layer_norm_bias"):
@@ -209,10 +213,12 @@ def _differentiate(args, name, op):
     return args[name], fn
 
 
+ATTENTION_CASES = [f"{batched}attention_{name}" for batched in ("", "batched_")
+                   for name in ("q", "k", "v", "bias")]
 OP_CLASSES = ["linear", "bias_add", "attention", "layer_norm", "gelu",
               "embedding", "reshape", "mean_sum", "l1", "l2", "softmax",
-              "linear_x", "linear_w", "linear_b", "attention_q", "attention_k",
-              "attention_v", "attention_bias", "layer_norm_gain", "layer_norm_bias"]
+              "linear_x", "linear_w", "linear_b", *ATTENTION_CASES,
+              "layer_norm_gain", "layer_norm_bias"]
 
 
 class TestOpGradients:
@@ -326,6 +332,83 @@ class TestAttention:
         out_p = attention(Tensor(q.data), Tensor(k[perm]), Tensor(v[perm]),
                           Tensor(bias[..., perm]), mask[:, perm], heads=2).data
         np.testing.assert_allclose(out, out_p, atol=1e-12)
+
+
+
+class TestAttentionBackward:
+    """The backward's score gradient: one-key rows, a bias-only gradient and
+    the memory one call may take."""
+
+    def test_row_that_admits_one_key(self):
+        """Row 1 reads key 2 alone: its weight is exactly one, so its output
+        is that value row and its query and bias rows get no gradient."""
+        r = rng(21)
+        mask = np.ones((4, 5), dtype=bool)
+        mask[1] = False
+        mask[1, 2] = True
+        args = {"q": r.normal(size=(4, 8)), "k": r.normal(size=(5, 8)),
+                "v": r.normal(size=(5, 6)), "bias": r.normal(size=(2, 4, 5))}
+        for name in args:
+            point, fn = _differentiate(
+                args, name, lambda q, k, v, bias: attention(q, k, v, bias, mask, heads=2))
+            assert finite_diff_check(fn, point, eps=1e-5) < 1e-4, name
+        leaves = {n: Tensor(a, requires_grad=True) for n, a in args.items()}
+        out = attention(**leaves, mask=mask, heads=2)
+        weight = r.normal(size=out.shape)
+        tsum(out * weight).backward()
+        scale = max(np.abs(t.grad).max() for t in leaves.values())
+        assert np.abs(leaves["q"].grad[1]).max() <= 1e-12 * scale
+        assert np.abs(leaves["bias"].grad[:, 1]).max() <= 1e-12 * scale
+        np.testing.assert_allclose(out.data[1], args["v"][2], rtol=1e-12)
+
+    def test_bias_gradient_alone(self):
+        """Only the bias needs a gradient: it matches the composed reference
+        and q, k and v get none."""
+        r = rng(22)
+        mask = np.tril(np.ones((6, 6), dtype=bool))
+        q, k, v = (Tensor(r.normal(size=(6, 8))) for _ in range(3))
+        bias = r.normal(size=(2, 6, 6))
+        weight = r.normal(size=(6, 8))
+        grads = []
+        for op in (attention, _composed_heads):
+            leaf = Tensor(bias, requires_grad=True)
+            tsum(op(q, k, v, leaf, mask, heads=2) * weight).backward()
+            grads.append(leaf.grad)
+        assert _rel_err(grads[0], grads[1]) < 1e-12
+        assert all(t.grad is None for t in (q, k, v))
+
+    def test_backward_holds_the_output_array_not_its_tensor(self):
+        """A closure that held its own output tensor would make a reference
+        cycle, which only the cyclic collector frees."""
+        r = rng(24)
+        q = Tensor(r.normal(size=(4, 8)), requires_grad=True)
+        out = attention(q, Tensor(r.normal(size=(5, 8))), Tensor(r.normal(size=(5, 8))),
+                        heads=2)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(obj is out for obj in held)
+        assert any(obj is out.data for obj in held)
+
+    @pytest.mark.parametrize("needs, budget", [("qkv", 2.0), ("v", 0.5)])
+    def test_backward_memory_budget(self, needs, budget):
+        """One backward at L=96, d_model=32 and 4 heads allocates at most
+        ``budget`` score-sized (4, 96, 96) arrays at its peak, the leaves'
+        new gradients included: one score gradient, none when only v needs
+        a gradient."""
+        r = rng(23)
+        length, width, heads = 96, 32, 4
+        q, k, v = (Tensor(r.normal(size=(length, width)), requires_grad=n in needs)
+                   for n in "qkv")
+        out = attention(q, k, v, alibi_bias(length, heads), causal_mask(length),
+                        heads=heads)
+        g = r.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * heads * length * length * 8
+        assert all((t.grad is not None) == (n in needs) for n, t in zip("qkv", (q, k, v)))
 
 
 def _composed_layer_norm(x, gain, bias, eps=1e-5):
@@ -571,9 +654,18 @@ class TestMultiHeadAttention:
         out_f, grads_f = _value_and_grads(fused, inputs, weight, store.tensors())
         out_c, grads_c = _value_and_grads(composed, inputs, weight, store.tensors())
         assert _rel_err(out_f, out_c) < 1e-12
-        assert len(grads_f) == len(inputs) + 8
-        for g_f, g_c in zip(grads_f, grads_c):
-            assert _rel_err(g_f, g_c) < 1e-12
+        names = [f"input{i}" for i in range(len(inputs))] + store.names()
+        assert len(grads_f) == len(names) == len(inputs) + 8
+        # softmax is shift-invariant, so the key bias's gradient is zero in
+        # exact arithmetic: it is rounding noise on both sides, measured
+        # against the call's largest gradient, not against itself
+        scale = max(np.abs(g).max() for g in grads_c)
+        for name, g_f, g_c in zip(names, grads_f, grads_c):
+            if name == "attn.wk.b":
+                assert np.abs(g_f).max() <= 1e-12 * scale
+                assert np.abs(g_c).max() <= 1e-12 * scale
+            else:
+                assert _rel_err(g_f, g_c) < 1e-12, name
 
     def test_records_four_linear_nodes_and_one_attention_node(self):
         r = rng(8)

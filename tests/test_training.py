@@ -134,15 +134,29 @@ def test_stage2_trains_only_predictor_head_and_chosen_decoder(finetune_decoder):
             [n for n in old if new[n] == old[n]]
 
 
+def record_last_step_grads(monkeypatch, store):
+    """Names of ``store``'s parameters that hold a gradient at the last
+    ``AdamW.step``, filled in as the run steps."""
+    names = []
+    step = AdamW.step
+
+    def recording_step(self, lr):
+        names[:] = [n for n in store.names() if store[n].grad is not None]
+        step(self, lr)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    return names
+
+
 @pytest.mark.parametrize("finetune_decoder", [False, True])
-def test_stage2_computes_only_the_gradients_it_steps(finetune_decoder):
+def test_stage2_computes_only_the_gradients_it_steps(finetune_decoder, monkeypatch):
     """Without finetuning, no codec parameter gets a gradient, and the
     decoder requires gradients again afterwards; with it, every decoder
     parameter gets one and no other codec parameter does."""
     codec, _, _, _ = models = tiny_models()
     decoder = codec.decoder_param_names()
+    with_grad = record_last_step_grads(monkeypatch, codec.store)
     run_stage(2, tiny_dataset(), models, config(finetune_decoder=finetune_decoder))
-    with_grad = [n for n in codec.store.names() if codec.store[n].grad is not None]
     assert with_grad == (decoder if finetune_decoder else [])
     assert all(codec.store[n].requires_grad for n in codec.store.names())
 
@@ -155,13 +169,51 @@ def test_stage2_decoder_freeze_changes_no_update(monkeypatch):
         codec, predictor, head, _ = models = tiny_models()
         if not freeze:
             monkeypatch.setattr(codec, "decoder_param_names", lambda: [])
+        with_grad = record_last_step_grads(monkeypatch, codec.store)
         rows = run_stage(2, tiny_dataset(), models, config(epochs=3))
         rows = np.array([list(row.values()) for row in rows]).tobytes()
         runs.append((rows, param_bytes(predictor.store), param_bytes(head.store),
                      param_bytes(codec.store)))
         if not freeze:
-            assert codec.store["dec.out.w"].grad is not None
+            assert "dec.out.w" in with_grad
+        monkeypatch.undo()
     assert runs[0] == runs[1]
+
+
+class PoisonedList(CountingList):
+    """A counting dataset whose ``at``-th fetch returns an example of huge
+    values, which makes that step's forward overflow."""
+
+    def __init__(self, items, at):
+        super().__init__(items)
+        self.at = at
+
+    def __getitem__(self, index):
+        example = super().__getitem__(index)
+        if self.fetches == self.at:
+            return SequenceExample(np.full_like(example.features, 1e308),
+                                   np.full_like(example.motion, 1e308),
+                                   example.speaker)
+        return example
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_no_parameter_keeps_a_gradient_after_training(stage, diverge):
+    """The loop frees every gradient it made, whether it returns or raises;
+    the divergence comes at the first step of the second epoch, after three
+    backward passes."""
+    codec, predictor, head, _ = models = tiny_models()
+    dataset = PoisonedList(tiny_dataset(), at=4 if diverge else 0)
+    if diverge:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=f"stage {stage} diverged at epoch 1"):
+            run_stage(stage, dataset, models, config())
+    else:
+        run_stage(stage, dataset, models, config())
+    assert dataset.fetches == (4 if diverge else 6)
+    stores = (codec.store, predictor.store, head.store)
+    assert [n for store in stores for n, t in store.items() if t.grad is not None] == []
 
 
 def test_stage2_restores_the_decoder_after_divergence():
