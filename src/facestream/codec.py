@@ -11,12 +11,11 @@ estimator so encoder gradients pass the quantizer unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import DataError
+from .fileio import DataError, check_integer
 from .nn import EncoderBlock, LayerNorm, Linear, normal_init, sinusoid_table
 from .tensor import (
     ParamStore,
@@ -187,9 +186,8 @@ class MotionCodec:
         t_pad = codes.data.shape[0] * c.components
         if frames is None:
             frames = t_pad
-        elif not isinstance(frames, numbers.Integral):
-            raise ValueError(f"frames must be an integer, got {frames!r}")
-        elif not 0 < frames <= t_pad:
+        check_integer(frames, "frames")
+        if not 0 < frames <= t_pad:
             raise ValueError(f"frames must be in [1, {t_pad}] for "
                              f"{codes.data.shape[0]} units, got {frames}")
         h = reshape(codes, (t_pad, c.width))

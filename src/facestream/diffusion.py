@@ -22,12 +22,11 @@ count.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import DataError
+from .fileio import DataError, check_integer
 from .nn import Linear, glorot_uniform, sinusoid_table
 from .tensor import (
     ParamStore,
@@ -41,12 +40,6 @@ from .tensor import (
 
 BETA_START = 0.00085   # the schedule's first and last noise variances
 BETA_END = 0.012
-
-
-def _check_integer(value, name: str) -> None:
-    """Reject a non-integer ``value``; a bool is not taken for 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -79,7 +72,7 @@ def build_schedule(num_steps: int = 1000) -> NoiseSchedule:
 def add_noise(z0: np.ndarray, t: int, eps: np.ndarray,
               schedule: NoiseSchedule) -> np.ndarray:
     """Forward process: z_t = sqrt(abar_t) z0 + sqrt(1 - abar_t) eps."""
-    _check_integer(t, "timestep")
+    check_integer(t, "timestep")
     if not 0 <= t < schedule.num_steps:
         raise ValueError(f"timestep {t} outside schedule")
     z0 = np.asarray(z0)
@@ -92,7 +85,7 @@ def add_noise(z0: np.ndarray, t: int, eps: np.ndarray,
 
 def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
     """Descending uniform-stride subsequence that starts at the last timestep."""
-    _check_integer(steps, "steps")
+    check_integer(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > num_steps:
@@ -146,7 +139,7 @@ class DiffusionHead:
         built once per timestep, on first use."""
         rows = []
         for t in np.asarray(timesteps).tolist():
-            _check_integer(t, "timestep")
+            check_integer(t, "timestep")
             if not 0 <= t < self.num_steps:
                 raise ValueError(f"timestep {t} outside schedule")
             if t not in self._sinusoid_rows:
@@ -188,7 +181,7 @@ class DiffusionHead:
         timestep it did not plan, or one that is not an integer, raises
         ``ValueError``. ``z_t`` enters as data only, wrapped and checked
         once; no caller needs its gradient."""
-        _check_integer(t, "timestep")
+        check_integer(t, "timestep")
         z = np.asarray(z_t.data if isinstance(z_t, Tensor) else z_t)
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "

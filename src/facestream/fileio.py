@@ -18,6 +18,7 @@ Checkpoint ("SGCK"):    magic, version u32, manifest (length-prefixed UTF-8
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from pathlib import Path
 
@@ -34,6 +35,12 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 class DataError(Exception):
     """Malformed or mismatched on-disk data."""
+
+
+def check_integer(value, name: str) -> None:
+    """Reject a non-integer ``value``; a bool is not taken for 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _unpack(fmt: str, raw: bytes, offset: int, path) -> tuple:

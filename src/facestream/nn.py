@@ -23,6 +23,7 @@ from .tensor import (
 )
 
 INIT_STD = 0.02   # std of the normal initialisation of embeddings and codebooks
+_NO_BIAS = Tensor(0.0)   # zero bias of the key projections, built once, not per call
 
 
 def glorot_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
@@ -98,7 +99,8 @@ class MultiHeadAttention:
 
     ``bias`` is per-head additive (heads, L_q, L_k); ``mask`` is boolean
     (L_q, L_k), shared across heads. The projections keep the heads side by
-    side in the last axis, and ``attention`` splits and merges them.
+    side in the last axis, and ``attention`` splits and merges them. Keys
+    take no bias: softmax cancels the shift q·b_k it adds to a score row.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
@@ -107,13 +109,13 @@ class MultiHeadAttention:
             raise ValueError("d_model must be divisible by num_heads")
         self.num_heads = num_heads
         self.wq = Linear(store, f"{name}.wq", d_model, d_model, rng)
-        self.wk = Linear(store, f"{name}.wk", d_model, d_model, rng)
+        self.wk = store.create(f"{name}.wk.w", glorot_uniform(rng, d_model, d_model))
         self.wv = Linear(store, f"{name}.wv", d_model, d_model, rng)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model, rng)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor, bias=None, mask=None) -> Tensor:
-        out = attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv), bias=bias,
-                        mask=mask, heads=self.num_heads)
+        out = attention(self.wq(x_q), linear(x_kv, self.wk, _NO_BIAS), self.wv(x_kv),
+                        bias=bias, mask=mask, heads=self.num_heads)
         return self.wo(out)
 
 

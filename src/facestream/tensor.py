@@ -11,9 +11,10 @@ quantizers. Four fused primitives, ``linear`` (x @ w + b),
 ``attention`` (head split, scale, bias, mask, softmax, weighted sum and head
 merge), each record one tape node with a closed-form backward, so a
 transformer layer costs a handful of nodes instead of dozens; they keep the
-finite checks that the composed ops made. Off the tape (under ``no_grad``,
-or when no input needs a gradient) an op's output becomes a bare node: it
-is checked for finiteness like any other, but holds no parents or closure.
+finite checks that the composed ops made. ``Tensor()`` builds leaves and
+``_node`` every op output: off the tape (under ``no_grad``, or when no input
+needs a gradient) a finite-checked bare node with no parents or closure.
+Only leaves keep a ``grad`` after ``backward``; an op node frees its own.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
 so no layout node reaches the tape. ``attention`` scales, biases and
@@ -64,26 +65,28 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
+def _float_array(data) -> np.ndarray:
+    """``data`` as an array, cast to float64 unless float32 or float64 already."""
+    arr = np.asarray(data)
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+
+
 class Tensor:
     """Immutable dense array with an optional backward closure.
 
-    ``data`` is float64 by default (float32 is accepted for inference mode).
-    Gradients accumulate into ``grad`` during :meth:`backward`.
+    The constructor builds leaves: ``data`` is float64 by default (float32
+    is accepted for inference mode). Gradients accumulate into ``grad``
+    during :meth:`backward`, and only a leaf's survives it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None,
-                 _op: str = "leaf"):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        _check_finite(arr, _op)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _check_finite(_float_array(data), "leaf")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     # -- basic protocol -----------------------------------------------------
 
@@ -104,7 +107,7 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse sweep from a scalar; accumulates into reachable ``grad``s."""
+        """Reverse sweep from a scalar; accumulates into reachable leaves' ``grad``s."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss")
         order = _topo_order(self)
@@ -112,6 +115,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -159,21 +163,18 @@ def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Te
     """Op ``op``'s output as a tensor: on the tape when recording and some
     parent requires a gradient, else a bare node with no parents or closure.
 
-    ``value`` is a float array computed from tensors' data, so the bare node
+    ``value`` is a float array computed from tensors' data, so the node
     skips the leaf coercions; numpy returns a 0-d result as a scalar, which
     is wrapped back into an array. Both kinds are checked for finiteness.
     """
-    if _tape_enabled and any(p.requires_grad for p in parents):
-        return Tensor(value, requires_grad=True, _parents=tuple(parents),
-                      _backward=backward, _op=op)
     if type(value) is not np.ndarray:
         value = np.asarray(value)
     node = Tensor.__new__(Tensor)
     node.data = _check_finite(value, op)
     node.grad = None
-    node.requires_grad = False
-    node._parents = ()
-    node._backward = None
+    node.requires_grad = _tape_enabled and any(p.requires_grad for p in parents)
+    node._parents = tuple(parents) if node.requires_grad else ()
+    node._backward = backward if node.requires_grad else None
     return node
 
 
@@ -531,8 +532,7 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 def stop_gradient(a) -> Tensor:
     """Identity with zero partial derivatives."""
-    a = as_tensor(a)
-    return Tensor(a.data.copy(), _op="stop_gradient")
+    return _node(as_tensor(a).data.copy(), (), None, "stop_gradient")
 
 
 def straight_through(grad_path: Tensor, value: np.ndarray) -> Tensor:
@@ -542,9 +542,7 @@ def straight_through(grad_path: Tensor, value: np.ndarray) -> Tensor:
     values bit-for-bit while the backward pass treats the op as identity.
     """
     grad_path = as_tensor(grad_path)
-    value = np.asarray(value)
-    if value.dtype not in (np.float32, np.float64):
-        value = value.astype(np.float64)
+    value = _float_array(value)
     if value.shape != grad_path.data.shape:
         raise ValueError("straight_through shapes must match")
 

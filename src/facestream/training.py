@@ -176,6 +176,7 @@ def _train(stage: int, dataset: list[SequenceExample], params: list[Tensor],
                 losses[0].backward()
                 optimizer.step(lr)
                 sums += [loss.item() for loss in losses]
+                del losses   # the step's graph dies here, not after the next forward
             means = sums / len(dataset)
             if not np.isfinite(means).all():
                 raise DivergenceError(f"stage {stage} loss non-finite at epoch {epoch}")

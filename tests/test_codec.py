@@ -163,6 +163,14 @@ class TestEncodeDecode:
             np.testing.assert_array_equal(codec.decode(codes, frames=np.int64(3)).data,
                                           full[:3])
 
+    def test_decode_rejects_bool_frames(self):
+        """A bool is not taken for 1 or 0 frames, as no integer input takes it."""
+        codec = tiny_codec()
+        codes = np.random.default_rng(6).normal(size=(2, 2, 8))
+        for frames in (True, False):
+            with pytest.raises(ValueError, match="frames must be an integer"):
+                codec.decode(codes, frames=frames)
+
     def test_quantized_codes_are_exact_codebook_rows(self):
         codec = tiny_codec()
         x = np.random.default_rng(5).normal(size=(4, 5, 3))

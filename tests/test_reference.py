@@ -50,7 +50,7 @@ def test_reproduces_reference(name):
 
 # Tape nodes per emitted unit (streams) or optimizer step (training), counted
 # over the reference runs: a planned DDIM step records 2 nodes.
-NODE_BUDGET = {"solo_d10": 91, "multi_d50": 171, "train_s2": 118}
+NODE_BUDGET = {"solo_d10": 91, "multi_d50": 171, "train_s1": 72, "train_s2": 118}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_BUDGET))
@@ -58,7 +58,7 @@ def test_tape_nodes_per_operation(name, monkeypatch):
     work = workloads.make_work(name, run.REF_SEED)
     work.setup()
     size = run.REF_SIZE[name]
-    ops = size * (len(work.dataset) if name == "train_s2" else work.n_sessions)
+    ops = size * (len(work.dataset) if name.startswith("train") else work.n_sessions)
     nodes = [0]
     record = tensor._node
 

@@ -1,9 +1,13 @@
 """Training-loop contract: loss rows, determinism, one fetch per step, the
-stage-2 freeze, divergence reporting and config validation."""
+stage-2 freeze, each step's graph freed before the next, a gradient for
+every stepped parameter, divergence reporting and config validation."""
+
+import weakref
 
 import numpy as np
 import pytest
 
+from facestream import training
 from facestream.codec import CodecConfig, MotionCodec
 from facestream.diffusion import DiffusionHead, build_schedule
 from facestream.fileio import DataError
@@ -214,6 +218,61 @@ def test_no_parameter_keeps_a_gradient_after_training(stage, diverge):
     assert dataset.fetches == (4 if diverge else 6)
     stores = (codec.store, predictor.store, head.store)
     assert [n for store in stores for n, t in store.items() if t.grad is not None] == []
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_step_graph_dies_before_the_next_forward(stage, monkeypatch):
+    """Step k's total loss, and so its graph, is freed before step k+1's
+    ``example_loss`` starts. ``Tensor`` has slots and no weak references,
+    so the test watches the total's array, which only the tensor holds."""
+    totals = []
+    train = training._train
+
+    def watching(stage, dataset, params, example_loss, *rest):
+        def watched(i, example, rng):
+            assert [ref() for ref in totals] == [None] * len(totals)
+            losses = example_loss(i, example, rng)
+            totals.append(weakref.ref(losses[0].data))
+            return losses
+
+        return train(stage, dataset, params, watched, *rest)
+
+    monkeypatch.setattr(training, "_train", watching)
+    run_stage(stage, tiny_dataset(), tiny_models(), config())
+    assert len(totals) == 6
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_every_stepped_parameter_gets_a_gradient(stage, monkeypatch):
+    """One step of each stage: every parameter the optimizer steps gets a
+    gradient above 1e-10 of the step's largest. A parameter below that is
+    one that no loss reads, such as a key bias, which softmax cancels. The
+    stage-2 example has a non-empty history window, so the predictor's unit
+    embedding and self-attention are read."""
+    codec, predictor, head, _ = models = tiny_models()
+    stores = {"codec": codec.store, "predictor": predictor.store, "head": head.store}
+    names = {id(t): f"{label}:{n}" for label, store in stores.items()
+             for n, t in store.items()}
+    maxima, windows = [], []
+    step, predict = AdamW.step, ConditionPredictor.__call__
+
+    def recording_step(self, lr):
+        maxima.append({names[id(p)]: 0.0 if p.grad is None else np.abs(p.grad).max()
+                       for p in self.params})
+        step(self, lr)
+
+    def recording_predict(self, window, *args, **kwargs):
+        windows.append(len(window))
+        return predict(self, window, *args, **kwargs)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    monkeypatch.setattr(ConditionPredictor, "__call__", recording_predict)
+    run_stage(stage, tiny_dataset(n=1), models, config(epochs=1))
+    [grads] = maxima
+    if stage == 2:
+        assert len(windows) == 1 and windows[0] > 0
+    largest = max(grads.values())
+    assert [n for n, g in grads.items() if not g > 1e-10 * largest] == []
 
 
 def test_stage2_restores_the_decoder_after_divergence():
