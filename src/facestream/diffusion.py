@@ -13,11 +13,13 @@ flat (B, H*C) rows; callers restore the unit shape, the sampler in numpy
 and stage-2 training on the tape. Training and sampling share this one
 path. Stage-2 training draws one timestep per step and binds a one-step
 plan; the sampler plans a unit's whole descending timestep sequence once.
-The plan is rebuilt from the current weights for every unit, so it never
-goes stale. Sampling walks a uniform-stride descending subsequence of the
-training timesteps with eta=0; the final step returns the clean prediction
-itself, so a perfect denoiser is recovered exactly regardless of the step
-count.
+The time terms depend only on the timesteps and four weights, so off the
+tape the head keeps the last table of them with copies of those weights and
+reuses it while the timesteps and weights are equal: units sampled at one
+step count share it, and an in-place weight write shows at once. Sampling
+walks a uniform-stride descending subsequence of the training timesteps with
+eta=0; the final step returns the clean prediction itself, so a perfect
+denoiser is recovered exactly regardless of the step count.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .tensor import (
     feed_forward,
     linear,
     no_grad,
+    recording,
     take_slice,
 )
 
@@ -60,6 +63,7 @@ def build_schedule(num_steps: int = 1000) -> NoiseSchedule:
     Endpoints are pinned exactly to ``BETA_START`` / ``BETA_END`` (the sqrt
     round trip can drift by an ulp otherwise).
     """
+    check_integer(num_steps, "num_steps")
     if num_steps < 2:
         raise ValueError("schedule needs at least 2 steps")
     beta = np.linspace(np.sqrt(BETA_START), np.sqrt(BETA_END), num_steps) ** 2
@@ -133,6 +137,8 @@ class DiffusionHead:
         self.b1 = self.store.create("lin1.b", np.zeros(hidden))
         self.lin2 = Linear(self.store, "lin2", hidden, unit_size, rng)
         self._sinusoid_rows: dict[int, np.ndarray] = {}
+        # the last untaped time table: (table, timesteps, copies of the weights)
+        self._time_entry: tuple[Tensor, np.ndarray, tuple[np.ndarray, ...]] | None = None
 
     def _sinusoids(self, timesteps) -> np.ndarray:
         """Sinusoid rows of ``timesteps``, (S, 1, cond_width); each row is
@@ -150,8 +156,29 @@ class DiffusionHead:
 
     def time_terms(self, timesteps) -> Tensor:
         """The first layer's time term ``time_proj(sinusoid(t)) @ wt + b`` for
-        each of ``timesteps``, (S, 1, hidden), as two batched products."""
-        return linear(self.time_proj(self._sinusoids(timesteps)), self.wt, self.b1)
+        each of ``timesteps``, (S, 1, hidden), as two batched products.
+
+        A table built off the tape is kept, with the timesteps and copies of
+        the four weights it read (``time.w``, ``time.b``, ``lin1.wt`` and
+        ``lin1.b``). A later call with timesteps of the same dtype and values
+        and weights equal to those copies returns it; any other call builds a
+        table the same way, which replaces the kept one, so an in-place
+        weight write shows at once. A call that goes on the tape (recording,
+        with one of the four requiring a gradient) builds its own table on
+        the tape and leaves the kept one alone.
+        """
+        params = (self.time_proj.w, self.time_proj.b, self.wt, self.b1)
+        steps = np.asarray(timesteps)
+        taped = recording(params)
+        if not taped and self._time_entry is not None:
+            table, kept_steps, kept = self._time_entry
+            if steps.dtype == kept_steps.dtype and np.array_equal(steps, kept_steps) \
+                    and all(np.array_equal(p.data, k) for p, k in zip(params, kept)):
+                return table
+        table = linear(self.time_proj(self._sinusoids(steps)), self.wt, self.b1)
+        if not taped:
+            self._time_entry = (table, steps.copy(), tuple(p.data.copy() for p in params))
+        return table
 
     def _checked_condition(self, cond) -> Tensor:
         cond = as_tensor(cond)
@@ -169,6 +196,8 @@ class DiffusionHead:
         plans a unit's whole timestep sequence, and stage-2 training a
         one-step plan. Binding records tape nodes like any op, so a plan
         bound under the tape passes gradients to the condition and the head.
+        Off the tape, a plan whose time terms the head has kept (see
+        ``time_terms``) builds only that one node.
         """
         cond = self._checked_condition(cond)
         table = linear(cond, self.wc, self.time_terms(timesteps))

@@ -99,11 +99,31 @@ class ConditionPredictor:
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
         self._bias_cache: dict[int, np.ndarray] = {}
+        self._mask_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _self_bias(self, length: int) -> np.ndarray:
         if length not in self._bias_cache:
             self._bias_cache[length] = alibi_bias(length, self.config.heads)
         return self._bias_cache[length]
+
+    def _masks(self, length: int, t_audio: int) -> tuple[np.ndarray, np.ndarray]:
+        """The causal and alignment masks of a ``length``-row window over
+        ``t_audio`` audio rows, built once per shape as read-only arrays.
+
+        ``alignment_mask`` raises ``DataError`` on an audio underrun before
+        anything is kept, so a shape that underruns raises on every call. The
+        stream and stage 2 pass exactly (length * H) audio rows, so they keep
+        one entry per window length.
+        """
+        key = (length, t_audio)
+        masks = self._mask_cache.get(key)
+        if masks is None:
+            masks = (causal_mask(length),
+                     alignment_mask(length, t_audio, self.config.components))
+            for mask in masks:
+                mask.setflags(write=False)
+            self._mask_cache[key] = masks
+        return masks
 
     def __call__(self, window: Sequence[np.ndarray], audio: np.ndarray,
                  style_index: int, every_row: bool = False) -> Tensor:
@@ -134,8 +154,7 @@ class ConditionPredictor:
         x = add(x, self.style.embed(style_index))
 
         self_bias = self._self_bias(length)
-        self_mask = causal_mask(length)
-        cross_mask = alignment_mask(length, audio.shape[0], c.components)
+        self_mask, cross_mask = self._masks(length, audio.shape[0])
         memory = self.audio_embed(as_tensor(audio))
         for block in self.blocks[:-1]:
             x = block(x, memory, self_bias, self_mask, cross_mask)

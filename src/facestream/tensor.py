@@ -21,7 +21,10 @@ so no layout node reaches the tape. ``attention`` scales, biases and
 normalises its scores in one buffer, and its backward builds the score
 gradient in one more, taking the softmax row term from the (L_q, d) output
 instead of an (L_q, L_k) product. A gradient's first write is one pass,
-``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``.
+``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``. The
+finite check, softmax, ``layer_norm`` and the attention row sums call the
+ufuncs' ``reduce`` directly: the ``ndarray`` methods run the same reductions
+behind a Python frame, a cost that shows on the many small arrays of a unit.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class no_grad:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
     return arr
 
@@ -159,6 +162,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def recording(tensors: Iterable[Tensor]) -> bool:
+    """Whether an op over ``tensors`` goes on the tape: recording is on
+    and one of them requires a gradient."""
+    return _tape_enabled and any(t.requires_grad for t in tensors)
+
+
 def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     """Op ``op``'s output as a tensor: on the tape when recording and some
     parent requires a gradient, else a bare node with no parents or closure.
@@ -172,7 +181,7 @@ def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Te
     node = Tensor.__new__(Tensor)
     node.data = _check_finite(value, op)
     node.grad = None
-    node.requires_grad = _tape_enabled and any(p.requires_grad for p in parents)
+    node.requires_grad = recording(parents)
     node._parents = tuple(parents) if node.requires_grad else ()
     node._backward = backward if node.requires_grad else None
     return node
@@ -416,12 +425,12 @@ def _softmax(x: np.ndarray, mask) -> np.ndarray:
     masked positions are set to -inf, so their weight is exactly exp(-inf) = 0."""
     if mask is not None:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not m.any(axis=-1).all():
+        if not np.logical_and.reduce(np.logical_or.reduce(m, axis=-1), axis=None):
             raise ValueError("degenerate attention row")
         np.copyto(x, -np.inf, where=~m)
-    x -= x.max(axis=-1, keepdims=True)
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 
@@ -486,7 +495,7 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
         # the softmax row term comes from the output's array (its tensor would
         # make a reference cycle) in the heads' layout
         gs = gh @ np.swapaxes(vs, -1, -2)
-        gs -= _split_heads(g * out, heads).sum(axis=-1, keepdims=True)
+        gs -= np.add.reduce(_split_heads(g * out, heads), axis=-1, keepdims=True)
         gs *= weights
         if wants_bias:
             bias._accumulate(_unbroadcast(gs, bias.data.shape))
@@ -510,8 +519,8 @@ def layer_norm(x, gain, bias) -> Tensor:
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     width = x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / width)
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / width)
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) * (1.0 / width)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / width)
     _check_finite(var, "layer_norm variance")
     inv = (var + LAYER_NORM_EPS) ** -0.5
     normed = centered * inv

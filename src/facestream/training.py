@@ -27,7 +27,7 @@ import numpy as np
 
 from .codec import MotionCodec, stage1_loss
 from .diffusion import DiffusionHead, NoiseSchedule, add_noise
-from .fileio import write_csv
+from .fileio import check_integer, write_csv
 from .predictor import ConditionPredictor
 from .tensor import (
     NonFiniteError,
@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
         _check_weight_decay(self.weight_decay)
+        for name in ("stage1_epochs", "stage2_epochs", "lr_halving_interval"):
+            check_integer(getattr(self, name), name.replace("_", " "))
         if min(self.stage1_epochs, self.stage2_epochs,
                self.lr_halving_interval) < 1:
             raise ValueError("epoch counts must be positive")

@@ -56,6 +56,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(1)
 
+    @pytest.mark.parametrize("num_steps", [10.0, np.float64(10.0), 10.5, True],
+                             ids=["float", "float64", "fraction", "bool"])
+    def test_non_integer_length_rejected(self, num_steps):
+        with pytest.raises(ValueError, match="integer"):
+            build_schedule(num_steps)
+
+    def test_numpy_integer_length_accepted(self):
+        assert build_schedule(np.int64(10)).num_steps == 10
+
 
 class TestAddNoise:
     def test_zero_noise(self):
@@ -531,15 +540,19 @@ class TestPlan:
         assert _rel_err(planned, one_step) < 1e-12
 
 
-@pytest.mark.parametrize("weight", ["lin1.wz", "lin2.w"])
+@pytest.mark.parametrize("weight", ["lin1.wz", "lin2.w", "lin1.wt", "lin1.b", "time.w"])
 def test_sampler_raises_before_returning_non_finite_units(weight):
     """The stream's head path keeps its finite checks: scale one weight until
     the sampler stops returning, and every unit it returned on the way was
-    finite."""
+    finite. The time-path weights (``lin1.wt``, ``lin1.b``, ``time.w``) feed
+    the time table the head keeps between units, so this also shows that a
+    kept table is not reused after an in-place write."""
     head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=0)
     s = build_schedule(100)
     cond = np.random.default_rng(8).normal(size=6)
     param = head.store[weight]
+    if not param.data.any():
+        param.data += 0.5   # a bias starts at zero, which no scaling overflows
     with np.errstate(over="ignore", invalid="ignore"), no_grad():
         for _ in range(5):
             param.data *= 1e100
@@ -550,3 +563,89 @@ def test_sampler_raises_before_returning_non_finite_units(weight):
                 return
             assert np.isfinite(units).all()
     pytest.fail("the scaled weight never overflowed")
+
+
+class TestTimeTable:
+    """Off the tape the head keeps its last time table and reuses it only
+    while the timesteps and the four weights it was built from are equal."""
+
+    TIME_WEIGHTS = ["time.w", "time.b", "lin1.wt", "lin1.b"]
+
+    @staticmethod
+    def make_head():
+        return DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=0)
+
+    @staticmethod
+    def sample(head, steps, seed=9):
+        cond = np.random.default_rng(8).normal(size=6)
+        return ddim_sample(head_denoiser(head, cond), build_schedule(100), steps,
+                           np.random.default_rng(seed), (2, 4))
+
+    @classmethod
+    def fresh_copy(cls, head):
+        fresh = cls.make_head()
+        fresh.store.load_state(head.store.state())
+        return fresh
+
+    @pytest.mark.parametrize("weight", TIME_WEIGHTS)
+    def test_in_place_write_shows_at_once(self, weight):
+        head = self.make_head()
+        before = self.sample(head, 10)
+        head.store[weight].data += 0.5
+        after = self.sample(head, 10)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, self.sample(self.fresh_copy(head), 10))
+
+    def test_step_counts_in_turn_match_fresh_heads_with_one_entry(self):
+        head = self.make_head()
+        for steps in (10, 50, 10):
+            np.testing.assert_array_equal(self.sample(head, steps),
+                                          self.sample(self.make_head(), steps))
+            table, timesteps, weights = head._time_entry
+            np.testing.assert_array_equal(timesteps, sample_timesteps(100, steps))
+            assert table.data.shape == (steps, 1, 8)
+            assert len(weights) == len(self.TIME_WEIGHTS)
+
+    def test_a_kept_table_records_one_node(self, monkeypatch):
+        head = self.make_head()
+        cond = np.random.default_rng(8).normal(size=(1, 6))
+        plan = sample_timesteps(100, 10)
+        nodes = []
+        record = tensor._node
+        monkeypatch.setattr(tensor, "_node",
+                            lambda *a: nodes.append(a[-1]) or record(*a))
+        with no_grad():
+            first = head.condition(cond, plan)
+            assert nodes == ["linear"] * 3
+            del nodes[:]
+            again = head.condition(cond, plan)
+        assert nodes == ["linear"]
+        np.testing.assert_array_equal(again.table.data, first.table.data)
+
+    def test_kept_table_does_not_skip_timestep_checks(self):
+        """Timesteps equal in value but not in type are checked afresh."""
+        head = self.make_head()
+        cond = np.random.default_rng(8).normal(size=(1, 6))
+        with no_grad():
+            head.condition(cond, [5])
+            for plan in ([5.0], np.array([5.0]), [True]):
+                with pytest.raises(ValueError, match="integer"):
+                    head.condition(cond, plan)
+
+    def test_taped_plan_after_an_untaped_one_trains_the_time_path(self, monkeypatch):
+        head = self.make_head()
+        z, cond = np.random.default_rng(5).normal(size=(2, 4)), np.ones((1, 6))
+        plan = sample_timesteps(100, 10)
+        with no_grad():
+            head.condition(cond, plan)
+        nodes = []
+        record = tensor._node
+        monkeypatch.setattr(tensor, "_node",
+                            lambda *a: nodes.append(a[-1]) or record(*a))
+        bound = head.condition(cond, plan)
+        assert nodes == ["linear"] * 3
+        monkeypatch.setattr(tensor, "_node", record)
+        tsum(head.denoise(z, int(plan[3]), bound)).backward()
+        for name in ("time.w", "lin1.wt", "lin1.b"):
+            grad = head.store[name].grad
+            assert grad is not None and np.abs(grad).max() > 0, name

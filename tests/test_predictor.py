@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from facestream import predictor as predictor_mod
 from facestream.fileio import DataError
-from facestream.nn import alibi_bias, alibi_slopes
+from facestream.nn import alibi_bias, alibi_slopes, causal_mask
 from facestream.predictor import (
     ConditionPredictor,
     PredictorConfig,
@@ -158,6 +159,35 @@ class TestPredictor:
             self.conditions(units, np.zeros((5, 4)))  # needs 6 frames
         with pytest.raises(DataError):
             self.conditions(units, np.zeros((6, 3)))  # wrong feature width
+
+    def test_masks_built_once_per_shape_and_read_only(self, monkeypatch):
+        built = []
+        for name in ("causal_mask", "alignment_mask"):
+            make = getattr(predictor_mod, name)
+            monkeypatch.setattr(predictor_mod, name,
+                                lambda *a, make=make, name=name: built.append(name) or make(*a))
+        units = random_units(2, seed=3)
+        audio = np.random.default_rng(4).normal(size=(6, 4))
+        first = self.conditions(units, audio)
+        np.testing.assert_array_equal(self.conditions(units, audio), first)
+        assert built == ["causal_mask", "alignment_mask"]
+        self.conditions(units, np.vstack([audio, audio[:1]]))   # one more audio row
+        assert built == ["causal_mask", "alignment_mask"] * 2
+        self_mask, cross_mask = self.model._masks(3, 6)
+        np.testing.assert_array_equal(self_mask, causal_mask(3))
+        np.testing.assert_array_equal(cross_mask, alignment_mask(3, 6, 2))
+        assert not (self_mask.flags.writeable or cross_mask.flags.writeable)
+
+    def test_underrun_raises_on_every_call(self):
+        """A shape that underruns is never kept, so it raises each time, also
+        after the same window length ran with enough audio."""
+        units = random_units(2, seed=11)
+        audio = np.random.default_rng(12).normal(size=(6, 4))
+        want = self.conditions(units, audio)
+        for _ in range(2):
+            with pytest.raises(DataError, match="audio underrun"):
+                self.conditions(units, audio[:5])
+        np.testing.assert_array_equal(self.conditions(units, audio), want)
 
     def test_oversized_window_rejected(self):
         units = random_units(5, seed=12)  # capacity is 4

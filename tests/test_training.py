@@ -294,6 +294,20 @@ def test_bad_optimizer_settings_rejected(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["stage1_epochs", "stage2_epochs",
+                                   "lr_halving_interval"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0)])
+def test_non_integer_counts_rejected(field, value):
+    """A fractional count would reach ``range`` as a ``TypeError``, and
+    ``True`` would pass for one epoch."""
+    with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_numpy_integer_counts_accepted():
+    assert TrainConfig(stage1_epochs=np.int64(3)).stage1_epochs == 3
+
+
 def test_zero_weight_decay_accepted():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
