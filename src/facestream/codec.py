@@ -26,7 +26,6 @@ from .tensor import (
     l2_loss,
     no_grad,
     reshape,
-    stop_gradient,
     straight_through,
     take_rows,
 )
@@ -214,10 +213,12 @@ def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor,
     rec   = mean |x_hat - x|
     quant = mean (sg(z_hat) - z_q)^2 + COMMITMENT * mean (z_hat - sg(z_q))^2
     total = rec + quant  (unit weights)
+
+    The stop-gradient sg passes a tensor's array, a constant.
     """
     rec = l1_loss(x_hat, np.asarray(x))
-    codebook_pull = l2_loss(z_gathered, stop_gradient(z_hat))
-    commit = l2_loss(z_hat, stop_gradient(z_gathered))
+    codebook_pull = l2_loss(z_gathered, z_hat.data)
+    commit = l2_loss(z_hat, z_gathered.data)
     quant = add(codebook_pull, COMMITMENT * commit)
     total = add(rec, quant)
     return total, rec, quant

@@ -136,46 +136,39 @@ class DiffusionHead:
         self.wt = self.store.create("lin1.wt", w1[unit_size + cond_width:])
         self.b1 = self.store.create("lin1.b", np.zeros(hidden))
         self.lin2 = Linear(self.store, "lin2", hidden, unit_size, rng)
-        self._sinusoid_rows: dict[int, np.ndarray] = {}
         # the last untaped time table: (table, timesteps, copies of the weights)
         self._time_entry: tuple[Tensor, np.ndarray, tuple[np.ndarray, ...]] | None = None
-
-    def _sinusoids(self, timesteps) -> np.ndarray:
-        """Sinusoid rows of ``timesteps``, (S, 1, cond_width); each row is
-        built once per timestep, on first use."""
-        rows = []
-        for t in np.asarray(timesteps).tolist():
-            check_integer(t, "timestep")
-            if not 0 <= t < self.num_steps:
-                raise ValueError(f"timestep {t} outside schedule")
-            if t not in self._sinusoid_rows:
-                self._sinusoid_rows[t] = sinusoid_table(
-                    np.array([float(t)]), self.cond_width)
-            rows.append(self._sinusoid_rows[t])
-        return np.array(rows)
 
     def time_terms(self, timesteps) -> Tensor:
         """The first layer's time term ``time_proj(sinusoid(t)) @ wt + b`` for
         each of ``timesteps``, (S, 1, hidden), as two batched products.
 
-        A table built off the tape is kept, with the timesteps and copies of
-        the four weights it read (``time.w``, ``time.b``, ``lin1.wt`` and
-        ``lin1.b``). A later call with timesteps of the same dtype and values
-        and weights equal to those copies returns it; any other call builds a
-        table the same way, which replaces the kept one, so an in-place
-        weight write shows at once. A call that goes on the tape (recording,
-        with one of the four requiring a gradient) builds its own table on
-        the tape and leaves the kept one alone.
+        ``timesteps`` must be a non-empty 1-D integer array of steps in
+        [0, num_steps), else ``ValueError``; every call checks it. A table
+        built off the tape is kept, with the timesteps and copies of the four
+        weights it read (``time.w``, ``time.b``, ``lin1.wt`` and ``lin1.b``).
+        A later call with equal timesteps and weights equal to those copies
+        returns it; any other call builds a table the same way, which
+        replaces the kept one, so an in-place weight write shows at once. A
+        call that goes on the tape (recording, with one of the four requiring
+        a gradient) builds its own table on the tape and leaves the kept one
+        alone.
         """
         params = (self.time_proj.w, self.time_proj.b, self.wt, self.b1)
         steps = np.asarray(timesteps)
+        if steps.ndim != 1 or steps.size == 0 or steps.dtype.kind not in "iu":
+            raise ValueError(f"timesteps must be a non-empty 1-D integer array, "
+                             f"got {timesteps!r}")
+        if steps.min() < 0 or steps.max() >= self.num_steps:
+            raise ValueError(f"timesteps {steps.tolist()} outside schedule")
         taped = recording(params)
         if not taped and self._time_entry is not None:
             table, kept_steps, kept = self._time_entry
-            if steps.dtype == kept_steps.dtype and np.array_equal(steps, kept_steps) \
+            if np.array_equal(steps, kept_steps) \
                     and all(np.array_equal(p.data, k) for p, k in zip(params, kept)):
                 return table
-        table = linear(self.time_proj(self._sinusoids(steps)), self.wt, self.b1)
+        sinusoids = sinusoid_table(steps, self.cond_width)[:, None]
+        table = linear(self.time_proj(sinusoids), self.wt, self.b1)
         if not taped:
             self._time_entry = (table, steps.copy(), tuple(p.data.copy() for p in params))
         return table

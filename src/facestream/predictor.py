@@ -98,32 +98,21 @@ class ConditionPredictor:
             for i in range(c.layers)
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
-        self._bias_cache: dict[int, np.ndarray] = {}
-        self._mask_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._layouts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _self_bias(self, length: int) -> np.ndarray:
-        if length not in self._bias_cache:
-            self._bias_cache[length] = alibi_bias(length, self.config.heads)
-        return self._bias_cache[length]
-
-    def _masks(self, length: int, t_audio: int) -> tuple[np.ndarray, np.ndarray]:
-        """The causal and alignment masks of a ``length``-row window over
-        ``t_audio`` audio rows, built once per shape as read-only arrays.
-
-        ``alignment_mask`` raises ``DataError`` on an audio underrun before
-        anything is kept, so a shape that underruns raises on every call. The
-        stream and stage 2 pass exactly (length * H) audio rows, so they keep
-        one entry per window length.
-        """
-        key = (length, t_audio)
-        masks = self._mask_cache.get(key)
-        if masks is None:
-            masks = (causal_mask(length),
-                     alignment_mask(length, t_audio, self.config.components))
-            for mask in masks:
-                mask.setflags(write=False)
-            self._mask_cache[key] = masks
-        return masks
+    def _layout(self, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ALiBi bias, causal mask and alignment mask of a ``length``-row
+        window over its length * H audio rows, built once per length as
+        read-only arrays."""
+        layout = self._layouts.get(length)
+        if layout is None:
+            h = self.config.components
+            layout = (alibi_bias(length, self.config.heads), causal_mask(length),
+                      alignment_mask(length, length * h, h))
+            for arr in layout:
+                arr.setflags(write=False)
+            self._layouts[length] = layout
+        return layout
 
     def __call__(self, window: Sequence[np.ndarray], audio: np.ndarray,
                  style_index: int, every_row: bool = False) -> Tensor:
@@ -132,8 +121,8 @@ class ConditionPredictor:
         (len(window) + 1, hidden), one per window unit plus the next unit's.
 
         ``audio`` must hold at least (len(window) + 1) * H frames starting at
-        the window's first motion frame; extra trailing audio is ignored by
-        the alignment mask but must not precede the window.
+        the window's first motion frame, else ``DataError``; trailing audio
+        past those frames is dropped before any work, not masked.
         """
         c = self.config
         units = list(window)
@@ -142,8 +131,11 @@ class ConditionPredictor:
         audio = np.asarray(audio, dtype=np.float64)
         if audio.ndim != 2 or audio.shape[1] != c.audio_width:
             raise DataError(f"audio features must be (T, {c.audio_width})")
-
         length = len(units) + 1
+        if audio.shape[0] < length * c.components:
+            raise DataError("audio underrun: alignment window not covered")
+        audio = audio[:length * c.components]
+
         x = self.begin_token
         if units:
             units = [np.asarray(u) for u in units]
@@ -153,8 +145,7 @@ class ConditionPredictor:
             x = concat([x, self.unit_embed(as_tensor(stacked))], axis=0)
         x = add(x, self.style.embed(style_index))
 
-        self_bias = self._self_bias(length)
-        self_mask, cross_mask = self._masks(length, audio.shape[0])
+        self_bias, self_mask, cross_mask = self._layout(length)
         memory = self.audio_embed(as_tensor(audio))
         for block in self.blocks[:-1]:
             x = block(x, memory, self_bias, self_mask, cross_mask)

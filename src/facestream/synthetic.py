@@ -32,26 +32,21 @@ ENVELOPE_CUTOFF_HZ = 4.0       # envelopes hold little content above this
 
 
 @dataclass
-class SynthTopology:
+class SynthTopology(RegionSpec):
     """Desk-scale stand-in for a face template: 30 vertices by default.
 
-    The articulation basis fields are nonzero only inside their semantic
-    regions; the mouth-open field pushes the mouth pair apart symmetrically
-    so the opening distance tracks its envelope linearly. Motion is offsets
-    from the template, so the basis fields fix its vertex count.
+    The metrics' regions plus the articulation basis fields, which are
+    nonzero only inside their semantic regions; the mouth-open field pushes
+    the mouth pair apart symmetrically so the opening distance tracks its
+    envelope linearly. Motion is offsets from the template, so the basis
+    fields fix its vertex count, and every region index must lie below it.
     """
 
-    lip_indices: np.ndarray              # subset of [0, V)
-    upper_face_indices: np.ndarray
-    mouth_pair: tuple[int, int]          # (upper lip vertex, lower lip vertex)
     basis: dict[str, np.ndarray]         # channel name -> (V, 3)
 
     def __post_init__(self):
+        super().__post_init__()
         v = self.num_vertices
-        if len(self.lip_indices) == 0 or len(self.upper_face_indices) == 0:
-            raise ValueError("region index sets must be non-empty")
-        if self.mouth_pair[0] == self.mouth_pair[1]:
-            raise ValueError("mouth pair vertices must be distinct")
         for idx in (*self.lip_indices, *self.upper_face_indices, *self.mouth_pair):
             if not 0 <= idx < v:
                 raise ValueError("region index out of range")
@@ -59,11 +54,6 @@ class SynthTopology:
     @property
     def num_vertices(self) -> int:
         return self.basis[CHANNELS[0]].shape[0]
-
-    def region_spec(self) -> RegionSpec:
-        return RegionSpec(lip_indices=self.lip_indices,
-                          upper_face_indices=self.upper_face_indices,
-                          mouth_pair=self.mouth_pair)
 
 
 def default_topology(num_vertices: int = 30) -> SynthTopology:

@@ -2,14 +2,15 @@
 
 A recorded-tape engine sized for small transformer stacks: every op returns a
 new immutable ``Tensor`` whose closure knows how to push gradients back to its
-parents. The op vocabulary holds only what the library runs: ``add``,
-``mul``, ``tabs`` and ``square``; ``reshape``, ``concat``, ``take_slice``
-and ``take_rows``; ``tsum``, ``tmean``, ``l1_loss`` and ``l2_loss``;
-``stop_gradient`` and a straight-through combinator for non-differentiable
-quantizers. Four fused primitives, ``linear`` (x @ w + b),
-``feed_forward`` (linear, exact GELU, linear), ``layer_norm`` and
-``attention`` (head split, scale, bias, mask, softmax, weighted sum and head
-merge), each record one tape node with a closed-form backward, so a
+parents. The op vocabulary holds only what the library runs: ``add`` and
+``mul``; ``reshape``, ``concat``, ``take_slice`` and ``take_rows``; a
+straight-through combinator for non-differentiable quantizers; and the two
+training losses, ``l1_loss`` and ``l2_loss``, each one node that takes the
+mean of |a - b| or (a - b)^2 over equal shapes. A stop-gradient needs no
+op: the loss takes the tensor's array, a constant. Four fused primitives,
+``linear`` (x @ w + b), ``feed_forward`` (linear, exact GELU, linear),
+``layer_norm`` and ``attention`` (head split, scale, bias, mask, softmax,
+weighted sum and head merge), each record one tape node with a closed-form backward, so a
 transformer layer costs a handful of nodes instead of dozens; they keep the
 finite checks that the composed ops made. ``Tensor()`` builds leaves and
 ``_node`` every op output: off the tape (under ``no_grad``, or when no input
@@ -225,28 +226,6 @@ def mul(a, b) -> Tensor:
     return _node(out, (a, b), backward, "mul")
 
 
-def tabs(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.abs(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
-
-    return _node(out, (a,), backward, "abs")
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-    out = a.data * a.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 2.0 * a.data)
-
-    return _node(out, (a,), backward, "square")
-
-
 # -- shape ops ----------------------------------------------------------------
 
 def reshape(a, shape) -> Tensor:
@@ -306,37 +285,42 @@ def take_rows(table, indices) -> Tensor:
     return _node(out, (table,), backward, "take_rows")
 
 
-# -- reductions and losses -----------------------------------------------------
+# -- losses ----------------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def _mean_loss(a, b, value, slope, op: str) -> Tensor:
+    """The mean of ``value(a - b)`` over equal-shaped ``a`` and ``b`` as one
+    node; ``slope(s, d)`` is the gradient of ``s * value(d)`` in ``d``.
+
+    ``a - b`` is ``a + (-1 * b)`` exactly, and the mean is the sum times
+    ``1 / size``, so for float64 operands the value and both gradients
+    equal those of the composed add, mul, abs or squaring, sum and mean ops
+    bit for bit.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"{op} needs equal shapes, got {a.data.shape} "
+                         f"and {b.data.shape}")
+    d = a.data - b.data
+    scale = 1.0 / d.size
 
     def backward(g):
+        gd = slope(g * scale, d)
         if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            a._accumulate(gd)
+        if b.requires_grad:
+            b._accumulate(-gd)
 
-    return _node(out, (a,), backward, "sum")
-
-
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return _node(value(d).sum() * scale, (a, b), backward, op)
 
 
 def l1_loss(a, b) -> Tensor:
-    """Mean absolute difference."""
-    return tmean(tabs(add(as_tensor(a), mul(as_tensor(b), -1.0))))
+    """Mean absolute difference of equal-shaped ``a`` and ``b``."""
+    return _mean_loss(a, b, np.abs, lambda s, d: s * np.sign(d), "l1_loss")
 
 
 def l2_loss(a, b) -> Tensor:
-    """Mean squared difference."""
-    return tmean(square(add(as_tensor(a), mul(as_tensor(b), -1.0))))
+    """Mean squared difference of equal-shaped ``a`` and ``b``."""
+    return _mean_loss(a, b, lambda d: d * d, lambda s, d: (s * 2.0) * d, "l2_loss")
 
 
 # -- structural ops --------------------------------------------------------------
@@ -537,11 +521,6 @@ def layer_norm(x, gain, bias) -> Tensor:
                                  - normed * (gn * normed).mean(axis=-1, keepdims=True)))
 
     return _node(out, (x, gain, bias), backward, "layer_norm")
-
-
-def stop_gradient(a) -> Tensor:
-    """Identity with zero partial derivatives."""
-    return _node(as_tensor(a).data.copy(), (), None, "stop_gradient")
 
 
 def straight_through(grad_path: Tensor, value: np.ndarray) -> Tensor:

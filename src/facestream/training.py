@@ -29,17 +29,7 @@ from .codec import MotionCodec, stage1_loss
 from .diffusion import DiffusionHead, NoiseSchedule, add_noise
 from .fileio import check_integer, write_csv
 from .predictor import ConditionPredictor
-from .tensor import (
-    NonFiniteError,
-    Tensor,
-    add,
-    as_tensor,
-    l1_loss,
-    reshape,
-    square,
-    tmean,
-    tsum,
-)
+from .tensor import NonFiniteError, Tensor, add, as_tensor, l1_loss, l2_loss, reshape
 
 STAGE1_FIELDS = ["epoch", "total", "rec", "quant"]
 STAGE2_FIELDS = ["epoch", "total", "latent", "vert", "vel"]
@@ -211,6 +201,9 @@ def stage2_loss(z_pred: Tensor, z_target: np.ndarray, x_pred: Tensor,
     vert   = mean over (frame, vertex) of squared offset distance
     vel    = same norm over frame-difference residuals
     total  = latent + vert + vel  (unit weights)
+
+    A squared distance sums its 3 coordinates, so ``vert`` and ``vel`` are
+    each 3 times the mean squared coordinate error.
     """
     z_target = np.asarray(z_target)
     x_target = np.asarray(x_target)
@@ -218,11 +211,11 @@ def stage2_loss(z_pred: Tensor, z_target: np.ndarray, x_pred: Tensor,
         raise ValueError("latent shape mismatch")
     if x_pred.data.shape != x_target.shape:
         raise ValueError("vertex shape mismatch")
+    coords = x_target.shape[-1]
     latent = l1_loss(z_pred, z_target)
-    vert = tmean(tsum(square(x_pred - x_target), axis=-1))
+    vert = l2_loss(x_pred, x_target) * coords
     if x_target.shape[0] >= 2:
-        dv = (x_pred[1:] - x_pred[:-1]) - (x_target[1:] - x_target[:-1])
-        vel = tmean(tsum(square(dv), axis=-1))
+        vel = l2_loss(x_pred[1:] - x_pred[:-1], x_target[1:] - x_target[:-1]) * coords
     else:
         vel = as_tensor(0.0)
     total = add(add(latent, vert), vel)

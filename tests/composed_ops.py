@@ -1,8 +1,8 @@
 """Tape ops that only the tests compose: references for the fused primitives.
 
-``linear``, ``feed_forward``, ``attention`` and ``layer_norm`` each record
-one fused node; the tests check them against the same maths built from these
-smaller ops, which the library itself never runs.
+``linear``, ``feed_forward``, ``attention``, ``layer_norm``, ``l1_loss`` and
+``l2_loss`` each record one fused node; the tests check them against the same
+maths built from these smaller ops, which the library itself never runs.
 """
 
 import math
@@ -15,7 +15,9 @@ from facestream.tensor import (
     _node,
     _softmax,
     _unbroadcast,
+    add,
     as_tensor,
+    mul,
 )
 
 
@@ -87,3 +89,56 @@ def gelu(a) -> Tensor:
             a._accumulate(g * (cdf + x * pdf))
 
     return _node(out, (a,), backward, "gelu")
+
+
+def tabs(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.abs(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * np.sign(a.data))
+
+    return _node(out, (a,), backward, "abs")
+
+
+def square(a) -> Tensor:
+    a = as_tensor(a)
+    out = a.data * a.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * 2.0 * a.data)
+
+    return _node(out, (a,), backward, "square")
+
+
+def tsum(a, axis=None, keepdims=False) -> Tensor:
+    a = as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if a.requires_grad:
+            if axis is None:
+                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+            else:
+                gg = g if keepdims else np.expand_dims(g, axis)
+                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+
+    return _node(out, (a,), backward, "sum")
+
+
+def tmean(a, axis=None, keepdims=False) -> Tensor:
+    a = as_tensor(a)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def composed_l1_loss(a, b) -> Tensor:
+    """Mean absolute difference from the small ops."""
+    return tmean(tabs(add(as_tensor(a), mul(as_tensor(b), -1.0))))
+
+
+def composed_l2_loss(a, b) -> Tensor:
+    """Mean squared difference from the small ops."""
+    return tmean(square(add(as_tensor(a), mul(as_tensor(b), -1.0))))

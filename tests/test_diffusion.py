@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from composed_ops import gelu, matmul
+from composed_ops import gelu, matmul, tsum
 from facestream import tensor
 from facestream.diffusion import (
     DiffusionHead,
@@ -26,7 +26,6 @@ from facestream.tensor import (
     linear,
     mul,
     no_grad,
-    tsum,
 )
 
 
@@ -421,8 +420,8 @@ class TestBoundCondition:
             assert fn(z, t).shape == z.shape
 
     def test_time_embedding_follows_timestep_and_weight_writes(self):
-        """The sinusoid row is memoised per timestep; the learned projection
-        is not, so an in-place weight write shows at once."""
+        """Each call's time terms come from the current weights, so an
+        in-place weight write shows at once."""
         head = self.make_head()
         for scale in (1.0, 2.0):
             head.time_proj.w.data *= scale

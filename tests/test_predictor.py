@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from composed_ops import tsum
 from facestream import predictor as predictor_mod
 from facestream.fileio import DataError
 from facestream.nn import alibi_bias, alibi_slopes, causal_mask
@@ -13,7 +14,7 @@ from facestream.predictor import (
     history_capacity,
     select_history,
 )
-from facestream.tensor import mul, no_grad, tsum
+from facestream.tensor import mul, no_grad
 
 
 def tiny_config(**overrides):
@@ -172,11 +173,22 @@ class TestPredictor:
         np.testing.assert_array_equal(self.conditions(units, audio), first)
         assert built == ["causal_mask", "alignment_mask"]
         self.conditions(units, np.vstack([audio, audio[:1]]))   # one more audio row
-        assert built == ["causal_mask", "alignment_mask"] * 2
-        self_mask, cross_mask = self.model._masks(3, 6)
+        assert built == ["causal_mask", "alignment_mask"]
+        bias, self_mask, cross_mask = self.model._layout(3)
+        np.testing.assert_array_equal(bias, alibi_bias(3, self.cfg.heads))
         np.testing.assert_array_equal(self_mask, causal_mask(3))
         np.testing.assert_array_equal(cross_mask, alignment_mask(3, 6, 2))
-        assert not (self_mask.flags.writeable or cross_mask.flags.writeable)
+        assert not any(a.flags.writeable for a in (bias, self_mask, cross_mask))
+
+    def test_trailing_audio_is_dropped_and_keeps_one_layout(self):
+        """Trailing audio changes no condition and adds no kept layout, however
+        many lengths of it the calls pass."""
+        units = random_units(2, seed=5)
+        audio = np.random.default_rng(6).normal(size=(6 + 50, 4))
+        want = self.conditions(units, audio[:6])
+        for tail in range(1, 51):
+            np.testing.assert_array_equal(self.conditions(units, audio[:6 + tail]), want)
+        assert list(self.model._layouts) == [3]
 
     def test_underrun_raises_on_every_call(self):
         """A shape that underruns is never kept, so it raises each time, also
@@ -224,7 +236,7 @@ class TestNextCondition:
         units = random_units(cfg.history_units, cfg.components, cfg.latent_width,
                              seed=3)
         for n in range(cfg.history_units + 1):
-            # trailing audio past the window, which the alignment mask hides
+            # trailing audio past the window, which the predictor drops
             audio = r.normal(size=((n + 1) * cfg.components + 3, cfg.audio_width))
             for style in range(cfg.num_speakers):
                 with no_grad():

@@ -50,7 +50,7 @@ def test_reproduces_reference(name):
 
 # Tape nodes per emitted unit (streams) or optimizer step (training), counted
 # over the reference runs: a planned DDIM step records 2 nodes.
-NODE_BUDGET = {"solo_d10": 89, "multi_d50": 169, "train_s1": 72, "train_s2": 118}
+NODE_BUDGET = {"solo_d10": 89, "multi_d50": 169, "train_s1": 58, "train_s2": 106}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_BUDGET))

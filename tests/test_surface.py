@@ -1,16 +1,19 @@
 """The library surface holds only what the library runs.
 
-Every top-level function of ``tensor.py`` and ``nn.py`` must be referenced
-somewhere in ``src/facestream/`` outside its own definition, so an op that
-only tests call fails here instead of growing the vocabulary back. A name
+Every top-level function of the checked modules must be referenced outside
+its own definition, somewhere in ``src/facestream/`` or in the benchmark
+under ``perfbench/``, which calls the library as a user would; so a function
+that only tests call fails here instead of growing the surface back. A name
 exported from ``__init__.py`` counts as referenced.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "facestream"
-CHECKED = ("tensor", "nn")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "facestream"
+READERS = (PACKAGE, ROOT / "perfbench")
+CHECKED = ("tensor", "nn", "codec", "diffusion", "predictor", "audio")
 
 
 def _bound(fn):
@@ -26,35 +29,48 @@ def _bound(fn):
     return names
 
 
-def _loads(node, shadowed=frozenset()):
-    """Names read under ``node``, as ``name`` or ``tensor.name``/``nn.name``;
-    a name is skipped inside a function that binds its own (a local
-    ``backward`` closure, say)."""
+def _module_aliases(tree):
+    """Local names the file's imports bind to checked modules, such as
+    ``predictor_mod`` for ``from facestream import predictor as predictor_mod``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.rsplit(".", 1)[-1] in CHECKED}
+    return aliases
+
+
+def _loads(node, modules, shadowed=frozenset()):
+    """Names read under ``node``, as ``name`` or ``module.name`` for a name
+    in ``modules``; a name is skipped inside a function that binds its own
+    (a local ``backward`` closure, say)."""
     if isinstance(node, (ast.FunctionDef, ast.Lambda)):
         shadowed = shadowed | _bound(node)
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
             and node.id not in shadowed:
         yield node.id
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id in CHECKED:
+            and node.value.id in modules:
         yield node.attr
     for child in ast.iter_child_nodes(node):
-        yield from _loads(child, shadowed)
+        yield from _loads(child, modules, shadowed)
 
 
-def test_every_tensor_and_nn_function_is_used():
-    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
-    exported = {alias.name for node in trees["__init__"].body
+def test_every_checked_function_is_used():
+    trees = {path: ast.parse(path.read_text())
+             for root in READERS for path in root.glob("*.py")}
+    exported = {alias.name for node in trees[PACKAGE / "__init__.py"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    # (module, top-level statement) -> the names it reads
-    reads = [(stem, node, set(_loads(node)))
-             for stem, tree in trees.items() for node in tree.body]
+    # (file, top-level statement) -> the names it reads
+    reads = [(path, node, set(_loads(node, _module_aliases(tree))))
+             for path, tree in trees.items() for node in tree.body]
     unused = []
     for module in CHECKED:
-        for fn in trees[module].body:
+        path = PACKAGE / f"{module}.py"
+        for fn in trees[path].body:
             if not isinstance(fn, ast.FunctionDef) or fn.name in exported:
                 continue
-            if not any(fn.name in names for stem, node, names in reads
-                       if not (stem == module and node is fn)):
+            if not any(fn.name in names for where, node, names in reads
+                       if not (where == path and node is fn)):
                 unused.append(f"{module}.{fn.name}")
-    assert unused == [], f"defined but not used in src/facestream/: {unused}"
+    assert unused == [], f"defined but not used in src/facestream/ or perfbench/: {unused}"

@@ -6,7 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from composed_ops import gelu, masked_softmax, matmul, power, swapaxes
+from composed_ops import (
+    composed_l1_loss,
+    composed_l2_loss,
+    gelu,
+    masked_softmax,
+    matmul,
+    power,
+    square,
+    swapaxes,
+    tmean,
+    tsum,
+)
 from facestream import tensor as T
 from facestream.fileio import DataError
 from facestream.nn import FeedForward, MultiHeadAttention, alibi_bias, causal_mask
@@ -23,12 +34,8 @@ from facestream.tensor import (
     mul,
     no_grad,
     reshape,
-    square,
-    stop_gradient,
     straight_through,
     take_rows,
-    tmean,
-    tsum,
 )
 from finite_diff import finite_diff_check
 
@@ -109,7 +116,7 @@ class TestBackwardBasics:
         b = Tensor(r.normal(size=6))
         gain = Tensor(np.ones(6), requires_grad=True)
         h = layer_norm(linear(x, w, b), gain, Tensor(np.zeros(6)))
-        loss = tsum(square(attention(h, stop_gradient(h), h, heads=2)))
+        loss = tsum(square(attention(h, Tensor(h.data), h, heads=2)))
         loss.backward()
         nodes = T._topo_order(loss)
         interior = [n for n in nodes if n._backward is not None]
@@ -117,12 +124,6 @@ class TestBackwardBasics:
         leaves = [n for n in nodes if n._backward is None]
         assert [n.grad is not None for n in leaves] == [n.requires_grad for n in leaves]
         assert sum(n.requires_grad for n in leaves) == 3
-
-    def test_stop_gradient_blocks(self):
-        w = Tensor(np.array([2.0]), requires_grad=True)
-        loss = tsum(stop_gradient(w) * w)
-        loss.backward()
-        np.testing.assert_allclose(w.grad, [2.0])  # only the live branch
 
 
 class TestFiniteDiffChecker:
@@ -611,6 +612,62 @@ class TestFeedForward:
         assert _taped_ops(out) == ["feed_forward"]
         want = _composed_feed_forward(x, ff.lin1.w, ff.lin1.b, ff.lin2.w, ff.lin2.b)
         assert out.data.tobytes() == want.data.tobytes()
+
+
+class TestFusedLosses:
+    """``l1_loss`` and ``l2_loss`` each record one node whose value and
+    gradients equal the composed add, mul, abs or square, sum and mean ops'
+    bit for bit."""
+
+    LOSSES = {"l1": (l1_loss, composed_l1_loss), "l2": (l2_loss, composed_l2_loss)}
+
+    @staticmethod
+    def operands(seed):
+        """Normal (3, 5, 7) arrays with a = b in the first slice, so zero
+        differences meet the first gradient write's signed-zero rule. At 105
+        entries, -2.5 * (1 / 105) and -2.5 / 105 round apart, so the scale's
+        rounding shows."""
+        r = rng(seed)
+        a, b = r.normal(size=(2, 3, 5, 7))
+        b[0] = a[0]
+        a[1, 0, :2] = b[1, 0, :2] = -0.0
+        return a, b
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @pytest.mark.parametrize("upstream", [1.0, -2.5])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bit_identical_to_composed_ops(self, name, upstream, shared):
+        """Forward, and both gradients under a positive or negative upstream
+        gradient; ``shared`` also feeds ``a`` to a second term, so its
+        gradient accumulates onto an earlier write."""
+        arrays = self.operands(seed=int(shared))
+        runs = []
+        for loss in self.LOSSES[name]:
+            a, b = (Tensor(x.copy(), requires_grad=True) for x in arrays)
+            out = loss(a, b)
+            total = mul(out, upstream)
+            if shared:
+                total = total + tsum(mul(a, -0.0))
+            total.backward()
+            runs.append((out.data, a.grad, b.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("loss", [l1_loss, l2_loss])
+    def test_unequal_shapes_rejected(self, loss):
+        for shape in ((3, 1), (4,), (1, 4), (4, 3)):
+            with pytest.raises(ValueError, match="equal shapes"):
+                loss(Tensor(np.ones((3, 4)), requires_grad=True), np.ones(shape))
+
+    @pytest.mark.parametrize("loss", [l1_loss, l2_loss])
+    def test_records_one_node(self, loss, monkeypatch):
+        a, b = (Tensor(x, requires_grad=True) for x in self.operands(seed=4))
+        nodes = []
+        record = T._node
+        monkeypatch.setattr(T, "_node", lambda *args: nodes.append(args[-1]) or record(*args))
+        out = loss(a, b)
+        assert nodes == [loss.__name__]
+        assert _taped_ops(out) == ["_mean_loss"]
 
 
 class TestUntapedNodes:
