@@ -22,6 +22,7 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
+    checked,
     l1_loss,
     l2_loss,
     no_grad,
@@ -31,6 +32,7 @@ from .tensor import (
 )
 
 COMMITMENT = 0.25   # weight of the commitment term in the stage-1 loss
+MAX_POSITION = 2 ** 53   # float64 holds every integer frame position below it
 
 
 @dataclass
@@ -140,6 +142,9 @@ class MotionCodec:
         """Motion (T, V, 3) -> continuous latents (T', H, C).
 
         Frames are right-padded to a unit boundary by repeating the last frame.
+        Off the tape the latents are checked for finiteness once; that check
+        is what keeps ``quantize``'s argmin from turning a NaN latent into a
+        finite codebook row in ``encode_quantized``.
         """
         offsets = np.asarray(offsets, dtype=np.float64)
         c = self.config
@@ -157,7 +162,8 @@ class MotionCodec:
         for block in self.enc_blocks:
             h = block(h)
         h = self.enc_norm(h)
-        return reshape(h, (t_pad // c.components, c.components, c.width))
+        return checked(reshape(h, (t_pad // c.components, c.components, c.width)),
+                       "MotionCodec.encode")
 
     def quantize_latents(self, z_hat: Tensor) -> tuple[np.ndarray, Tensor, Tensor]:
         """Returns (codebook indices, straight-through codes, gathered
@@ -175,7 +181,12 @@ class MotionCodec:
 
     def decode(self, codes, frames: int | None = None, offset_frames: int = 0) -> Tensor:
         """Latents (T', H, C) -> motion (frames, V, 3): the first ``frames``
-        of the T' * H decoded rows, all by default; 1 <= frames <= T' * H."""
+        of the T' * H decoded rows, all by default; 1 <= frames <= T' * H.
+
+        ``offset_frames`` is the motion frame index of the first row, for
+        the position features: an integer >= 0 that keeps every row's
+        position below ``MAX_POSITION``. Off the tape the returned frames
+        are checked for finiteness once."""
         codes = as_tensor(codes)
         c = self.config
         if codes.data.ndim != 3 or codes.data.shape[2] != c.width \
@@ -189,6 +200,10 @@ class MotionCodec:
         if not 0 < frames <= t_pad:
             raise ValueError(f"frames must be in [1, {t_pad}] for "
                              f"{codes.data.shape[0]} units, got {frames}")
+        check_integer(offset_frames, "offset_frames")
+        if not 0 <= offset_frames <= MAX_POSITION - t_pad:
+            raise ValueError(f"offset_frames must be in [0, {MAX_POSITION - t_pad}] "
+                             f"for {t_pad} rows, got {offset_frames}")
         h = reshape(codes, (t_pad, c.width))
         h = add(h, sinusoid_table(np.arange(offset_frames, offset_frames + t_pad),
                                   c.width))
@@ -196,14 +211,18 @@ class MotionCodec:
             h = block(h)
         h = self.dec_norm(h)
         out = reshape(self.frame_out(h), (t_pad, c.vertices, 3))
-        return out[:frames] if frames != t_pad else out
+        return checked(out[:frames] if frames != t_pad else out, "MotionCodec.decode")
 
     def encode_quantized(self, offsets: np.ndarray) -> np.ndarray:
         """Inference path: motion -> quantized codes (T', H, C), the exact
-        codebook entries (no gradients)."""
+        codebook entries (no gradients). Both the latents (``encode``) and
+        the gathered rows are checked for finiteness: ``quantize``'s argmin
+        turns a NaN latent into a finite row, and a NaN codebook entry into
+        its own row."""
         with no_grad():
             codebook = self.codebook.data
-            return codebook[quantize(self.encode(offsets).data, codebook)]
+            codes = codebook[quantize(self.encode(offsets).data, codebook)]
+        return checked(codes, "MotionCodec.encode_quantized")
 
 
 def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor,

@@ -34,6 +34,7 @@ from .tensor import (
     ParamStore,
     Tensor,
     as_tensor,
+    checked,
     feed_forward,
     linear,
     no_grad,
@@ -202,7 +203,8 @@ class DiffusionHead:
         (B = 1 for a single unit). ``bound`` comes from :meth:`condition`; a
         timestep it did not plan, or one that is not an integer, raises
         ``ValueError``. ``z_t`` enters as data only, wrapped and checked
-        once; no caller needs its gradient."""
+        once; no caller needs its gradient. Off the tape the result is
+        checked for finiteness once, which covers the plan row it reads."""
         check_integer(t, "timestep")
         z = np.asarray(z_t.data if isinstance(z_t, Tensor) else z_t)
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
@@ -215,7 +217,8 @@ class DiffusionHead:
         if row is None:
             raise ValueError(f"timestep {t} is not in the plan")
         bias = take_slice(bound.table, row)
-        return feed_forward(rows, self.wz, bias, self.lin2.w, self.lin2.b)
+        return checked(feed_forward(rows, self.wz, bias, self.lin2.w, self.lin2.b),
+                       "DiffusionHead.denoise")
 
 
 def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,

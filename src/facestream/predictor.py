@@ -26,7 +26,7 @@ import numpy as np
 from .audio import StyleEncoder
 from .fileio import DataError
 from .nn import DecoderBlock, LayerNorm, Linear, alibi_bias, causal_mask, normal_init
-from .tensor import ParamStore, Tensor, add, as_tensor, concat
+from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat
 
 
 def history_capacity(h_frames: int, components: int) -> int:
@@ -46,15 +46,15 @@ def select_history(all_past_units: Sequence[np.ndarray], h_frames: int,
     return [np.asarray(u) for u in all_past_units[-cap:]]
 
 
-def alignment_mask(l_motion: int, t_audio: int, components: int) -> np.ndarray:
-    """Cross-attention mask: token i may read audio frames [i*H, (i+1)*H).
+def alignment_mask(l_motion: int, components: int) -> np.ndarray:
+    """Cross-attention mask over l_motion * H audio rows: token i may read
+    audio frames [i*H, (i+1)*H).
 
     Audio rows are indexed relative to the window start; the caller is
     responsible for slicing the global audio buffer at the window's absolute
     start frame.
     """
-    if t_audio < l_motion * components:
-        raise DataError("audio underrun: alignment window not covered")
+    t_audio = l_motion * components
     return np.arange(t_audio)[None, :] // components == np.arange(l_motion)[:, None]
 
 
@@ -108,7 +108,7 @@ class ConditionPredictor:
         if layout is None:
             h = self.config.components
             layout = (alibi_bias(length, self.config.heads), causal_mask(length),
-                      alignment_mask(length, length * h, h))
+                      alignment_mask(length, h))
             for arr in layout:
                 arr.setflags(write=False)
             self._layouts[length] = layout
@@ -122,7 +122,9 @@ class ConditionPredictor:
 
         ``audio`` must hold at least (len(window) + 1) * H frames starting at
         the window's first motion frame, else ``DataError``; trailing audio
-        past those frames is dropped before any work, not masked.
+        past those frames is dropped before any work, not masked. Off the
+        tape the result is checked for finiteness once (``checked``), which
+        covers every op of the call.
         """
         c = self.config
         units = list(window)
@@ -151,4 +153,4 @@ class ConditionPredictor:
             x = block(x, memory, self_bias, self_mask, cross_mask)
         rows = None if every_row else slice(-1, None)
         x = self.blocks[-1](x, memory, self_bias, self_mask, cross_mask, rows)
-        return self.norm(x)
+        return checked(self.norm(x), "ConditionPredictor")

@@ -11,10 +11,12 @@ op: the loss takes the tensor's array, a constant. Four fused primitives,
 ``linear`` (x @ w + b), ``feed_forward`` (linear, exact GELU, linear),
 ``layer_norm`` and ``attention`` (head split, scale, bias, mask, softmax,
 weighted sum and head merge), each record one tape node with a closed-form backward, so a
-transformer layer costs a handful of nodes instead of dozens; they keep the
-finite checks that the composed ops made. ``Tensor()`` builds leaves and
-``_node`` every op output: off the tape (under ``no_grad``, or when no input
-needs a gradient) a finite-checked bare node with no parents or closure.
+transformer layer costs a handful of nodes instead of dozens. ``Tensor()``
+builds leaves and checks them for finiteness; ``_node`` builds every op
+output and checks it only when it records. Off the tape (under ``no_grad``,
+or when no input needs a gradient) an op output is a bare, unchecked node
+with no parents or closure: the ops pass a non-finite value on to their
+outputs, so each model call checks its own result once with ``checked``.
 Only leaves keep a ``grad`` after ``backward``; an op node frees its own.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
@@ -65,7 +67,7 @@ class no_grad:
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
+        raise NonFiniteError(f"non-finite values produced by '{op}'")
     return arr
 
 
@@ -175,17 +177,37 @@ def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Te
 
     ``value`` is a float array computed from tensors' data, so the node
     skips the leaf coercions; numpy returns a 0-d result as a scalar, which
-    is wrapped back into an array. Both kinds are checked for finiteness.
+    is wrapped back into an array. A taped node is checked for finiteness,
+    so a diverging training step names the op. A bare node is not: every op
+    passes a NaN or ±inf in its inputs on to its output (a product or sum
+    with one is non-finite, and ``0 * inf`` is NaN), and where the library
+    calls ``take_slice`` and ``take_rows`` they drop only rows that no
+    output reads. So a model call that checks its result once (``checked``)
+    catches every non-finite value made on the way. What could hide one
+    keeps its own check on both paths: the leaf check of ``Tensor()``, the
+    attention scores before the mask, and the ``layer_norm`` variance, whose
+    overflow would give finite zeros.
     """
     if type(value) is not np.ndarray:
         value = np.asarray(value)
     node = Tensor.__new__(Tensor)
-    node.data = _check_finite(value, op)
     node.grad = None
     node.requires_grad = recording(parents)
+    node.data = _check_finite(value, op) if node.requires_grad else value
     node._parents = tuple(parents) if node.requires_grad else ()
     node._backward = backward if node.requires_grad else None
     return node
+
+
+def checked(t, where: str):
+    """``t``, a tensor or an array, with its array checked for finiteness;
+    ``NonFiniteError`` names ``where``. A tensor on the tape is not checked
+    again: ``_node`` checked it as it recorded it."""
+    if not isinstance(t, Tensor):
+        return _check_finite(t, where)
+    if not t.requires_grad:
+        _check_finite(t.data, where)
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -379,14 +401,19 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     Both products are ``linear``'s, ``x`` of rank >= 2 folded the same way
     and ``b1`` broadcasting like its bias, and the GELU and its derivative
     are the same expressions, so the output and every gradient equal the
-    three composed ops' bit for bit. The hidden pre-activation and the
-    output are checked for finiteness; GELU maps finite inputs to finite
-    outputs, so that is every check the composed ops made.
+    three composed ops' bit for bit. On the tape the hidden pre-activation
+    and the output are checked for finiteness; GELU maps finite inputs to
+    finite outputs, so that is every check the composed ops made. Off the
+    tape neither is: a non-finite pre-activation gives a non-finite hidden
+    value (GELU(inf) = inf, GELU(-inf) = -inf * 0 = NaN) and so output.
     """
     x, w1, b1 = as_tensor(x), as_tensor(w1), as_tensor(b1)
     w2, b2 = as_tensor(w2), as_tensor(b2)
     _check_affine("feed_forward", x, w1, w2)
-    pre = _check_finite(_affine(x.data, w1.data, b1.data), "feed_forward hidden")
+    parents = (x, w1, b1, w2, b2)
+    pre = _affine(x.data, w1.data, b1.data)
+    if recording(parents):
+        _check_finite(pre, "feed_forward hidden")
     cdf = 0.5 * (1.0 + _erf(pre / math.sqrt(2.0)))
     hidden = pre * cdf
     out = _affine(hidden, w2.data, b2.data)
@@ -401,7 +428,7 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
             if gx is not None:
                 x._accumulate(gx)
 
-    return _node(out, (x, w1, b1, w2, b2), backward, "feed_forward")
+    return _node(out, parents, backward, "feed_forward")
 
 
 def _softmax(x: np.ndarray, mask) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facestream.codec import (
+    MAX_POSITION,
     CodecConfig,
     MotionCodec,
     MotionSequence,
@@ -14,6 +15,7 @@ from facestream.codec import (
 from facestream.fileio import DataError
 from facestream.tensor import NonFiniteError, Tensor, as_tensor, no_grad
 from finite_diff import finite_diff_check
+from non_finite import assert_never_returns_non_finite
 
 
 def tiny_codec(seed=0, **overrides):
@@ -171,6 +173,22 @@ class TestEncodeDecode:
             with pytest.raises(ValueError, match="frames must be an integer"):
                 codec.decode(codes, frames=frames)
 
+    def test_decode_rejects_bad_offsets(self):
+        """``offset_frames`` is checked as ``frames`` is: an integer, not a
+        bool, at least 0, and small enough that every row's position is an
+        exact float64 integer."""
+        codec = tiny_codec()   # 2 units of H = 2 frames
+        codes = np.random.default_rng(6).normal(size=(2, 2, 8))
+        last = MAX_POSITION - 4
+        for offset in (2.5, 3.0, "2", None, True, False, -1, -3, last + 1, 10 ** 20):
+            with pytest.raises(ValueError, match="offset_frames"):
+                codec.decode(codes, offset_frames=offset)
+        with no_grad():
+            at_five = codec.decode(codes, offset_frames=5).data
+            np.testing.assert_array_equal(
+                codec.decode(codes, offset_frames=np.int64(5)).data, at_five)
+            assert np.isfinite(codec.decode(codes, offset_frames=last).data).all()
+
     def test_quantized_codes_are_exact_codebook_rows(self):
         codec = tiny_codec()
         x = np.random.default_rng(5).normal(size=(4, 5, 3))
@@ -315,3 +333,29 @@ def test_decode_raises_before_returning_non_finite_frames(weight):
                 return
             assert np.isfinite(frames).all()
     pytest.fail("the scaled weight never overflowed")
+
+
+def swept_codec():
+    return tiny_codec(seed=2, layers=2)
+
+
+@pytest.mark.parametrize("name", swept_codec().decoder_param_names())
+def test_decode_never_returns_non_finite_frames(name):
+    """Off the tape decode checks only the frames it returns: whatever one
+    decoder parameter holds, it raises or returns finite frames, also when
+    it drops trailing rows."""
+    codec = swept_codec()
+    codes = np.random.default_rng(3).normal(size=(2, 2, 8))
+    assert_never_returns_non_finite(
+        lambda: codec.decode(codes, frames=3, offset_frames=8).data, codec.store[name])
+
+
+@pytest.mark.parametrize("name", [n for n in swept_codec().store.names()
+                                  if n.startswith("enc.") or n == "codebook"])
+def test_encode_quantized_never_returns_non_finite_codes(name):
+    """A NaN latent would pick a finite codebook row through the argmin, so
+    the encoder's own check must raise before quantizing; a spoiled
+    codebook raises at the gathered rows."""
+    codec = swept_codec()
+    x = np.random.default_rng(4).normal(size=(3, 5, 3))
+    assert_never_returns_non_finite(lambda: codec.encode_quantized(x), codec.store[name])

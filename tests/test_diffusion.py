@@ -27,6 +27,7 @@ from facestream.tensor import (
     mul,
     no_grad,
 )
+from non_finite import assert_never_returns_non_finite
 
 
 class TestSchedule:
@@ -562,6 +563,36 @@ def test_sampler_raises_before_returning_non_finite_units(weight):
                 return
             assert np.isfinite(units).all()
     pytest.fail("the scaled weight never overflowed")
+
+
+def swept_head():
+    return DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=3)
+
+
+@pytest.mark.parametrize("name", swept_head().store.names())
+def test_denoise_never_returns_non_finite_units(name):
+    """Off the tape denoise checks only its result, which covers the plan
+    row it slices: whatever one parameter holds, a planned step of a batch
+    raises or returns finite units."""
+    head = swept_head()
+    cond = np.random.default_rng(4).normal(size=(2, 6))
+    z = np.random.default_rng(5).normal(size=(2, 2, 4))
+    timesteps = sample_timesteps(100, 10)
+    assert_never_returns_non_finite(
+        lambda: head.denoise(z, 39, head.condition(cond, timesteps)).data,
+        head.store[name])
+
+
+@pytest.mark.parametrize("name", swept_head().store.names())
+def test_sampler_never_returns_non_finite_units(name):
+    """The same for a whole DDIM run of the head, as a stream samples a unit."""
+    head = swept_head()
+    cond = np.random.default_rng(6).normal(size=6)
+    s = build_schedule(100)
+    assert_never_returns_non_finite(
+        lambda: ddim_sample(head_denoiser(head, cond), s, 10,
+                            np.random.default_rng(7), (2, 4)),
+        head.store[name])
 
 
 class TestTimeTable:

@@ -15,6 +15,7 @@ from facestream.predictor import (
     select_history,
 )
 from facestream.tensor import mul, no_grad
+from non_finite import assert_never_returns_non_finite
 
 
 def tiny_config(**overrides):
@@ -69,21 +70,13 @@ class TestAlibi:
 
 class TestAlignmentMask:
     def test_identity_when_one_frame_per_unit(self):
-        mask = alignment_mask(4, 4, components=1)
+        mask = alignment_mask(4, components=1)
         np.testing.assert_array_equal(mask, np.eye(4, dtype=bool))
 
     def test_unit_zero_gets_first_interval(self):
-        mask = alignment_mask(3, 12, components=4)
+        mask = alignment_mask(3, components=4)
         np.testing.assert_array_equal(np.flatnonzero(mask[0]), [0, 1, 2, 3])
         np.testing.assert_array_equal(np.flatnonzero(mask[1]), [4, 5, 6, 7])
-
-    def test_audio_underrun_rejected(self):
-        with pytest.raises(DataError, match="audio underrun"):
-            alignment_mask(3, 5, components=2)
-
-    def test_trailing_audio_is_masked_not_rejected(self):
-        mask = alignment_mask(2, 9, components=2)
-        assert not mask[:, 4:].any()
 
 
 class TestPredictor:
@@ -177,7 +170,7 @@ class TestPredictor:
         bias, self_mask, cross_mask = self.model._layout(3)
         np.testing.assert_array_equal(bias, alibi_bias(3, self.cfg.heads))
         np.testing.assert_array_equal(self_mask, causal_mask(3))
-        np.testing.assert_array_equal(cross_mask, alignment_mask(3, 6, 2))
+        np.testing.assert_array_equal(cross_mask, alignment_mask(3, 2))
         assert not any(a.flags.writeable for a in (bias, self_mask, cross_mask))
 
     def test_trailing_audio_is_dropped_and_keeps_one_layout(self):
@@ -265,3 +258,24 @@ class TestNextCondition:
         assert scale > 0
         for name, want in grads[1].items():
             assert np.abs(grads[0][name] - want).max() <= 1e-12 * scale, name
+
+
+def swept_predictor():
+    return ConditionPredictor(tiny_config(layers=2), seed=7)
+
+
+@pytest.mark.parametrize("every_row", [False, True])
+@pytest.mark.parametrize("name", swept_predictor().store.names())
+def test_call_never_returns_non_finite_conditions(name, every_row):
+    """Off the tape the call checks only its result: whatever one parameter
+    holds, it raises or returns finite conditions. Of the style table only
+    the speaker's row is read, so only that row is spoiled."""
+    model = swept_predictor()
+    cfg = model.config
+    units = random_units(3, cfg.components, cfg.latent_width, seed=8)
+    audio = np.random.default_rng(9).normal(size=(8, cfg.audio_width))
+    style = 1
+    rows = style if name == "style.table" else slice(None)
+    assert_never_returns_non_finite(
+        lambda: model(units, audio, style, every_row=every_row).data,
+        model.store[name], rows)

@@ -5,8 +5,9 @@ and the loss rows of fixed-seed training calls. This test rebuilds them with
 the benchmark's own workloads, seed and sizes and compares them with the
 benchmark's own tolerance, so output drift shows in the unit tests and not
 only in a benchmark run. Over the same runs it also counts the tape nodes
-each operation records, against fixed upper bounds, so work that creeps back
-into the per-unit or per-step path fails here. It imports from
+each operation records and the finite checks it makes, against fixed upper
+bounds, so work that creeps back into the per-unit or per-step path fails
+here. It imports from
 ``perfbench/`` and writes nothing there.
 """
 
@@ -52,23 +53,41 @@ def test_reproduces_reference(name):
 # over the reference runs: a planned DDIM step records 2 nodes.
 NODE_BUDGET = {"solo_d10": 89, "multi_d50": 169, "train_s1": 58, "train_s2": 106}
 
+# Finite checks per operation over the same runs. Off the tape only the
+# leaves, the attention scores, the layer-norm variances and each model
+# call's result are checked, so a planned DDIM step makes 2 checks (its
+# noisy-unit leaf and its result); training checks every taped node.
+CHECK_BUDGET = {"solo_d10": 47, "multi_d50": 127, "train_s1": 99.625,
+                "train_s2": 145.625}
 
-@pytest.mark.parametrize("name", sorted(NODE_BUDGET))
-def test_tape_nodes_per_operation(name, monkeypatch):
+
+def _calls_per_operation(name, function, monkeypatch):
+    """Calls of ``tensor.<function>`` per operation over ``name``'s
+    reference run."""
     work = workloads.make_work(name, run.REF_SEED)
     work.setup()
     size = run.REF_SIZE[name]
     ops = size * (len(work.dataset) if name.startswith("train") else work.n_sessions)
-    nodes = [0]
-    record = tensor._node
+    calls = [0]
+    original = getattr(tensor, function)
 
     def counting(*args):
-        nodes[0] += 1
-        return record(*args)
+        calls[0] += 1
+        return original(*args)
 
-    monkeypatch.setattr(tensor, "_node", counting)
+    monkeypatch.setattr(tensor, function, counting)
     work.reference(run.REF_SEED, size)
-    assert nodes[0] / ops <= NODE_BUDGET[name]
+    return calls[0] / ops
+
+
+@pytest.mark.parametrize("name", sorted(NODE_BUDGET))
+def test_tape_nodes_per_operation(name, monkeypatch):
+    assert _calls_per_operation(name, "_node", monkeypatch) <= NODE_BUDGET[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_BUDGET))
+def test_finite_checks_per_operation(name, monkeypatch):
+    assert _calls_per_operation(name, "_check_finite", monkeypatch) <= CHECK_BUDGET[name]
 
 
 def test_tracer_times_every_stage2_predictor_forward():

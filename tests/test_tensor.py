@@ -26,6 +26,7 @@ from facestream.tensor import (
     ParamStore,
     Tensor,
     attention,
+    checked,
     feed_forward,
     layer_norm,
     linear,
@@ -569,6 +570,9 @@ class TestFeedForward:
     @pytest.mark.parametrize("taped", [True, False])
     @pytest.mark.parametrize("where", ["hidden", "output"])
     def test_overflow_raises(self, where, taped):
+        """On the tape the op raises, naming the layer that overflowed. Off
+        the tape it passes the non-finite output on, and the check that ends
+        the model call containing it raises."""
         x, w1, b1, w2, b2 = _ff_arrays(FF_SHAPES["rank2"], 5)
         if where == "hidden":
             w1 = w1 * 1e200
@@ -579,12 +583,16 @@ class TestFeedForward:
             w2 = w2 * 1e100
         leaves = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
         message = "'feed_forward hidden'" if where == "hidden" else "'feed_forward'"
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=message):
+        with np.errstate(over="ignore", invalid="ignore"):
             if taped:
-                feed_forward(*leaves)
+                with pytest.raises(NonFiniteError, match=message):
+                    feed_forward(*leaves)
             else:
                 with no_grad():
-                    feed_forward(*leaves)
+                    out = feed_forward(*leaves)
+                assert not np.isfinite(out.data).all()
+                with pytest.raises(NonFiniteError, match="'model call'"):
+                    checked(out, "model call")
 
     def test_rejects_bad_ranks(self):
         x, w1, b1, w2, b2 = _ff_arrays(FF_SHAPES["rank2"], 6)
@@ -688,8 +696,27 @@ class TestUntapedNodes:
             np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_non_finite_output_still_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError), no_grad():
-            square(Tensor(np.array([1e200]), requires_grad=True))
+        """An untaped op alone does not check its output; the check that
+        ends the model call containing it raises."""
+        with np.errstate(over="ignore"), no_grad():
+            out = square(Tensor(np.array([1e200]), requires_grad=True))
+        assert np.isinf(out.data).all()
+        with pytest.raises(NonFiniteError, match="'model call'"):
+            checked(out, "model call")
+
+    def test_checked_leaves_taped_tensors_to_the_tape(self, monkeypatch):
+        """A taped node was checked when it was recorded, so ``checked``
+        does not check it again; an untaped one it checks once."""
+        calls = []
+        check = T._check_finite
+        monkeypatch.setattr(T, "_check_finite", lambda *a: calls.append(a[1]) or check(*a))
+        x = Tensor(np.ones(3), requires_grad=True)
+        taped = mul(x, x)
+        with no_grad():
+            bare = mul(x, x)
+        assert calls == ["leaf", "mul"]
+        assert checked(taped, "call") is taped and checked(bare, "call") is bare
+        assert calls == ["leaf", "mul", "call"]
 
 
 def _taped_ops(out):
