@@ -4,15 +4,16 @@ that predicts the clean latent unit directly, and a deterministic DDIM sampler.
 The denoiser consumes the noisy unit, the per-unit condition vector from the
 autoregressive predictor, and a sinusoidal timestep embedding. Its first layer
 keeps one weight block per input (noisy unit, condition, time). Only the
-noisy-unit block depends on ``z_t``, so every ``denoise`` call reads a plan:
-``DiffusionHead.condition`` binds the condition's product plus the time term
-of each planned timestep in one fused node, and each step slices its row of
-that table and does only the work that depends on ``z_t``: one fused
-``feed_forward`` node whose first bias is that row. ``denoise`` returns
-flat (B, H*C) rows; callers restore the unit shape, the sampler in numpy
-and stage-2 training on the tape. Training and sampling share this one
-path. Stage-2 training draws one timestep per step and binds a one-step
-plan; the sampler plans a unit's whole descending timestep sequence once.
+noisy-unit block depends on ``z_t``, so ``DiffusionHead.condition`` adds the
+condition's product to the time term of each timestep in one fused node,
+which gives a table with one row per timestep, and ``denoise`` takes one row
+of that table and does only the work that depends on ``z_t``: one fused
+``feed_forward`` node whose first bias is that row. ``denoise`` returns flat
+(B, H*C) rows; callers restore the unit shape, the sampler in numpy and
+stage-2 training on the tape. Training and sampling share this one path.
+Stage-2 training builds the table of the one timestep it draws; the sampler
+hands its plan (``head_denoiser``) a unit's whole descending timestep
+sequence once, and each of its steps reads the next row.
 The time terms depend only on the timesteps and four weights, so off the
 tape the head keeps the last table of them with copies of those weights and
 reuses it while the timesteps and weights are equal: units sampled at one
@@ -39,7 +40,6 @@ from .tensor import (
     linear,
     no_grad,
     recording,
-    take_slice,
 )
 
 BETA_START = 0.00085   # the schedule's first and last noise variances
@@ -97,19 +97,6 @@ def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
         raise ValueError("steps cannot exceed the schedule length")
     stride = num_steps // steps
     return num_steps - 1 - stride * np.arange(steps)
-
-
-@dataclass(frozen=True)
-class HeadCondition:
-    """A condition bound to a head for the planned DDIM steps of one unit.
-
-    ``table`` is (S, B, hidden): the condition's product with the first
-    layer's condition block plus the time term of each of the S planned
-    timesteps. ``planned`` maps each planned timestep to its row of ``table``.
-    """
-
-    table: Tensor
-    planned: dict[int, int]
 
 
 class DiffusionHead:
@@ -181,98 +168,84 @@ class DiffusionHead:
                             f"with cond_width = {self.cond_width}")
         return cond
 
-    def condition(self, cond, timesteps) -> HeadCondition:
-        """Plan ``timesteps`` for a (B, cond_width) condition.
-
-        One fused ``linear`` node adds ``cond @ wc`` to every planned step's
-        time term (``time_terms``), which gives a (S, B, hidden) table;
-        ``denoise`` at a planned timestep only slices its row. The sampler
-        plans a unit's whole timestep sequence, and stage-2 training a
-        one-step plan. Binding records tape nodes like any op, so a plan
+    def condition(self, cond, timesteps) -> Tensor:
+        """The (S, B, hidden) table of a (B, cond_width) condition at
+        ``timesteps``: row i is the first layer's bias at ``timesteps[i]``,
+        ``cond @ wc`` plus that step's time term (``time_terms``), built as
+        one fused ``linear`` node. ``denoise`` reads one row. The sampler
+        binds a unit's whole timestep sequence, and stage-2 training the one
+        timestep it draws. Binding records tape nodes like any op, so a table
         bound under the tape passes gradients to the condition and the head.
-        Off the tape, a plan whose time terms the head has kept (see
+        Off the tape, a table whose time terms the head has kept (see
         ``time_terms``) builds only that one node.
         """
         cond = self._checked_condition(cond)
-        table = linear(cond, self.wc, self.time_terms(timesteps))
-        return HeadCondition(table, {int(t): i for i, t in enumerate(timesteps)})
+        return linear(cond, self.wc, self.time_terms(timesteps))
 
-    def denoise(self, z_t, t: int, bound: HeadCondition) -> Tensor:
+    def denoise(self, z_t, row: Tensor) -> Tensor:
         """Predict the clean units of ``z_t``, (H, C) or (B, H, C), as
-        (B, H*C) rows, one per row of the plan's (B, cond_width) condition
-        (B = 1 for a single unit). ``bound`` comes from :meth:`condition`; a
-        timestep it did not plan, or one that is not an integer, raises
-        ``ValueError``. ``z_t`` enters as data only, wrapped and checked
-        once; no caller needs its gradient. Off the tape the result is
-        checked for finiteness once, which covers the plan row it reads."""
-        check_integer(t, "timestep")
+        (B, H*C) rows. ``row`` is one (B, hidden) row of a :meth:`condition`
+        table, one condition row per unit (B = 1 for a single unit); a unit
+        shape or a row count that does not match raises ``DataError``.
+        ``z_t`` enters as data only, wrapped and checked once; no caller
+        needs its gradient. Off the tape the result is checked for
+        finiteness once, which covers the row it reads."""
         z = np.asarray(z_t.data if isinstance(z_t, Tensor) else z_t)
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
                             f"with (H, C) = {self.unit_shape}")
         rows = Tensor(z.reshape(-1, self.unit_shape[0] * self.unit_shape[1]))
-        if bound.table.data.shape[1] != rows.data.shape[0]:
+        if row.data.ndim != 2 or row.data.shape[0] != rows.data.shape[0]:
             raise DataError("condition rows do not match the batch")
-        row = bound.planned.get(t)
-        if row is None:
-            raise ValueError(f"timestep {t} is not in the plan")
-        bias = take_slice(bound.table, row)
-        return checked(feed_forward(rows, self.wz, bias, self.lin2.w, self.lin2.b),
+        return checked(feed_forward(rows, self.wz, row, self.lin2.w, self.lin2.b),
                        "DiffusionHead.denoise")
 
 
-def ddim_sample(denoise_fn, schedule: NoiseSchedule, steps: int,
+def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
                 rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Deterministic DDIM (eta = 0) from seeded unit Gaussian noise.
 
-    ``denoise_fn(z_t, t) -> z0_hat`` is called exactly ``steps`` times, with
-    ``t`` a Python int. If ``denoise_fn`` has a ``plan`` attribute, it is
-    called once before the first step with the whole descending timestep
-    array from ``sample_timesteps``, so the denoiser can bind its per-step
-    work for the unit in one go; a plain callable is sampled as it is. Each
+    ``plan(timesteps)`` is called once, with the whole descending timestep
+    array from ``sample_timesteps``, so it can bind a unit's per-step work in
+    one go. It returns ``step(z_t, i) -> z0_hat``, the clean prediction at
+    ``timesteps[i]``, which is called for i = 0 ... steps - 1 in order. Each
     update re-derives the implied noise from the clean prediction; the final
-    step treats the previous alpha-bar as 1, i.e. returns z0_hat itself.
+    step's previous alpha-bar is 1, so its prediction is returned itself.
     """
     timesteps = sample_timesteps(schedule.num_steps, steps)
-    plan = getattr(denoise_fn, "plan", None)
-    if plan is not None:
-        plan(timesteps)
-    abar = schedule.alpha_bar[timesteps]
-    abar_prev = np.append(abar[1:], 1.0)
+    step = plan(timesteps)
+    abar = schedule.alpha_bar[timesteps[:-1]]
+    abar_prev = schedule.alpha_bar[timesteps[1:]]
     roots = np.sqrt([abar, 1.0 - abar, abar_prev, 1.0 - abar_prev]).T.tolist()
     z = rng.standard_normal(shape)
-    for t, (signal, noise, signal_prev, noise_prev) in zip(timesteps.tolist(), roots):
-        z0_hat = np.asarray(denoise_fn(z, t))
+    for i, (signal, noise, signal_prev, noise_prev) in enumerate(roots):
+        z0_hat = np.asarray(step(z, i))
         eps_hat = (z - signal * z0_hat) / noise
         z = signal_prev * z0_hat + noise_prev * eps_hat
-    return z
+    return np.asarray(step(z, steps - 1))
 
 
 def head_denoiser(head: DiffusionHead, cond: np.ndarray):
-    """Bind a condition, (cond_width,) or (B, cond_width), into a
-    ``denoise_fn`` for ``ddim_sample``.
+    """The ``ddim_sample`` plan of ``head`` for a condition, (cond_width,)
+    or (B, cond_width).
 
-    A wrong-width or wrong-rank condition raises ``DataError`` here. The
-    returned callable has a ``plan``: ``ddim_sample`` calls it with the
-    unit's timesteps, which binds the condition and every step's time term
-    at once (``DiffusionHead.condition``). Each call is then one
-    ``head.denoise`` with that plan, returned in ``z_t``'s shape; a call
-    before ``plan`` raises ``ValueError``.
+    A wrong-width or wrong-rank condition raises ``DataError`` here, and
+    nothing is recorded until the plan runs. The plan binds the condition
+    and every timestep's time term at once (``DiffusionHead.condition``)
+    under ``no_grad``; its step i is one ``head.denoise`` with row i of that
+    table, returned in ``z_t``'s shape.
     """
     cond = np.asarray(cond)
     cond = head._checked_condition(cond.reshape(1, -1) if cond.ndim == 1 else cond)
-    bound = None
 
-    def plan(timesteps: np.ndarray) -> None:
-        nonlocal bound
+    def plan(timesteps: np.ndarray):
         with no_grad():
-            bound = head.condition(cond, timesteps)
+            table = head.condition(cond, timesteps)
 
-    def denoise_fn(z_t: np.ndarray, t: int) -> np.ndarray:
-        if bound is None:
-            raise ValueError("head_denoiser: plan(timesteps) must come first")
-        with no_grad():
-            return head.denoise(z_t, t, bound).data.reshape(np.shape(z_t))
+        def step(z_t: np.ndarray, i: int) -> np.ndarray:
+            with no_grad():
+                return head.denoise(z_t, table[i]).data.reshape(np.shape(z_t))
 
-    denoise_fn.plan = plan
-    return denoise_fn
+        return step
+
+    return plan

@@ -463,17 +463,19 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     Shapes: q (..., L_q, heads*d), k (..., L_k, heads*d), v (..., L_k, heads*d_v),
     heads side by side in the last axis; the result is (..., L_q, heads*d_v).
     Head k attends with its own slice of width d, scaled by 1/sqrt(d). bias
-    broadcasts into the (..., heads, L_q, L_k) score tensor, so a per-head
-    bias is (heads, L_q, L_k); mask is boolean with the same broadcast rule.
-    Masked keys receive exactly zero weight. The biased scores are checked for
-    finiteness before the mask can hide a non-finite entry.
+    is a constant array, like mask, and gets no gradient; it broadcasts into
+    the (..., heads, L_q, L_k) score tensor, so a per-head bias is
+    (heads, L_q, L_k); mask is boolean with the same broadcast rule. Masked
+    keys receive exactly zero weight. The biased scores are checked for
+    finiteness before the mask can hide a non-finite entry, which also
+    covers a non-finite bias.
 
     The backward keeps the softmax weights W and the output O = W V. The
     softmax's row term sum_j dW_ij W_ij equals sum_d dO_id O_id (the
     identity FlashAttention uses), so the score gradient W * (dO Vᵀ - rowsum)
     is built in place in the one array dO Vᵀ, and 1/sqrt(d) scales the
     (L, d) query and key products instead of it. No score gradient is made
-    when neither q, k nor bias needs one.
+    when neither q nor k needs one.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.shape[-1] != k.data.shape[-1]:
@@ -486,11 +488,8 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     scale = 1.0 / math.sqrt(qs.shape[-1])
     scores = qs @ np.swapaxes(ks, -1, -2)
     scores *= scale
-    parents = (q, k, v)
     if bias is not None:
-        bias = as_tensor(bias)
-        scores += bias.data
-        parents = (q, k, v, bias)
+        scores += bias
     _check_finite(scores, "attention scores")
     weights = _softmax(scores, mask)
     out = _merge_heads(weights @ vs)
@@ -500,16 +499,13 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
         if v.requires_grad:
             gv = np.swapaxes(weights, -1, -2) @ gh
             v._accumulate(_merge_heads(_unbroadcast(gv, vs.shape)))
-        wants_bias = bias is not None and bias.requires_grad
-        if not (q.requires_grad or k.requires_grad or wants_bias):
+        if not (q.requires_grad or k.requires_grad):
             return
         # the softmax row term comes from the output's array (its tensor would
         # make a reference cycle) in the heads' layout
         gs = gh @ np.swapaxes(vs, -1, -2)
         gs -= np.add.reduce(_split_heads(g * out, heads), axis=-1, keepdims=True)
         gs *= weights
-        if wants_bias:
-            bias._accumulate(_unbroadcast(gs, bias.data.shape))
         if q.requires_grad:
             gq = _unbroadcast(gs @ ks, qs.shape)
             gq *= scale
@@ -519,7 +515,7 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
             gk *= scale
             k._accumulate(_merge_heads(gk))
 
-    return _node(out, parents, backward, "attention")
+    return _node(out, (q, k, v), backward, "attention")
 
 
 def layer_norm(x, gain, bias) -> Tensor:

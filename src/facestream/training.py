@@ -28,7 +28,7 @@ import numpy as np
 from .codec import MotionCodec, stage1_loss
 from .diffusion import DiffusionHead, NoiseSchedule, add_noise
 from .fileio import check_integer, write_csv
-from .predictor import ConditionPredictor
+from .predictor import ConditionPredictor, select_history
 from .tensor import NonFiniteError, Tensor, add, as_tensor, l1_loss, l2_loss, reshape
 
 STAGE1_FIELDS = ["epoch", "total", "rec", "quant"]
@@ -249,16 +249,15 @@ def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
         window, noised at a random timestep."""
         next_unit = int(rng.integers(0, example.motion.shape[0] // h))
         t_step = int(rng.integers(0, schedule.num_steps))
-        window_len = min(predictor.config.history_units, next_unit)
-        eps = rng.standard_normal((window_len + 1, h, codec.config.width))
-        start = next_unit - window_len
         codes = all_codes[i]
+        window = select_history(codes[:next_unit], predictor.config.history_frames, h)
+        eps = rng.standard_normal((len(window) + 1, h, codec.config.width))
+        start = next_unit - len(window)
         targets = codes[start:next_unit + 1]
         audio = example.features[start * h:(next_unit + 1) * h]
-        conditions = predictor(list(codes[start:next_unit]), audio,
-                               example.speaker, every_row=True)
+        conditions = predictor(window, audio, example.speaker, every_row=True)
         z_t = add_noise(targets, t_step, eps, schedule)
-        z_pred = reshape(head.denoise(z_t, t_step, head.condition(conditions, [t_step])),
+        z_pred = reshape(head.denoise(z_t, head.condition(conditions, [t_step])[0]),
                          z_t.shape)
         x_pred = codec.decode(z_pred, offset_frames=start * h)
         x_target = example.motion[start * h:(next_unit + 1) * h]

@@ -30,6 +30,14 @@ from facestream.tensor import (
 from non_finite import assert_never_returns_non_finite
 
 
+def _plan(denoise_fn):
+    """A ``ddim_sample`` plan whose step i calls ``denoise_fn(z_t, t)`` at
+    the i-th planned timestep ``t``, a Python int."""
+    def plan(timesteps):
+        return lambda z_t, i: denoise_fn(z_t, int(timesteps[i]))
+    return plan
+
+
 class TestSchedule:
     def test_endpoints_exact(self):
         s = build_schedule(1000)
@@ -114,15 +122,12 @@ def test_bool_timestep_rejected():
     """True and False hash like 1 and 0 but are not timesteps."""
     s = build_schedule(10)
     head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=10, seed=0)
-    z, cond = np.zeros((2, 4)), np.zeros((1, 6))
-    bound = head.condition(cond, [1, 0])
+    cond = np.zeros((1, 6))
     for flag in (True, False):
         with pytest.raises(ValueError, match="integer"):
             add_noise(np.ones(3), flag, np.ones(3), s)
         with pytest.raises(ValueError, match="integer"):
             head.condition(cond, [flag])
-        with pytest.raises(ValueError, match="integer"):
-            head.denoise(z, flag, bound)
     with pytest.raises(ValueError, match="integer"):
         sample_timesteps(10, True)
 
@@ -147,7 +152,7 @@ class TestTimesteps:
             with pytest.raises(ValueError, match="integer"):
                 sample_timesteps(1000, steps)
             with pytest.raises(ValueError, match="integer"):
-                ddim_sample(lambda z, t: z, build_schedule(100), steps,
+                ddim_sample(_plan(lambda z, t: z), build_schedule(100), steps,
                             np.random.default_rng(0), (1,))
         np.testing.assert_array_equal(sample_timesteps(1000, np.int32(50)),
                                       sample_timesteps(1000, 50))
@@ -167,7 +172,7 @@ class TestDDIM:
                 calls.append(t)
                 return z_star
 
-            out = ddim_sample(oracle, s, steps, np.random.default_rng(0), (4, 8))
+            out = ddim_sample(_plan(oracle), s, steps, np.random.default_rng(0), (4, 8))
             np.testing.assert_allclose(out, z_star, atol=1e-6)
             assert len(calls) == steps  # denoise budget law
 
@@ -185,16 +190,19 @@ class TestDDIM:
         for steps in [1, 7, 50]:
             plans, calls = [], []
 
-            def denoise_fn(z_t, t):
-                calls.append(t)
+            def step(z_t, i):
+                calls.append(i)
                 return np.tanh(z_t)
 
-            denoise_fn.plan = plans.append
-            ddim_sample(denoise_fn, s, steps, np.random.default_rng(0), (2, 3))
+            def plan(timesteps):
+                plans.append(timesteps)
+                return step
+
+            ddim_sample(plan, s, steps, np.random.default_rng(0), (2, 3))
             assert len(plans) == 1
             np.testing.assert_array_equal(plans[0], sample_timesteps(1000, steps))
             assert plans[0].dtype == sample_timesteps(1000, steps).dtype
-            assert calls == sample_timesteps(1000, steps).tolist()
+            assert calls == list(range(steps))
 
     @pytest.mark.parametrize("steps", [1, 7, 10, 50])
     def test_matches_per_step_formula(self, steps):
@@ -204,14 +212,23 @@ class TestDDIM:
         def oracle(z_t, t):
             return np.tanh(1.5 * z_t + 0.001 * t) - 0.2 * z_t * z_t
 
-        got = ddim_sample(oracle, s, steps, np.random.default_rng(5), (4, 8))
+        got = ddim_sample(_plan(oracle), s, steps, np.random.default_rng(5), (4, 8))
         want = _per_step_ddim(oracle, s, steps, np.random.default_rng(5), (4, 8))
         np.testing.assert_array_equal(got, want)
 
     def test_zero_steps_rejected(self):
         s = build_schedule(100)
         with pytest.raises(ValueError):
-            ddim_sample(lambda z, t: z, s, 0, np.random.default_rng(0), (1,))
+            ddim_sample(_plan(lambda z, t: z), s, 0, np.random.default_rng(0), (1,))
+
+    def test_last_step_returns_a_finite_prediction_whose_noise_overflows(self):
+        """The last step returns its prediction itself: with an overflowing
+        implied noise, 1 * z0_hat + 0 * eps_hat would be 0 * inf = NaN."""
+        s = build_schedule(100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ddim_sample(_plan(lambda z, t: np.full(z.shape, 1.7e308)), s, 10,
+                              np.random.default_rng(0), (2, 4))
+        np.testing.assert_array_equal(out, np.full((2, 4), 1.7e308))
 
 
 def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
@@ -232,7 +249,7 @@ def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
 
 def _one_step(head, z_t, t, cond):
     """``denoise`` at ``t`` through a one-step plan, as stage 2 binds it."""
-    return head.denoise(z_t, t, head.condition(cond, [t]))
+    return head.denoise(z_t, head.condition(cond, [t])[0])
 
 
 class TestHead:
@@ -273,14 +290,17 @@ class TestHead:
                                     ((2, 4), (3, 6)), ((3, 5, 2, 4), (15, 6))]:
             with pytest.raises(DataError):
                 _one_step(head, np.zeros(z_shape), 0, np.zeros(cond_shape))
+        # a whole (1, 1, hidden) table in place of its one row
+        with pytest.raises(DataError):
+            head.denoise(np.zeros((2, 4)), head.condition(np.zeros((1, 6)), [0]))
 
     def test_noisy_input_and_slices_stay_off_the_tape(self):
         head = self.make_head()
         r = np.random.default_rng(4)
         z_t = Tensor(r.normal(size=(2, 4)), requires_grad=True)
-        bound = head.condition(Tensor(r.normal(size=(1, 6)), requires_grad=True),
+        table = head.condition(Tensor(r.normal(size=(1, 6)), requires_grad=True),
                                [9, 5])
-        out = head.denoise(z_t, 5, bound)
+        out = head.denoise(z_t, table[1])
         tsum(out).backward()
         order = _topo_order(out)
         assert all(node is not z_t for node in order)
@@ -288,7 +308,7 @@ class TestHead:
         slices = [n for n in order if n._backward
                   and n._backward.__qualname__.split(".")[0] == "take_slice"]
         assert len(slices) == 1
-        assert slices[0]._parents == (bound.table,)
+        assert slices[0]._parents == (table,)
 
     def test_odd_cond_width_rejected(self):
         with pytest.raises(ValueError):
@@ -372,10 +392,10 @@ class TestBoundCondition:
         head = self.make_head()
         z, cond0 = self.inputs(batch, seed=1)
         weight = np.random.default_rng(2).normal(size=z.shape)
-        for t in TestPlan.PLAN.tolist():
+        for i, t in enumerate(TestPlan.PLAN.tolist()):
             want = _run_with_grads(head, lambda *a: _concatenated_denoise(head, *a),
                                    z, t, cond0, weight)
-            for fn in (lambda z, t, c: head.denoise(z, t, head.condition(c, TestPlan.PLAN)),
+            for fn in (lambda z, t, c: head.denoise(z, head.condition(c, TestPlan.PLAN)[i]),
                        lambda *a: _one_step(head, *a)):
                 _assert_runs_close(_run_with_grads(head, fn, z, t, cond0, weight), want)
 
@@ -383,19 +403,18 @@ class TestBoundCondition:
     def test_bound_paths_are_bit_identical(self, batch):
         head = self.make_head()
         z, cond = self.inputs(batch, seed=4)
-        direct = head.denoise(z, 23, head.condition(cond, [40, 23, 6])).data
-        fn = head_denoiser(head, cond)
-        fn.plan(np.array([40, 23, 6]))
-        np.testing.assert_array_equal(fn(z, 23), direct.reshape(z.shape))
+        direct = head.denoise(z, head.condition(cond, [40, 23, 6])[1]).data
+        step = head_denoiser(head, cond)(np.array([40, 23, 6]))
+        np.testing.assert_array_equal(step(z, 1), direct.reshape(z.shape))
 
     def test_step_records_only_the_step_dependent_nodes(self):
-        """A one-step plan, as stage 2 binds it: the step slices the plan's
-        only row and records the same nodes as a sampler step."""
+        """A one-step table, as stage 2 binds it: the step slices the
+        table's only row and records the same nodes as a sampler step."""
         head = self.make_head()
         z, cond = self.inputs(None, seed=5)
-        bound = head.condition(Tensor(cond, requires_grad=True), [9])
-        out = head.denoise(z, 9, bound)
-        binding = {id(n) for n in _topo_order(bound.table)}
+        table = head.condition(Tensor(cond, requires_grad=True), [9])
+        out = head.denoise(z, table[0])
+        binding = {id(n) for n in _topo_order(table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
         assert sorted(_taped_ops(step)) == ["feed_forward", "take_slice"]
 
@@ -415,10 +434,9 @@ class TestBoundCondition:
     def test_head_denoiser_returns_the_noisy_shape(self, batch):
         head = self.make_head()
         z, cond = self.inputs(batch, seed=6)
-        fn = head_denoiser(head, cond[0] if batch is None else cond)
-        fn.plan(np.array([40, 23, 6]))
-        for t in (40, 23, 6):
-            assert fn(z, t).shape == z.shape
+        step = head_denoiser(head, cond[0] if batch is None else cond)(np.array([40, 23, 6]))
+        for i in range(3):
+            assert step(z, i).shape == z.shape
 
     def test_time_embedding_follows_timestep_and_weight_writes(self):
         """Each call's time terms come from the current weights, so an
@@ -447,29 +465,20 @@ class TestPlan:
         head = self.make_head()
         z, cond0 = self.inputs(batch, seed=1)
         weight = np.random.default_rng(2).normal(size=z.shape)
-        for t in self.PLAN.tolist():
+        for i, t in enumerate(self.PLAN.tolist()):
             planned = _run_with_grads(
-                head, lambda z, t, c: head.denoise(z, t, head.condition(c, self.PLAN)),
+                head, lambda z, t, c: head.denoise(z, head.condition(c, self.PLAN)[i]),
                 z, t, cond0, weight)
             unplanned = _run_with_grads(head, lambda *a: _one_step(head, *a),
                                         z, t, cond0, weight)
             _assert_runs_close(planned, unplanned)
 
-    @pytest.mark.parametrize("batch", [None, 3])
-    def test_unplanned_timestep_rejected(self, batch):
-        head = self.make_head()
-        z, cond = self.inputs(batch, seed=3)
-        planned = head.condition(cond, self.PLAN)
-        for t in (0, 23, 49):
-            with pytest.raises(ValueError, match="not in the plan"):
-                head.denoise(z, t, planned)
-
     def test_planned_step_records_only_the_z_dependent_nodes(self):
         head = self.make_head()
         z, cond = self.inputs(None, seed=5)
-        bound = head.condition(Tensor(cond, requires_grad=True), self.PLAN)
-        out = head.denoise(z, 17, bound)
-        binding = {id(n) for n in _topo_order(bound.table)}
+        table = head.condition(Tensor(cond, requires_grad=True), self.PLAN)
+        out = head.denoise(z, table[2])
+        binding = {id(n) for n in _topo_order(table)}
         step = [n for n in _topo_order(out) if id(n) not in binding]
         assert sorted(_taped_ops(step)) == ["feed_forward", "take_slice"]
 
@@ -486,21 +495,10 @@ class TestPlan:
         for plan in ([5.5], np.array([5.5]), [5.0], [3, 5.5]):
             with pytest.raises(ValueError, match="integer"):
                 head.condition(cond, plan)
-        want = head.denoise(z, 5, head.condition(cond, [5])).data
+        want = head.denoise(z, head.condition(cond, [5])[0]).data
         for plan in ([np.int64(5)], np.array([5], dtype=np.int32)):
             np.testing.assert_array_equal(
-                head.denoise(z, 5, head.condition(cond, plan)).data, want)
-
-    def test_denoise_rejects_non_integer_timestep(self):
-        """5.0 hashes like the planned 5, but is not a timestep."""
-        head = self.make_head()
-        z, cond = self.inputs(None, seed=7)
-        bound = head.condition(cond, [5, 1])
-        for t in (5.0, np.float64(5.0), 1.0, True, 5.5, "5"):
-            with pytest.raises(ValueError, match="integer"):
-                head.denoise(z, t, bound)
-        np.testing.assert_array_equal(head.denoise(z, np.int64(5), bound).data,
-                                      head.denoise(z, 5, bound).data)
+                head.denoise(z, head.condition(cond, plan)[0]).data, want)
 
     def test_time_terms_follow_weight_writes(self):
         head = self.make_head()
@@ -524,18 +522,15 @@ class TestPlan:
         record = tensor._node
         monkeypatch.setattr(tensor, "_node",
                             lambda *a: nodes.append(a[-1]) or record(*a))
-        fn = head_denoiser(head, cond)
+        plan = head_denoiser(head, cond)
         assert nodes == []
-        with pytest.raises(ValueError, match="plan"):
-            fn(np.zeros((2, 4)), 99)
-        assert nodes == []
-        fn.plan(sample_timesteps(100, 10))
+        plan(sample_timesteps(100, 10))
         assert sorted(nodes) == ["linear", "linear", "linear"]
         monkeypatch.setattr(tensor, "_node", record)
         planned = ddim_sample(head_denoiser(head, cond), s, 10,
                               np.random.default_rng(7), (2, 4))
         one_step = ddim_sample(
-            lambda z, t: _one_step(head, z, t, cond[None]).data.reshape(z.shape),
+            _plan(lambda z, t: _one_step(head, z, t, cond[None]).data.reshape(z.shape)),
             s, 10, np.random.default_rng(7), (2, 4))
         assert _rel_err(planned, one_step) < 1e-12
 
@@ -579,7 +574,7 @@ def test_denoise_never_returns_non_finite_units(name):
     z = np.random.default_rng(5).normal(size=(2, 2, 4))
     timesteps = sample_timesteps(100, 10)
     assert_never_returns_non_finite(
-        lambda: head.denoise(z, 39, head.condition(cond, timesteps)).data,
+        lambda: head.denoise(z, head.condition(cond, timesteps)[6]).data,
         head.store[name])
 
 
@@ -650,7 +645,7 @@ class TestTimeTable:
             del nodes[:]
             again = head.condition(cond, plan)
         assert nodes == ["linear"]
-        np.testing.assert_array_equal(again.table.data, first.table.data)
+        np.testing.assert_array_equal(again.data, first.data)
 
     def test_kept_table_does_not_skip_timestep_checks(self):
         """Timesteps equal in value but not in type are checked afresh."""
@@ -672,10 +667,10 @@ class TestTimeTable:
         record = tensor._node
         monkeypatch.setattr(tensor, "_node",
                             lambda *a: nodes.append(a[-1]) or record(*a))
-        bound = head.condition(cond, plan)
+        table = head.condition(cond, plan)
         assert nodes == ["linear"] * 3
         monkeypatch.setattr(tensor, "_node", record)
-        tsum(head.denoise(z, int(plan[3]), bound)).backward()
+        tsum(head.denoise(z, table[3])).backward()
         for name in ("time.w", "lin1.wt", "lin1.b"):
             grad = head.store[name].grad
             assert grad is not None and np.abs(grad).max() > 0, name

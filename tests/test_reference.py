@@ -57,8 +57,8 @@ NODE_BUDGET = {"solo_d10": 89, "multi_d50": 169, "train_s1": 58, "train_s2": 106
 # leaves, the attention scores, the layer-norm variances and each model
 # call's result are checked, so a planned DDIM step makes 2 checks (its
 # noisy-unit leaf and its result); training checks every taped node.
-CHECK_BUDGET = {"solo_d10": 47, "multi_d50": 127, "train_s1": 99.625,
-                "train_s2": 145.625}
+CHECK_BUDGET = {"solo_d10": 45, "multi_d50": 125, "train_s1": 99.625,
+                "train_s2": 143.625}
 
 
 def _calls_per_operation(name, function, monkeypatch):

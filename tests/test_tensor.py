@@ -88,7 +88,7 @@ class TestBackwardBasics:
         # finite scores and a finite bias whose sum overflows
         q = Tensor(np.array([[1e307, 0.0]]))
         k = Tensor(np.ones((2, 2)))
-        bias = Tensor(np.array([[1.79e308, 0.0]]))
+        bias = np.array([[1.79e308, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             attention(q, k, Tensor(np.ones((2, 1))), bias=bias)
 
@@ -173,15 +173,15 @@ def _random_case(op_name, seed):
         # two heads side by side, a per-head bias and a mask shared across the
         # head axis, as the predictor passes them; every query keeps a key. A
         # batched q (2, 3, 8) reads shared keys and values, so their gradients
-        # and the bias's sum over the batch
+        # sum over the batch
         mask = r.random((1, 3, 5)) > 0.4
         mask[..., 0] = True
         batch = (2,) if op_name.startswith("batched") else ()
         args = {"q": r.normal(size=batch + (3, 8)), "k": r.normal(size=(5, 8)),
-                "v": r.normal(size=(5, 6)), "bias": r.normal(size=(2, 3, 5))}
+                "v": r.normal(size=(5, 6))}
+        bias = r.normal(size=(2, 3, 5))
         return _differentiate(args, op_name.rsplit("_", 1)[1],
-                              lambda q, k, v, bias: attention(q, k, v, bias, mask,
-                                                              heads=2))
+                              lambda q, k, v: attention(q, k, v, bias, mask, heads=2))
     if op_name in ("layer_norm_gain", "layer_norm_bias"):
         args = {"x": r.normal(size=(2, 5)), "gain": r.normal(size=5),
                 "bias": r.normal(size=5)}
@@ -191,7 +191,7 @@ def _random_case(op_name, seed):
         k = r.normal(size=(4, 2))
         v = r.normal(size=(4, 3))
         b = r.normal(size=(3, 4))
-        return x, lambda t: tsum(square(attention(t, Tensor(k), Tensor(v), bias=Tensor(b))))
+        return x, lambda t: tsum(square(attention(t, Tensor(k), Tensor(v), bias=b)))
     if op_name == "layer_norm":
         x = r.normal(size=(2, 5))
         g = r.normal(size=5)
@@ -235,7 +235,7 @@ def _differentiate(args, name, op):
 
 
 ATTENTION_CASES = [f"{batched}attention_{name}" for batched in ("", "batched_")
-                   for name in ("q", "k", "v", "bias")]
+                   for name in ("q", "k", "v")]
 OP_CLASSES = ["linear", "bias_add", "attention", "layer_norm", "gelu",
               "embedding", "reshape", "mean_sum", "l1", "l2", "softmax",
               "linear_x", "linear_w", "linear_b", *ATTENTION_CASES,
@@ -281,7 +281,7 @@ class TestAttention:
         r = rng(3)
         q, k = Tensor(r.normal(size=(2, 4))), Tensor(r.normal(size=(5, 4)))
         v = Tensor(r.normal(size=(5, 3)))
-        bias = Tensor(r.normal(size=(2, 5)))
+        bias = r.normal(size=(2, 5))
         mask = np.zeros((2, 5), dtype=bool)
         mask[0, 3] = True
         mask[1, 1] = True
@@ -326,17 +326,17 @@ class TestAttention:
         q, k, v = (Tensor(r.normal(size=(2, 3, 4)), requires_grad=True),
                    Tensor(r.normal(size=(2, 5, 4)), requires_grad=True),
                    Tensor(r.normal(size=(2, 5, 6)), requires_grad=True))
-        bias = Tensor(r.normal(size=(2, 3, 5)), requires_grad=True)
+        bias = r.normal(size=(2, 3, 5))
         mask = r.random((3, 5)) > 0.4 if masked else None
         if masked:
             mask[:, 0] = True
         g = r.normal(size=(2, 3, 6))
-        inputs = (q, k, v, bias)
-        before = [t.data.tobytes() for t in inputs] + [g.tobytes()]
+        inputs = (q, k, v)
+        before = [t.data.tobytes() for t in inputs] + [bias.tobytes(), g.tobytes()]
         out = attention(q, k, v, bias=bias, mask=mask, heads=2)
-        assert [t.data.tobytes() for t in inputs] == before[:4]
+        assert [t.data.tobytes() for t in inputs] + [bias.tobytes()] == before[:4]
         out._backward(g)
-        assert [t.data.tobytes() for t in inputs] + [g.tobytes()] == before
+        assert [t.data.tobytes() for t in inputs] + [bias.tobytes(), g.tobytes()] == before
         assert all(t.grad is not None for t in inputs)
 
     def test_permutation_equivariance_over_keys(self):
@@ -348,55 +348,38 @@ class TestAttention:
         mask = r.random((3, 5)) > 0.2
         mask[:, 2] = True
         perm = r.permutation(5)
-        out = attention(Tensor(q.data), Tensor(k), Tensor(v), Tensor(bias), mask,
-                        heads=2).data
+        out = attention(Tensor(q.data), Tensor(k), Tensor(v), bias, mask, heads=2).data
         out_p = attention(Tensor(q.data), Tensor(k[perm]), Tensor(v[perm]),
-                          Tensor(bias[..., perm]), mask[:, perm], heads=2).data
+                          bias[..., perm], mask[:, perm], heads=2).data
         np.testing.assert_allclose(out, out_p, atol=1e-12)
 
 
 
 class TestAttentionBackward:
-    """The backward's score gradient: one-key rows, a bias-only gradient and
-    the memory one call may take."""
+    """The backward's score gradient: one-key rows and the memory one call
+    may take."""
 
     def test_row_that_admits_one_key(self):
         """Row 1 reads key 2 alone: its weight is exactly one, so its output
-        is that value row and its query and bias rows get no gradient."""
+        is that value row and its query row gets no gradient."""
         r = rng(21)
         mask = np.ones((4, 5), dtype=bool)
         mask[1] = False
         mask[1, 2] = True
         args = {"q": r.normal(size=(4, 8)), "k": r.normal(size=(5, 8)),
-                "v": r.normal(size=(5, 6)), "bias": r.normal(size=(2, 4, 5))}
+                "v": r.normal(size=(5, 6))}
+        bias = r.normal(size=(2, 4, 5))
         for name in args:
             point, fn = _differentiate(
-                args, name, lambda q, k, v, bias: attention(q, k, v, bias, mask, heads=2))
+                args, name, lambda q, k, v: attention(q, k, v, bias, mask, heads=2))
             assert finite_diff_check(fn, point, eps=1e-5) < 1e-4, name
         leaves = {n: Tensor(a, requires_grad=True) for n, a in args.items()}
-        out = attention(**leaves, mask=mask, heads=2)
+        out = attention(**leaves, bias=bias, mask=mask, heads=2)
         weight = r.normal(size=out.shape)
         tsum(out * weight).backward()
         scale = max(np.abs(t.grad).max() for t in leaves.values())
         assert np.abs(leaves["q"].grad[1]).max() <= 1e-12 * scale
-        assert np.abs(leaves["bias"].grad[:, 1]).max() <= 1e-12 * scale
         np.testing.assert_allclose(out.data[1], args["v"][2], rtol=1e-12)
-
-    def test_bias_gradient_alone(self):
-        """Only the bias needs a gradient: it matches the composed reference
-        and q, k and v get none."""
-        r = rng(22)
-        mask = np.tril(np.ones((6, 6), dtype=bool))
-        q, k, v = (Tensor(r.normal(size=(6, 8))) for _ in range(3))
-        bias = r.normal(size=(2, 6, 6))
-        weight = r.normal(size=(6, 8))
-        grads = []
-        for op in (attention, _composed_heads):
-            leaf = Tensor(bias, requires_grad=True)
-            tsum(op(q, k, v, leaf, mask, heads=2) * weight).backward()
-            grads.append(leaf.grad)
-        assert _rel_err(grads[0], grads[1]) < 1e-12
-        assert all(t.grad is None for t in (q, k, v))
 
     def test_backward_holds_the_output_array_not_its_tensor(self):
         """A closure that held its own output tensor would make a reference
@@ -494,9 +477,10 @@ class TestFusedMatchesComposed:
         # a batch of two, two heads and a per-head bias shared across the batch
         mask = np.tril(np.ones((1, 6, 6), dtype=bool))
         arrays = [r.normal(size=(2, 6, 16)), r.normal(size=(2, 6, 16)),
-                  r.normal(size=(2, 6, 10)), r.normal(size=(2, 6, 6))]
-        self._check(lambda q, k, v, b: attention(q, k, v, b, mask, heads=2),
-                    lambda q, k, v, b: _composed_heads(q, k, v, b, mask, heads=2),
+                  r.normal(size=(2, 6, 10))]
+        bias = r.normal(size=(2, 6, 6))
+        self._check(lambda q, k, v: attention(q, k, v, bias, mask, heads=2),
+                    lambda q, k, v: _composed_heads(q, k, v, bias, mask, heads=2),
                     arrays, (2, 6, 10), seed)
 
     @pytest.mark.parametrize("seed", range(5))
