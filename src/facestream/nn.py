@@ -19,7 +19,6 @@ from .tensor import (
     feed_forward,
     layer_norm,
     linear,
-    take_slice,
 )
 
 INIT_STD = 0.02   # std of the normal initialisation of embeddings and codebooks
@@ -152,10 +151,9 @@ class DecoderBlock:
     """Pre-norm block: biased causal self-attention, cross-attention, feed-forward.
 
     ``rows``, a slice of the query rows, computes only those output rows:
-    self-attention keys and values still come from every row of ``x``, and
-    cross-attention reads only the span of ``memory`` that ``cross_mask``
-    admits for the selected rows. A stack can pass it to its last block when
-    only some rows are read.
+    self-attention keys and values still come from every row of ``x``. The
+    caller restricts ``memory`` and ``cross_mask`` to what the selected rows
+    read. A stack can pass it to its last block when only some rows are read.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
@@ -171,14 +169,10 @@ class DecoderBlock:
 
     def __call__(self, x: Tensor, memory: Tensor, self_bias, self_mask,
                  cross_mask, rows: slice | None = None) -> Tensor:
-        h = self.ln1(x)
-        q = h
+        q = h = self.ln1(x)
         if rows is not None:
-            q, x = take_slice(h, rows), take_slice(x, rows)
+            q, x = h[rows], x[rows]
             self_bias, self_mask = self_bias[:, rows], self_mask[rows]
-            keys = np.flatnonzero(cross_mask[rows].any(axis=0))
-            span = slice(keys[0], keys[-1] + 1)
-            memory, cross_mask = take_slice(memory, span), cross_mask[rows, span]
         x = add(x, self.self_attn(q, h, bias=self_bias, mask=self_mask))
         x = add(x, self.cross_attn(self.ln2(x), memory, mask=cross_mask))
         return add(x, self.ff(self.ln3(x)))

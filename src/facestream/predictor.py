@@ -8,11 +8,15 @@ position i is the condition vector used to generate unit i: position 0 (the
 begin token) conditions the first window unit, and the final row conditions
 the next, not-yet-generated unit.
 
+The attention layout (ALiBi bias, causal and alignment masks) is built once,
+read-only, for the longest window; a shorter window's layout is its top-left
+block, since ALiBi uses relative distance.
+
 A call returns only that final row, the next unit's condition, which is all a
 stream reads: the last decoder block computes its queries, cross-attention
-and feed-forward for that one row, over its own H audio rows. Teacher-forced
-stage-2 training makes the same call with ``every_row=True`` and reads every
-row; that is the only difference between the two.
+and feed-forward for that one row, over the last H audio rows, which it
+reads in full. Teacher-forced stage-2 training makes the same call with
+``every_row=True`` and reads every row; that is the only difference.
 """
 
 from __future__ import annotations
@@ -24,12 +28,18 @@ from typing import Sequence
 import numpy as np
 
 from .audio import StyleEncoder
-from .fileio import DataError
+from .fileio import DataError, check_integer
 from .nn import DecoderBlock, LayerNorm, Linear, alibi_bias, causal_mask, normal_init
 from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat
 
 
 def history_capacity(h_frames: int, components: int) -> int:
+    """Units in a history of ``h_frames`` motion frames; ``ValueError``
+    unless a unit has a frame and the history covers one."""
+    if components < 1:
+        raise ValueError("components must be >= 1")
+    if h_frames < components:
+        raise ValueError("history must cover at least one unit")
     return math.ceil(h_frames / components)
 
 
@@ -40,8 +50,6 @@ def select_history(all_past_units: Sequence[np.ndarray], h_frames: int,
     Shorter histories are returned whole; an empty history is a valid cold
     start (the begin token alone conditions the first unit).
     """
-    if h_frames < components:
-        raise ValueError("history must cover at least one unit")
     cap = history_capacity(h_frames, components)
     return [np.asarray(u) for u in all_past_units[-cap:]]
 
@@ -69,6 +77,10 @@ class PredictorConfig:
     latent_width: int = 64    # C of the codec
     num_speakers: int = 2
     history_frames: int = 60
+
+    def __post_init__(self):
+        check_integer(self.components, "components")
+        history_capacity(self.history_frames, self.components)   # raises if bad
 
     @property
     def unit_size(self) -> int:
@@ -98,21 +110,11 @@ class ConditionPredictor:
             for i in range(c.layers)
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
-        self._layouts: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _layout(self, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ALiBi bias, causal mask and alignment mask of a ``length``-row
-        window over its length * H audio rows, built once per length as
-        read-only arrays."""
-        layout = self._layouts.get(length)
-        if layout is None:
-            h = self.config.components
-            layout = (alibi_bias(length, self.config.heads), causal_mask(length),
-                      alignment_mask(length, h))
-            for arr in layout:
-                arr.setflags(write=False)
-            self._layouts[length] = layout
-        return layout
+        rows = c.history_units + 1
+        self._layout = (alibi_bias(rows, c.heads), causal_mask(rows),
+                        alignment_mask(rows, c.components))
+        for arr in self._layout:
+            arr.setflags(write=False)
 
     def __call__(self, window: Sequence[np.ndarray], audio: np.ndarray,
                  style_index: int, every_row: bool = False) -> Tensor:
@@ -127,7 +129,7 @@ class ConditionPredictor:
         covers every op of the call.
         """
         c = self.config
-        units = list(window)
+        units = [np.asarray(u) for u in window]
         if len(units) > c.history_units:
             raise DataError("window exceeds the configured history length")
         audio = np.asarray(audio, dtype=np.float64)
@@ -140,17 +142,20 @@ class ConditionPredictor:
 
         x = self.begin_token
         if units:
-            units = [np.asarray(u) for u in units]
             if any(u.size != c.unit_size for u in units):
                 raise DataError("history unit shape does not match codec config")
             stacked = np.stack([u.reshape(c.unit_size) for u in units])
             x = concat([x, self.unit_embed(as_tensor(stacked))], axis=0)
         x = add(x, self.style.embed(style_index))
 
-        self_bias, self_mask, cross_mask = self._layout(length)
+        bias, causal, aligned = self._layout
+        bias, causal = bias[:, :length, :length], causal[:length, :length]
+        aligned = aligned[:length, :length * c.components]
         memory = self.audio_embed(as_tensor(audio))
         for block in self.blocks[:-1]:
-            x = block(x, memory, self_bias, self_mask, cross_mask)
-        rows = None if every_row else slice(-1, None)
-        x = self.blocks[-1](x, memory, self_bias, self_mask, cross_mask, rows)
+            x = block(x, memory, bias, causal, aligned)
+        rows = None
+        if not every_row:   # the last row reads all of the last H audio rows
+            memory, aligned, rows = memory[-c.components:], None, slice(-1, None)
+        x = self.blocks[-1](x, memory, bias, causal, aligned, rows)
         return checked(self.norm(x), "ConditionPredictor")

@@ -1,11 +1,11 @@
 """Two-stage training through one loop.
 
 Stage 1 fits the motion codec (encoder, decoder, codebook) with the
-reconstruction + quantization objective. Stage 2 freezes the encoder and
-codebook and jointly trains the condition predictor and diffusion head with
-teacher forcing: conditions come from ground-truth latent history, one shared
+reconstruction + quantization objective. Stage 2 freezes the whole codec and
+jointly trains the condition predictor and diffusion head with teacher
+forcing: conditions come from ground-truth latent history, one shared
 timestep is drawn per step, and the predicted units are decoded back to
-vertex space for the geometric losses.
+vertex space by the frozen decoder for the geometric losses.
 
 Both stages run ``_train``: per epoch it takes the learning rate from the
 halving schedule and a seeded permutation of the dataset; per example it
@@ -53,18 +53,19 @@ class TrainConfig:
     lr_halving_interval: int = 20
     weight_decay: float = 0.01
     seed: int = 0
-    finetune_decoder: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
         _check_weight_decay(self.weight_decay)
-        for name in ("stage1_epochs", "stage2_epochs", "lr_halving_interval"):
+        for name in ("stage1_epochs", "stage2_epochs", "lr_halving_interval", "seed"):
             check_integer(getattr(self, name), name.replace("_", " "))
         if min(self.stage1_epochs, self.stage2_epochs,
                self.lr_halving_interval) < 1:
             raise ValueError("epoch counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * (0.5 ** (epoch // self.lr_halving_interval))
@@ -225,22 +226,20 @@ def stage2_loss(z_pred: Tensor, z_target: np.ndarray, x_pred: Tensor,
 def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
                  predictor: ConditionPredictor, head: DiffusionHead,
                  schedule: NoiseSchedule, config: TrainConfig) -> list[dict]:
-    """Joint predictor + head training with a frozen codec encoder.
+    """Joint predictor + head training with a frozen codec.
 
-    The encoder and codebook receive no updates (they are absent from the
-    optimizer and the latent targets are built under no_grad); the decoder
-    joins the optimizer only when ``finetune_decoder`` is set. Without it,
-    the decoder's parameters stop requiring gradients for the call, so no
-    backward computes one, and get their flags back when it returns.
+    Only the predictor and the head are stepped. The encoder and codebook
+    receive no updates (they are absent from the optimizer and the latent
+    targets are built under no_grad), and neither does the decoder: its
+    parameters stop requiring gradients for the call, so no backward
+    computes one, and get their flags back when it returns.
     """
     h = codec.config.components
     if any(ex.motion.shape[0] < h for ex in dataset):
         raise ValueError("sequences shorter than one latent unit")
     params = predictor.store.tensors() + head.store.tensors()
-    decoder = [codec.store[n] for n in codec.decoder_param_names()]
-    if config.finetune_decoder:
-        params += decoder
-    frozen = [] if config.finetune_decoder else [p for p in decoder if p.requires_grad]
+    frozen = [p for p in (codec.store[n] for n in codec.decoder_param_names())
+              if p.requires_grad]
     # the encoder is frozen, so ground-truth latents never change
     all_codes = [codec.encode_quantized(ex.motion) for ex in dataset]
 

@@ -6,7 +6,7 @@ import pytest
 from composed_ops import tsum
 from facestream import predictor as predictor_mod
 from facestream.fileio import DataError
-from facestream.nn import alibi_bias, alibi_slopes, causal_mask
+from facestream.nn import DecoderBlock, alibi_bias, alibi_slopes, causal_mask
 from facestream.predictor import (
     ConditionPredictor,
     PredictorConfig,
@@ -50,6 +50,25 @@ class TestSelectHistory:
     def test_capacity_rounds_up(self):
         assert history_capacity(7, 2) == 4
         assert history_capacity(8, 2) == 4
+
+    def test_no_components_rejected(self):
+        with pytest.raises(ValueError, match="components must be >= 1"):
+            select_history(random_units(2), h_frames=8, components=0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("components", [0, -1, 2.0, 1.5, True])
+    def test_components_must_be_a_positive_integer(self, components):
+        """Zero would build and then divide by zero on every call."""
+        with pytest.raises(ValueError, match="components must be"):
+            tiny_config(components=components)
+
+    def test_history_must_cover_one_unit(self):
+        """A history shorter than one unit builds a predictor that
+        ``select_history`` always refuses."""
+        with pytest.raises(ValueError, match="history must cover at least one unit"):
+            tiny_config(components=4, history_frames=2)
+        assert tiny_config(components=4, history_frames=4).history_units == 1
 
 
 class TestAlibi:
@@ -154,38 +173,65 @@ class TestPredictor:
         with pytest.raises(DataError):
             self.conditions(units, np.zeros((6, 3)))  # wrong feature width
 
-    def test_masks_built_once_per_shape_and_read_only(self, monkeypatch):
+    def test_layout_built_once_at_construction(self, monkeypatch):
+        """The bias and masks are built once each, for history_units + 1
+        rows, when the predictor is made, and never during a forward."""
         built = []
-        for name in ("causal_mask", "alignment_mask"):
+        for name in ("alibi_bias", "causal_mask", "alignment_mask"):
             make = getattr(predictor_mod, name)
             monkeypatch.setattr(predictor_mod, name,
-                                lambda *a, make=make, name=name: built.append(name) or make(*a))
-        units = random_units(2, seed=3)
-        audio = np.random.default_rng(4).normal(size=(6, 4))
-        first = self.conditions(units, audio)
-        np.testing.assert_array_equal(self.conditions(units, audio), first)
-        assert built == ["causal_mask", "alignment_mask"]
-        self.conditions(units, np.vstack([audio, audio[:1]]))   # one more audio row
-        assert built == ["causal_mask", "alignment_mask"]
-        bias, self_mask, cross_mask = self.model._layout(3)
-        np.testing.assert_array_equal(bias, alibi_bias(3, self.cfg.heads))
-        np.testing.assert_array_equal(self_mask, causal_mask(3))
-        np.testing.assert_array_equal(cross_mask, alignment_mask(3, 2))
-        assert not any(a.flags.writeable for a in (bias, self_mask, cross_mask))
+                                lambda *a, make=make, name=name:
+                                built.append((name, a[0])) or make(*a))
+        model = ConditionPredictor(self.cfg, seed=0)
+        rows = self.cfg.history_units + 1
+        assert built == [("alibi_bias", rows), ("causal_mask", rows),
+                         ("alignment_mask", rows)]
+        audio = np.random.default_rng(4).normal(size=(rows * 2, 4))
+        with no_grad():
+            for n in range(rows):
+                for every_row in (False, True):
+                    model(random_units(n, seed=n), audio, 0, every_row=every_row)
+        assert len(built) == 3
 
-    def test_trailing_audio_is_dropped_and_keeps_one_layout(self):
-        """Trailing audio changes no condition and adds no kept layout, however
-        many lengths of it the calls pass."""
+    def test_each_length_reads_its_layout_read_only(self, monkeypatch):
+        """For every window length, each block gets the per-length bias and
+        masks, as read-only arrays."""
+        seen = []
+        call = DecoderBlock.__call__
+
+        def recording_call(self, x, memory, *layout_and_rows):
+            seen.append(layout_and_rows[:3])
+            return call(self, x, memory, *layout_and_rows)
+
+        monkeypatch.setattr(DecoderBlock, "__call__", recording_call)
+        h = self.cfg.components
+        audio = np.random.default_rng(4).normal(size=((self.cfg.history_units + 1) * h, 4))
+        for length in range(1, self.cfg.history_units + 2):
+            seen.clear()
+            self.conditions(random_units(length - 1, seed=length), audio)
+            [(bias, self_mask, cross_mask)] = seen
+            np.testing.assert_array_equal(bias, alibi_bias(length, self.cfg.heads))
+            np.testing.assert_array_equal(self_mask, causal_mask(length))
+            np.testing.assert_array_equal(cross_mask, alignment_mask(length, h))
+            assert not any(a.flags.writeable for a in (bias, self_mask, cross_mask))
+
+    def test_trailing_audio_is_dropped(self):
+        """Trailing audio changes no condition, however many rows of it the
+        calls pass."""
         units = random_units(2, seed=5)
         audio = np.random.default_rng(6).normal(size=(6 + 50, 4))
         want = self.conditions(units, audio[:6])
+        with no_grad():
+            want_next = self.model(units, audio[:6], 0).data
         for tail in range(1, 51):
             np.testing.assert_array_equal(self.conditions(units, audio[:6 + tail]), want)
-        assert list(self.model._layouts) == [3]
+            with no_grad():
+                np.testing.assert_array_equal(
+                    self.model(units, audio[:6 + tail], 0).data, want_next)
 
     def test_underrun_raises_on_every_call(self):
-        """A shape that underruns is never kept, so it raises each time, also
-        after the same window length ran with enough audio."""
+        """An underrun raises on each call, also after the same window
+        length ran with enough audio."""
         units = random_units(2, seed=11)
         audio = np.random.default_rng(12).normal(size=(6, 4))
         want = self.conditions(units, audio)
