@@ -1,10 +1,9 @@
-"""Audio feature frontend and style embedding.
+"""Audio feature frontend.
 
 The frontend stands in for a pretrained speech encoder: log filterbank
 energies over 25 ms windows hopped at the motion frame rate, followed by a
 seed-locked random projection. It is deterministic and has no trainable
-state. The style encoder is the one learned piece: a linear embedding of the
-one-hot speaker identity.
+state.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor import ParamStore, Tensor, take_rows
-from .nn import normal_init
 
 WINDOW_SECONDS = 0.025
 LOG_FLOOR = 1e-10
@@ -109,22 +105,3 @@ class FeatureExtractor:
         spectrum = np.abs(np.fft.rfft(frames * hann, n=n_fft, axis=1))
         energies = np.log(spectrum @ bank.T + LOG_FLOOR)
         return AudioFeatureSequence(energies @ self.projection, target_rate)
-
-
-class StyleEncoder:
-    """Linear embedding of the one-hot speaker vector: row k of a K x C table."""
-
-    def __init__(self, store: ParamStore, name: str, num_speakers: int, width: int,
-                 rng: np.random.Generator):
-        if num_speakers < 1:
-            raise ValueError("need at least one speaker")
-        self.num_speakers = num_speakers
-        self.table = store.create(f"{name}.table",
-                                  normal_init(rng, (num_speakers, width)))
-
-    def embed(self, speaker_index: int) -> Tensor:
-        """Tensor row for training graphs; shape (1, width)."""
-        if not 0 <= speaker_index < self.num_speakers:
-            raise ValueError(f"speaker index {speaker_index} out of range "
-                             f"[0, {self.num_speakers})")
-        return take_rows(self.table, np.array([speaker_index]))

@@ -11,12 +11,12 @@ estimator so encoder gradients pass the quantizer unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fileio import DataError, check_integer
-from .nn import EncoderBlock, LayerNorm, Linear, normal_init, sinusoid_table
+from .fileio import DataError, check_count, check_integer
+from .nn import Block, LayerNorm, Linear, normal_init, sinusoid_table
 from .tensor import (
     ParamStore,
     Tensor,
@@ -74,10 +74,11 @@ class CodecConfig:
     ff: int = 128
 
     def __post_init__(self):
-        if self.codebook_size < 1:
-            raise ValueError("codebook must be non-empty")
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
+        for field in fields(self):
+            check_count(getattr(self, field.name), field.name)
+        if self.width % 2:
+            raise ValueError(f"width must be even for the sinusoid positions, "
+                             f"got {self.width}")
 
 
 def pad_to_units(frames: np.ndarray, components: int) -> np.ndarray:
@@ -118,14 +119,14 @@ class MotionCodec:
         c = config
         self.frame_embed = Linear(self.store, "enc.embed", c.vertices * 3, c.width, rng)
         self.enc_blocks = [
-            EncoderBlock(self.store, f"enc.block{i}", c.width, c.heads, c.ff, rng)
+            Block(self.store, f"enc.block{i}", c.width, c.heads, c.ff, rng)
             for i in range(c.layers)
         ]
         self.enc_norm = LayerNorm(self.store, "enc.norm", c.width)
         self.codebook = self.store.create(
             "codebook", normal_init(rng, (c.codebook_size, c.width)))
         self.dec_blocks = [
-            EncoderBlock(self.store, f"dec.block{i}", c.width, c.heads, c.ff, rng)
+            Block(self.store, f"dec.block{i}", c.width, c.heads, c.ff, rng)
             for i in range(c.layers)
         ]
         self.dec_norm = LayerNorm(self.store, "dec.norm", c.width)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import DataError, check_integer
+from .fileio import DataError, check_count, check_integer
 from .nn import Linear, glorot_uniform, sinusoid_table
 from .tensor import (
     ParamStore,
@@ -108,6 +108,11 @@ class DiffusionHead:
 
     def __init__(self, unit_shape: tuple[int, int], cond_width: int, hidden: int,
                  num_steps: int, seed: int = 0):
+        length, width = unit_shape   # ValueError unless two entries
+        for name, value in (("unit_shape[0]", length), ("unit_shape[1]", width),
+                            ("cond_width", cond_width), ("hidden", hidden),
+                            ("num_steps", num_steps)):
+            check_count(value, name)
         if cond_width % 2:
             raise ValueError(f"cond_width must be even for the sinusoid "
                              f"timestep features, got {cond_width}")
@@ -116,7 +121,7 @@ class DiffusionHead:
         self.num_steps = num_steps
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-        unit_size = unit_shape[0] * unit_shape[1]
+        unit_size = length * width
         self.time_proj = Linear(self.store, "time", cond_width, cond_width, rng)
         w1 = glorot_uniform(rng, unit_size + 2 * cond_width, hidden)
         self.wz = self.store.create("lin1.wz", w1[:unit_size])

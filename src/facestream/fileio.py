@@ -43,6 +43,13 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_count(value, name: str) -> None:
+    """Reject anything but an integer >= 1 (``check_integer``, then the bound)."""
+    check_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 def _unpack(fmt: str, raw: bytes, offset: int, path) -> tuple:
     """``struct.unpack_from`` that reports a short buffer as ``DataError``."""
     try:

@@ -1,8 +1,9 @@
 """Transformer building blocks on top of the tape engine.
 
-Pre-norm residual blocks, multi-head attention with additive bias and boolean
-masks, sinusoidal positions, and the ALiBi slope/bias tables used by the
-condition predictor.
+One pre-norm residual block (self-attention, optional cross-attention,
+feed-forward) that the codec and the condition predictor both stack,
+multi-head attention with additive bias and boolean masks, sinusoidal
+positions, and the ALiBi slope/bias tables used by the condition predictor.
 """
 
 from __future__ import annotations
@@ -131,48 +132,42 @@ class FeedForward:
         return feed_forward(x, self.lin1.w, self.lin1.b, self.lin2.w, self.lin2.b)
 
 
-class EncoderBlock:
-    """Pre-norm self-attention + feed-forward residual block."""
-
-    def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
-                 d_ff: int, rng: np.random.Generator):
-        self.ln1 = LayerNorm(store, f"{name}.ln1", d_model)
-        self.attn = MultiHeadAttention(store, f"{name}.attn", d_model, num_heads, rng)
-        self.ln2 = LayerNorm(store, f"{name}.ln2", d_model)
-        self.ff = FeedForward(store, f"{name}.ff", d_model, d_ff, rng)
-
-    def __call__(self, x: Tensor, bias=None, mask=None) -> Tensor:
-        h = self.ln1(x)
-        x = add(x, self.attn(h, h, bias=bias, mask=mask))
-        return add(x, self.ff(self.ln2(x)))
-
-
-class DecoderBlock:
-    """Pre-norm block: biased causal self-attention, cross-attention, feed-forward.
+class Block:
+    """Pre-norm residual block: biased self-attention, then cross-attention
+    over ``memory`` when built with ``cross``, then feed-forward.
 
     ``rows``, a slice of the query rows, computes only those output rows:
-    self-attention keys and values still come from every row of ``x``. The
-    caller restricts ``memory`` and ``cross_mask`` to what the selected rows
-    read. A stack can pass it to its last block when only some rows are read.
+    self-attention keys and values still come from every row of ``x``, and
+    ``bias`` and ``mask`` must be given. The caller restricts ``memory`` and
+    ``cross_mask`` to what the selected rows read. A stack can pass it to its
+    last block when only some rows are read.
+
+    Parameter names follow the sublayers: the norms are ``ln1``, ``ln2``, …
+    in sublayer order, and the self-attention is ``attn`` in a block with one
+    attention and ``self_attn`` next to ``cross_attn``. These are the names
+    saved checkpoints hold, so both kinds load.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
-                 d_ff: int, rng: np.random.Generator):
+                 d_ff: int, rng: np.random.Generator, cross: bool = False):
         self.ln1 = LayerNorm(store, f"{name}.ln1", d_model)
-        self.self_attn = MultiHeadAttention(store, f"{name}.self_attn", d_model,
-                                            num_heads, rng)
-        self.ln2 = LayerNorm(store, f"{name}.ln2", d_model)
-        self.cross_attn = MultiHeadAttention(store, f"{name}.cross_attn", d_model,
-                                             num_heads, rng)
-        self.ln3 = LayerNorm(store, f"{name}.ln3", d_model)
+        self.self_attn = MultiHeadAttention(
+            store, f"{name}.{'self_attn' if cross else 'attn'}", d_model, num_heads, rng)
+        self.cross_attn = None
+        if cross:
+            self.ln_cross = LayerNorm(store, f"{name}.ln2", d_model)
+            self.cross_attn = MultiHeadAttention(store, f"{name}.cross_attn", d_model,
+                                                 num_heads, rng)
+        self.ln_ff = LayerNorm(store, f"{name}.ln{3 if cross else 2}", d_model)
         self.ff = FeedForward(store, f"{name}.ff", d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, memory: Tensor, self_bias, self_mask,
-                 cross_mask, rows: slice | None = None) -> Tensor:
+    def __call__(self, x: Tensor, bias=None, mask=None, memory: Tensor | None = None,
+                 cross_mask=None, rows: slice | None = None) -> Tensor:
         q = h = self.ln1(x)
         if rows is not None:
             q, x = h[rows], x[rows]
-            self_bias, self_mask = self_bias[:, rows], self_mask[rows]
-        x = add(x, self.self_attn(q, h, bias=self_bias, mask=self_mask))
-        x = add(x, self.cross_attn(self.ln2(x), memory, mask=cross_mask))
-        return add(x, self.ff(self.ln3(x)))
+            bias, mask = bias[:, rows], mask[rows]
+        x = add(x, self.self_attn(q, h, bias=bias, mask=mask))
+        if self.cross_attn is not None:
+            x = add(x, self.cross_attn(self.ln_cross(x), memory, mask=cross_mask))
+        return add(x, self.ff(self.ln_ff(x)))

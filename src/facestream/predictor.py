@@ -6,7 +6,9 @@ cross-attention stage reads audio features under a block alignment mask that
 gives each unit exactly its own H motion frames of audio. The output row at
 position i is the condition vector used to generate unit i: position 0 (the
 begin token) conditions the first window unit, and the final row conditions
-the next, not-yet-generated unit.
+the next, not-yet-generated unit. The predictor owns the speaker table: the
+style of speaker k is row k of its ``style.table`` parameter, added to every
+input row.
 
 The attention layout (ALiBi bias, causal and alignment masks) is built once,
 read-only, for the longest window; a shorter window's layout is its top-left
@@ -22,15 +24,14 @@ reads in full. Teacher-forced stage-2 training makes the same call with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .audio import StyleEncoder
-from .fileio import DataError, check_integer
-from .nn import DecoderBlock, LayerNorm, Linear, alibi_bias, causal_mask, normal_init
-from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat
+from .fileio import DataError, check_count, check_integer
+from .nn import Block, LayerNorm, Linear, alibi_bias, causal_mask, normal_init
+from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat, take_rows
 
 
 def history_capacity(h_frames: int, components: int) -> int:
@@ -79,7 +80,8 @@ class PredictorConfig:
     history_frames: int = 60
 
     def __post_init__(self):
-        check_integer(self.components, "components")
+        for field in fields(self):
+            check_count(getattr(self, field.name), field.name)
         history_capacity(self.history_frames, self.components)   # raises if bad
 
     @property
@@ -104,9 +106,10 @@ class ConditionPredictor:
                                   c.hidden, rng)
         self.begin_token = self.store.create("begin_token",
                                              normal_init(rng, (1, c.hidden)))
-        self.style = StyleEncoder(self.store, "style", c.num_speakers, c.hidden, rng)
+        self.style_table = self.store.create(
+            "style.table", normal_init(rng, (c.num_speakers, c.hidden)))
         self.blocks = [
-            DecoderBlock(self.store, f"block{i}", c.hidden, c.heads, c.ff, rng)
+            Block(self.store, f"block{i}", c.hidden, c.heads, c.ff, rng, cross=True)
             for i in range(c.layers)
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
@@ -122,13 +125,18 @@ class ConditionPredictor:
         computing only that row; with ``every_row``, all the condition rows,
         (len(window) + 1, hidden), one per window unit plus the next unit's.
 
-        ``audio`` must hold at least (len(window) + 1) * H frames starting at
-        the window's first motion frame, else ``DataError``; trailing audio
-        past those frames is dropped before any work, not masked. Off the
-        tape the result is checked for finiteness once (``checked``), which
-        covers every op of the call.
+        ``style_index`` must be an integer in [0, num_speakers), else
+        ``ValueError``. ``audio`` must hold at least (len(window) + 1) * H
+        frames starting at the window's first motion frame, else
+        ``DataError``; trailing audio past those frames is dropped before
+        any work, not masked. Off the tape the result is checked for
+        finiteness once (``checked``), which covers every op of the call.
         """
         c = self.config
+        check_integer(style_index, "speaker index")
+        if not 0 <= style_index < c.num_speakers:
+            raise ValueError(f"speaker index {style_index} out of range "
+                             f"[0, {c.num_speakers})")
         units = [np.asarray(u) for u in window]
         if len(units) > c.history_units:
             raise DataError("window exceeds the configured history length")
@@ -146,16 +154,16 @@ class ConditionPredictor:
                 raise DataError("history unit shape does not match codec config")
             stacked = np.stack([u.reshape(c.unit_size) for u in units])
             x = concat([x, self.unit_embed(as_tensor(stacked))], axis=0)
-        x = add(x, self.style.embed(style_index))
+        x = add(x, take_rows(self.style_table, np.array([style_index])))
 
         bias, causal, aligned = self._layout
         bias, causal = bias[:, :length, :length], causal[:length, :length]
         aligned = aligned[:length, :length * c.components]
         memory = self.audio_embed(as_tensor(audio))
         for block in self.blocks[:-1]:
-            x = block(x, memory, bias, causal, aligned)
+            x = block(x, bias, causal, memory, aligned)
         rows = None
         if not every_row:   # the last row reads all of the last H audio rows
             memory, aligned, rows = memory[-c.components:], None, slice(-1, None)
-        x = self.blocks[-1](x, memory, bias, causal, aligned, rows)
+        x = self.blocks[-1](x, bias, causal, memory, aligned, rows)
         return checked(self.norm(x), "ConditionPredictor")

@@ -1,11 +1,10 @@
-"""Audio frontend tests: frame-count law, rate checks, style embedding."""
+"""Audio frontend tests: frame-count law, rate checks."""
 
 import numpy as np
 import pytest
 
 from facestream import audio
-from facestream.audio import AudioFeatureSequence, FeatureExtractor, StyleEncoder
-from facestream.tensor import ParamStore
+from facestream.audio import AudioFeatureSequence, FeatureExtractor
 
 
 class TestFeatureExtractor:
@@ -82,29 +81,3 @@ class TestAudioFeatureSequence:
         with pytest.raises(ValueError, match="feature rate must be finite and positive"):
             AudioFeatureSequence(np.zeros((2, 3)), rate)
 
-
-class TestStyleEncoder:
-    def make(self, k=3, width=6, seed=0):
-        store = ParamStore()
-        enc = StyleEncoder(store, "style", k, width,
-                           np.random.default_rng(seed))
-        return enc
-
-    def test_embedding_is_table_row(self):
-        enc = self.make()
-        np.testing.assert_array_equal(enc.embed(1).data[0], enc.table.data[1])
-
-    def test_distinct_speakers_distinct_embeddings(self):
-        enc = self.make()
-        assert not np.array_equal(enc.embed(0).data[0], enc.embed(2).data[0])
-
-    def test_single_speaker_constant(self):
-        enc = self.make(k=1)
-        np.testing.assert_array_equal(enc.embed(0).data[0], enc.table.data[0])
-
-    def test_out_of_range_rejected(self):
-        enc = self.make(k=2)
-        with pytest.raises(ValueError):
-            enc.embed(2)
-        with pytest.raises(ValueError):
-            enc.embed(-1)

@@ -82,6 +82,22 @@ class TestQuantizer:
             quantize(np.zeros((1, 1, 3)), np.zeros((4, 5)))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["vertices", "width", "codebook_size",
+                                       "components", "layers", "heads", "ff"])
+    @pytest.mark.parametrize("value", [0, -1, 2.0, 2.5, True])
+    def test_counts_must_be_positive_integers(self, field, value):
+        """``components=2.0`` used to leak numpy's ``TypeError`` and
+        ``layers=-1`` to build a codec with no blocks."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            CodecConfig(**{field: value})
+
+    def test_odd_width_rejected_at_construction(self):
+        """An odd width used to fail only at the first encode."""
+        with pytest.raises(ValueError, match="width must be even"):
+            CodecConfig(width=7)
+
+
 class TestPadding:
     def test_aligned_input_unchanged(self):
         x = np.random.default_rng(0).normal(size=(6, 4, 3))

@@ -1,5 +1,7 @@
 """Diffusion head tests: schedule laws, forward-noise law, DDIM oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,21 @@ class TestHead:
     def test_odd_cond_width_rejected(self):
         with pytest.raises(ValueError):
             DiffusionHead((2, 4), cond_width=5, hidden=8, num_steps=50)
+
+    @pytest.mark.parametrize("field", ["unit_shape[0]", "unit_shape[1]", "cond_width",
+                                       "hidden", "num_steps"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True])
+    def test_counts_must_be_positive_integers(self, field, value):
+        """``num_steps=1.5`` and ``unit_shape=(0, 4)`` used to build."""
+        args = {"unit_shape[0]": 2, "unit_shape[1]": 4, "cond_width": 6, "hidden": 8,
+                "num_steps": 50, field: value}
+        unit_shape = (args.pop("unit_shape[0]"), args.pop("unit_shape[1]"))
+        with pytest.raises(ValueError, match=re.escape(field) + " must be"):
+            DiffusionHead(unit_shape, **args)
+
+    def test_unit_shape_needs_two_entries(self):
+        with pytest.raises(ValueError):
+            DiffusionHead((2, 4, 1), cond_width=6, hidden=8, num_steps=50)
 
     def test_time_embedding_sinusoid_structure(self):
         head = self.make_head()

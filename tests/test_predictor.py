@@ -1,4 +1,4 @@
-"""Condition predictor tests: history selection, ALiBi, masks, causality."""
+"""Condition predictor tests: history selection, ALiBi, masks, causality, style."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from composed_ops import tsum
 from facestream import predictor as predictor_mod
 from facestream.fileio import DataError
-from facestream.nn import DecoderBlock, alibi_bias, alibi_slopes, causal_mask
+from facestream.nn import Block, alibi_bias, alibi_slopes, causal_mask
 from facestream.predictor import (
     ConditionPredictor,
     PredictorConfig,
@@ -69,6 +69,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="history must cover at least one unit"):
             tiny_config(components=4, history_frames=2)
         assert tiny_config(components=4, history_frames=4).history_units == 1
+
+    @pytest.mark.parametrize("field", ["hidden", "heads", "layers", "ff", "audio_width",
+                                       "latent_width", "num_speakers", "history_frames"])
+    @pytest.mark.parametrize("value", [0, -1, 5.5, True])
+    def test_counts_must_be_positive_integers(self, field, value):
+        """``layers=0`` used to build a predictor whose every call raised
+        ``IndexError``, and ``history_frames=5.5`` was accepted."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            tiny_config(**{field: value})
 
 
 class TestAlibi:
@@ -197,13 +206,13 @@ class TestPredictor:
         """For every window length, each block gets the per-length bias and
         masks, as read-only arrays."""
         seen = []
-        call = DecoderBlock.__call__
+        call = Block.__call__
 
-        def recording_call(self, x, memory, *layout_and_rows):
-            seen.append(layout_and_rows[:3])
-            return call(self, x, memory, *layout_and_rows)
+        def recording_call(self, x, bias, mask, memory, cross_mask, *rows):
+            seen.append((bias, mask, cross_mask))
+            return call(self, x, bias, mask, memory, cross_mask, *rows)
 
-        monkeypatch.setattr(DecoderBlock, "__call__", recording_call)
+        monkeypatch.setattr(Block, "__call__", recording_call)
         h = self.cfg.components
         audio = np.random.default_rng(4).normal(size=((self.cfg.history_units + 1) * h, 4))
         for length in range(1, self.cfg.history_units + 2):
@@ -252,6 +261,66 @@ class TestPredictor:
         with pytest.raises(DataError, match="history unit shape"):
             with no_grad():
                 self.model(units, np.zeros((6, 4)), 0)
+
+
+class TestStyle:
+    """Speaker k's style is row k of the ``style.table`` parameter, which the
+    call adds to every input row."""
+
+    def setup_method(self):
+        self.cfg = tiny_config(num_speakers=3)
+        self.model = ConditionPredictor(self.cfg, seed=0)
+        self.units = random_units(2, seed=14)
+        self.audio = np.random.default_rng(15).normal(size=(6, 4))
+
+    def conditions(self, style, model=None):
+        with no_grad():
+            model = model or self.model
+            return model(self.units, self.audio, style, every_row=True).data
+
+    def test_style_row_is_table_row(self):
+        """Speaker k gives what speaker 0 gives once the table's row 0
+        holds row k."""
+        table = self.model.store["style.table"].data
+        for k in range(self.cfg.num_speakers):
+            other = ConditionPredictor(self.cfg, seed=0)
+            other.store["style.table"].data[0] = table[k]
+            np.testing.assert_array_equal(self.conditions(0, other), self.conditions(k))
+
+    def test_distinct_speakers_distinct_rows(self):
+        out = [self.conditions(k) for k in range(self.cfg.num_speakers)]
+        for a in range(len(out)):
+            for b in range(a):
+                assert np.abs(out[a] - out[b]).max() > 0
+
+    def test_single_speaker_accepts_only_index_zero(self):
+        model = ConditionPredictor(tiny_config(num_speakers=1), seed=0)
+        assert self.conditions(0, model).shape == (3, self.cfg.hidden)
+        with pytest.raises(ValueError, match=r"speaker index 1 out of range \[0, 1\)"):
+            self.conditions(1, model)
+
+    def test_out_of_range_rejected(self):
+        for index in (-1, self.cfg.num_speakers):
+            with pytest.raises(ValueError, match="out of range"):
+                self.conditions(index)
+            with pytest.raises(ValueError, match="out of range"), no_grad():
+                self.model(self.units, self.audio, index)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
+    def test_non_integer_rejected(self, index):
+        with pytest.raises(ValueError, match="speaker index must be an integer"):
+            self.conditions(index)
+
+    def test_numpy_integer_accepted(self):
+        np.testing.assert_array_equal(self.conditions(np.int64(2)), self.conditions(2))
+
+    def test_gradient_reaches_only_the_speakers_row(self):
+        table = self.model.store["style.table"]
+        for k in range(self.cfg.num_speakers):
+            self.model.store.zero_grads()
+            tsum(self.model(self.units, self.audio, k, every_row=True)).backward()
+            assert np.abs(table.grad[k]).max() > 0
+            np.testing.assert_array_equal(np.delete(table.grad, k, axis=0), 0.0)
 
 
 def _rel_err(a, b):

@@ -1,10 +1,10 @@
 """The library surface holds only what the library runs.
 
-Every top-level function of the checked modules must be referenced outside
-its own definition, somewhere in ``src/facestream/`` or in the benchmark
-under ``perfbench/``, which calls the library as a user would; so a function
-that only tests call fails here instead of growing the surface back. A name
-exported from ``__init__.py`` counts as referenced.
+Every top-level function and class of the checked modules must be
+referenced outside its own definition, somewhere in ``src/facestream/`` or in
+the benchmark under ``perfbench/``, which calls the library as a user would;
+so a function or class that only tests use fails here instead of growing the
+surface back. A name exported from ``__init__.py`` counts as referenced.
 """
 
 import ast
@@ -67,10 +67,11 @@ def test_every_checked_function_is_used():
     unused = []
     for module in CHECKED:
         path = PACKAGE / f"{module}.py"
-        for fn in trees[path].body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name in exported:
+        for defn in trees[path].body:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) \
+                    or defn.name in exported:
                 continue
-            if not any(fn.name in names for where, node, names in reads
-                       if not (where == path and node is fn)):
-                unused.append(f"{module}.{fn.name}")
+            if not any(defn.name in names for where, node, names in reads
+                       if not (where == path and node is defn)):
+                unused.append(f"{module}.{defn.name}")
     assert unused == [], f"defined but not used in src/facestream/ or perfbench/: {unused}"
