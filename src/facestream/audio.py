@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import check_count
+
 WINDOW_SECONDS = 0.025
 LOG_FLOOR = 1e-10
 NUM_FILTERS = 24   # mel filterbank channels before the projection
@@ -72,10 +74,12 @@ class FeatureExtractor:
     """Log filterbank energies + a fixed random projection to ``width`` dims.
 
     The projection matrix is drawn once from ``seed``; identical waveforms
-    always produce identical features.
+    always produce identical features. ``width`` must be an integer >= 1
+    (``ValueError`` otherwise).
     """
 
     def __init__(self, width: int = 16, seed: int = 0):
+        check_count(width, "width")
         rng = np.random.default_rng(seed)
         self.projection = rng.normal(size=(NUM_FILTERS, width)) / np.sqrt(NUM_FILTERS)
         self._tables: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}

@@ -21,10 +21,13 @@ Only leaves keep a ``grad`` after ``backward``; an op node frees its own.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
 so no layout node reaches the tape. ``attention`` scales, biases and
-normalises its scores in one buffer, and its backward builds the score
-gradient in one more, taking the softmax row term from the (L_q, d) output
-instead of an (L_q, L_k) product. A gradient's first write is one pass,
-``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``. The
+normalises its scores in one buffer. Its backward works one cache-sized
+block of heads at a time, building each block's score gradient in one
+buffer and taking the softmax row term from the (L_q, d) output instead of
+an (L_q, L_k) product. A gradient's first write is one pass, ``g + 0.0``:
+the values, dtype and signed zeros of ``zeros + g``. An op hands over an
+array it built for one parent, which then keeps it and writes that pass in
+place; whatever may be a view of another gradient is copied. The
 finite check, softmax, ``layer_norm`` and the attention row sums call the
 ufuncs' ``reduce`` directly: the ``ndarray`` methods run the same reductions
 behind a Python frame, a cost that shows on the many small arrays of a unit.
@@ -41,6 +44,10 @@ from scipy.special import erf as _erf
 from .fileio import DataError
 
 LAYER_NORM_EPS = 1e-5   # added to the variance before the inverse square root
+# Attention's backward works on as many heads at a time as fit one score
+# block of this size: the block's softmax weights and its score gradient
+# together then fill half of a 2 MiB per-core L2 cache.
+_SCORE_BLOCK_BYTES = 512 * 1024
 
 
 class NonFiniteError(ArithmeticError):
@@ -51,7 +58,16 @@ _tape_enabled = True
 
 
 class no_grad:
-    """Context manager that disables tape recording (inference mode)."""
+    """Context manager that disables tape recording (inference mode).
+
+    Off the tape the ops do not check their outputs: a non-finite value
+    flows on to the model call's ``checked``, which raises
+    ``NonFiniteError``. On the way numpy may emit ``RuntimeWarning``s for
+    overflow (``over``) and for ``inf - inf`` or ``inf * 0`` (``invalid``).
+    A caller that turns warnings into errors must ignore those two, for
+    example under ``np.errstate(over="ignore", invalid="ignore")``, to see
+    ``NonFiniteError``.
+    """
 
     def __enter__(self):
         global _tape_enabled
@@ -106,11 +122,20 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
+    def _accumulate(self, g: np.ndarray, own: bool = False) -> None:
+        """Add ``g`` into ``grad``. The first write is ``g + 0.0``: the
+        values, dtype and signed zeros of ``zeros + g``. An op that built
+        ``g`` for this tensor alone hands it over with ``own=True``; a first
+        ``g`` of this tensor's shape and dtype is then written in place and
+        kept instead of copied. Anything that may be a view of another
+        gradient, such as the upstream one an identity passes on, is copied.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif own and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = np.add(g, 0.0, out=g)
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
     def backward(self) -> None:
         """Reverse sweep from a scalar; accumulates into reachable leaves' ``grad``s."""
@@ -202,7 +227,13 @@ def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Te
 def checked(t, where: str):
     """``t``, a tensor or an array, with its array checked for finiteness;
     ``NonFiniteError`` names ``where``. A tensor on the tape is not checked
-    again: ``_node`` checked it as it recorded it."""
+    again: ``_node`` checked it as it recorded it.
+
+    Off the tape, the ops that made ``t`` may already have emitted numpy's
+    ``RuntimeWarning``s (``over``, ``invalid``) for the non-finite value this
+    check reports. Under warnings turned into errors, ignore both to get
+    ``NonFiniteError`` (see ``no_grad``).
+    """
     if not isinstance(t, Tensor):
         return _check_finite(t, where)
     if not t.requires_grad:
@@ -285,7 +316,7 @@ def take_slice(a, key) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[key] = g
-            a._accumulate(full)
+            a._accumulate(full, own=True)
 
     return _node(out, (a,), backward, "slice")
 
@@ -302,7 +333,7 @@ def take_rows(table, indices) -> Tensor:
         if table.requires_grad:
             gt = np.zeros_like(table.data)
             np.add.at(gt, idx, g)
-            table._accumulate(gt)
+            table._accumulate(gt, own=True)
 
     return _node(out, (table,), backward, "take_rows")
 
@@ -360,13 +391,14 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
                      wants_x: bool) -> np.ndarray | None:
     """Accumulate the gradients of ``_affine(x, w.data, b.data)`` under the
     upstream ``g`` into ``w`` and ``b``; return the gradient of ``x`` if
-    ``wants_x``."""
+    ``wants_x``, a new array the caller may hand over. ``w``'s product is
+    handed over; ``b``'s may be ``g`` itself, so it is not."""
     if b.requires_grad:
         b._accumulate(_unbroadcast(g, b.data.shape))
     g = _unbroadcast(g, x.shape[:-1] + g.shape[-1:])   # sum what b broadcast x along
     gx = g @ w.data.T if wants_x else None
     if w.requires_grad:
-        w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.data.shape))
+        w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.data.shape), own=True)
     return gx
 
 
@@ -389,7 +421,7 @@ def linear(x, w, b) -> Tensor:
     def backward(g):
         gx = _affine_backward(g, x.data, w, b, x.requires_grad)
         if gx is not None:
-            x._accumulate(gx)
+            x._accumulate(gx, own=True)
 
     return _node(out, (x, w, b), backward, "linear")
 
@@ -426,7 +458,7 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
             gx = _affine_backward(g * (cdf + pre * pdf), x.data, w1, b1,
                                   x.requires_grad)
             if gx is not None:
-                x._accumulate(gx)
+                x._accumulate(gx, own=True)
 
     return _node(out, parents, backward, "feed_forward")
 
@@ -474,8 +506,14 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     softmax's row term sum_j dW_ij W_ij equals sum_d dO_id O_id (the
     identity FlashAttention uses), so the score gradient W * (dO Vᵀ - rowsum)
     is built in place in the one array dO Vᵀ, and 1/sqrt(d) scales the
-    (L, d) query and key products instead of it. No score gradient is made
-    when neither q nor k needs one.
+    (L, d) query and key products instead of it. The backward runs over
+    groups of heads, as many as fit one (..., group, L_q, L_k) score block
+    of ``_SCORE_BLOCK_BYTES``: each group's value gradient, score gradient
+    and query and key gradients are made while its weights are in cache,
+    into (..., heads, L, d) arrays that are handed over to q, k and v.
+    Heads are independent, so the gradients equal those of all heads at
+    once bit for bit, and no (..., heads, L_q, L_k) score gradient is
+    made. No score gradient is made when neither q nor k needs one.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.shape[-1] != k.data.shape[-1]:
@@ -496,24 +534,48 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
 
     def backward(g):
         gh = _split_heads(g, heads)
-        if v.requires_grad:
-            gv = np.swapaxes(weights, -1, -2) @ gh
-            v._accumulate(_merge_heads(_unbroadcast(gv, vs.shape)))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        # the softmax row term comes from the output's array (its tensor would
-        # make a reference cycle) in the heads' layout
-        gs = gh @ np.swapaxes(vs, -1, -2)
-        gs -= np.add.reduce(_split_heads(g * out, heads), axis=-1, keepdims=True)
-        gs *= weights
-        if q.requires_grad:
-            gq = _unbroadcast(gs @ ks, qs.shape)
+        batch, dtype = gh.shape[:-3], np.result_type(gh, weights, vs)
+        q_len, k_len = weights.shape[-2:]
+
+        def grad_array(wanted, rows, width):
+            return np.empty(batch + (heads, rows, width), dtype) if wanted else None
+
+        gv = grad_array(v.requires_grad, k_len, vs.shape[-1])
+        gq = grad_array(q.requires_grad, q_len, qs.shape[-1])
+        gk = grad_array(k.requires_grad, k_len, ks.shape[-1])
+        head_bytes = math.prod(batch) * q_len * k_len * dtype.itemsize
+        group = max(1, _SCORE_BLOCK_BYTES // max(head_bytes, 1))
+        gs = None
+        if gq is not None or gk is not None:
+            gs = np.empty(batch + (min(group, heads), q_len, k_len), dtype)
+            # the softmax row term comes from the output's array (its tensor
+            # would make a reference cycle) in the heads' layout
+            row = np.add.reduce(_split_heads(g * out, heads), axis=-1, keepdims=True)
+        for start in range(0, heads, group):
+            h = np.s_[..., start:start + group, :, :]
+            w = weights[h]
+            if gv is not None:
+                np.matmul(np.swapaxes(w, -1, -2), gh[h], out=gv[h])
+            if gs is None:
+                continue
+            s = gs[..., :w.shape[-3], :, :]
+            np.matmul(gh[h], np.swapaxes(vs[h], -1, -2), out=s)
+            s -= row[h]
+            s *= w
+            if gq is not None:
+                np.matmul(s, ks[h], out=gq[h])
+            if gk is not None:
+                np.matmul(np.swapaxes(s, -1, -2), qs[h], out=gk[h])
+        if gv is not None:
+            v._accumulate(_merge_heads(_unbroadcast(gv, vs.shape)), own=True)
+        if gq is not None:
+            gq = _unbroadcast(gq, qs.shape)
             gq *= scale
-            q._accumulate(_merge_heads(gq))
-        if k.requires_grad:
-            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qs, ks.shape)
+            q._accumulate(_merge_heads(gq), own=True)
+        if gk is not None:
+            gk = _unbroadcast(gk, ks.shape)
             gk *= scale
-            k._accumulate(_merge_heads(gk))
+            k._accumulate(_merge_heads(gk), own=True)
 
     return _node(out, (q, k, v), backward, "attention")
 
@@ -540,8 +602,9 @@ def layer_norm(x, gain, bias) -> Tensor:
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
             gn = g * gain.data
-            x._accumulate(inv * (gn - gn.mean(axis=-1, keepdims=True)
-                                 - normed * (gn * normed).mean(axis=-1, keepdims=True)))
+            mean_gn = np.add.reduce(gn, axis=-1, keepdims=True) / width
+            mean_gnn = np.add.reduce(gn * normed, axis=-1, keepdims=True) / width
+            x._accumulate(inv * (gn - mean_gn - normed * mean_gnn), own=True)
 
     return _node(out, (x, gain, bias), backward, "layer_norm")
 

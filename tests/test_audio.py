@@ -74,6 +74,15 @@ class TestFeatureExtractor:
         with pytest.raises(ValueError, match="target rate must be finite and positive"):
             fe(np.zeros(100), 16000, rate)
 
+    @pytest.mark.parametrize("width", [2.5, True, -1, 0])
+    def test_bad_width_rejected_at_construction(self, width):
+        with pytest.raises(ValueError, match="width"):
+            FeatureExtractor(width=width)
+
+    def test_numpy_integer_width_accepted(self):
+        fe = FeatureExtractor(width=np.int64(16), seed=3)
+        assert fe(np.zeros(640), 16000, 25).width == 16
+
 
 class TestAudioFeatureSequence:
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])

@@ -25,8 +25,10 @@ from facestream.tensor import (
     NonFiniteError,
     ParamStore,
     Tensor,
+    add,
     attention,
     checked,
+    concat,
     feed_forward,
     layer_norm,
     linear,
@@ -37,6 +39,7 @@ from facestream.tensor import (
     reshape,
     straight_through,
     take_rows,
+    take_slice,
 )
 from finite_diff import finite_diff_check
 
@@ -413,6 +416,154 @@ class TestAttentionBackward:
             tracemalloc.stop()
         assert peak <= budget * heads * length * length * 8
         assert all((t.grad is not None) == (n in needs) for n, t in zip("qkv", (q, k, v)))
+
+
+class TestAttentionHeadGroups:
+    """The backward runs over groups of heads that fit one score block of
+    ``_SCORE_BLOCK_BYTES``. A 4-head call whose scores span several groups
+    gives the output and gradients of four 1-head calls on the heads' column
+    slices, bit for bit."""
+
+    HEADS, WIDTH = 4, 8
+
+    # batch 2: at L = 200 each group holds one head; at L = 100, three, then
+    # the last head alone in a part of the score buffer
+    @pytest.mark.parametrize("length", [200, 100])
+    @pytest.mark.parametrize("shared_kv", [False, True])
+    def test_grouped_equals_per_head(self, length, shared_kv):
+        """``shared_kv`` gives k and v no batch axis, so their gradients
+        are summed over the batch after the loop."""
+        heads, d = self.HEADS, self.WIDTH
+        assert 2 * length * length * 8 * heads > T._SCORE_BLOCK_BYTES
+        r = rng(31)
+        kv_shape = (length, heads * d) if shared_kv else (2, length, heads * d)
+        arrays = {"q": r.normal(size=(2, length, heads * d)),
+                  "k": r.normal(size=kv_shape), "v": r.normal(size=kv_shape)}
+        bias = r.normal(size=(heads, length, length))
+        mask = causal_mask(length)
+        g = r.normal(size=(2, length, heads * d))
+        leaves = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
+        out = attention(**leaves, bias=bias, mask=mask, heads=heads)
+        out._backward(g)
+        outs, grads = [], {n: [] for n in arrays}
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            part = {n: Tensor(a[..., cols], requires_grad=True) for n, a in arrays.items()}
+            out_h = attention(**part, bias=bias[h], mask=mask, heads=1)
+            out_h._backward(g[..., cols])
+            outs.append(out_h.data)
+            for n, t in part.items():
+                grads[n].append(t.grad)
+        assert out.data.tobytes() == np.concatenate(outs, axis=-1).tobytes()
+        for n, t in leaves.items():
+            want = np.concatenate(grads[n], axis=-1)
+            assert t.grad.shape == want.shape and t.grad.tobytes() == want.tobytes(), n
+
+    def test_no_query_rows(self):
+        """An empty query makes an empty score block, and the keys and
+        values get zero gradients."""
+        q, k, v = (Tensor(np.ones(shape), requires_grad=True)
+                   for shape in ((0, 8), (5, 8), (5, 8)))
+        out = attention(q, k, v, heads=2)
+        out._backward(np.ones(out.shape))
+        assert q.grad.shape == (0, 8)
+        assert not k.grad.any() and not v.grad.any()
+
+    def test_non_finite_score_in_the_last_group_raises(self):
+        """The scores are checked whole in the forward: an infinite bias
+        entry of the last head, at a masked position, still raises."""
+        heads, d, length = self.HEADS, self.WIDTH, 200
+        r = rng(32)
+        q, k, v = (Tensor(r.normal(size=(2, length, heads * d)), requires_grad=True)
+                   for _ in range(3))
+        bias = np.zeros((heads, length, length))
+        bias[-1, 0, -1] = np.inf
+        with pytest.raises(NonFiniteError, match="attention scores"):
+            attention(q, k, v, bias, causal_mask(length), heads=heads)
+
+
+class TestGradientHandOver:
+    """Ops hand the gradient arrays they build over to ``_accumulate``, and
+    copy what may be a view of the upstream gradient. Each graph below
+    reaches a tensor twice or sends one upstream gradient to two tensors,
+    with signed zeros in the upstream arrays. Its gradients equal, bit for
+    bit, those of a reference that copies every first gradient or is built
+    from composed ops, and no two leaves' gradients share memory."""
+
+    @staticmethod
+    def upstream(shape, seed):
+        w = rng(seed).normal(size=shape)
+        w.flat[::3] = -0.0
+        return w
+
+    @staticmethod
+    def grads(graph, arrays):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        graph(*leaves).backward()
+        for i, t in enumerate(leaves):
+            assert not any(np.shares_memory(t.grad, o.grad) for o in leaves[i + 1:])
+            assert not any(np.shares_memory(t.grad, o.data) for o in leaves)
+        return [t.grad for t in leaves]
+
+    def check(self, graph, reference, arrays, monkeypatch):
+        got = self.grads(graph, arrays)
+        if reference is None:   # the same graph, every hand-over refused
+            accumulate = Tensor._accumulate
+            monkeypatch.setattr(Tensor, "_accumulate",
+                                lambda self, g, own=False: accumulate(self, g))
+            reference = graph
+        want = self.grads(reference, arrays)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_adopts_only_an_array_of_the_tensors_shape_and_dtype(self):
+        """A handed-over first gradient is kept and written in place with
+        the first write's signed-zero rule; one of another dtype or shape is
+        copied into a fresh array of the tensor's."""
+        w = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([0.5, -0.0, 2.0])
+        w._accumulate(g, own=True)
+        assert w.grad is g and g.tobytes() == np.array([0.5, 0.0, 2.0]).tobytes()
+        for data, g in ((np.ones(3, dtype=np.float32), np.ones(3)),
+                        (np.ones((1, 3)), np.ones(3))):
+            w = Tensor(data, requires_grad=True)
+            w._accumulate(g, own=True)
+            assert w.grad.dtype == data.dtype and w.grad.shape == data.shape
+            assert not np.shares_memory(w.grad, g)
+
+    @pytest.mark.parametrize("x_and_y_first", [False, True])
+    def test_add_of_a_tensor_to_itself(self, x_and_y_first, monkeypatch):
+        """Whichever add's backward runs first: an ``add(x, y)`` that handed
+        one array to both would leave ``x`` and ``y`` one gradient."""
+        w, u = self.upstream((2, 3, 4), 1)
+
+        def graph(x, y):
+            terms = [tsum(mul(add(x, x), w)), tsum(mul(add(x, y), u))]
+            return terms[1] + terms[0] if x_and_y_first else terms[0] + terms[1]
+
+        self.check(graph, None, rng(2).normal(size=(2, 3, 4)), monkeypatch)
+
+    def test_concat_of_a_tensor_with_itself(self, monkeypatch):
+        w, u = self.upstream((2, 12, 4), 3)
+        self.check(lambda x, y: (tsum(mul(concat([x, x]), w))
+                                 + tsum(mul(concat([x, y]), u))),
+                   None, rng(4).normal(size=(2, 6, 4)), monkeypatch)
+
+    def test_two_slices_of_one_tensor(self, monkeypatch):
+        w, u = self.upstream((2, 4, 3), 5)
+        self.check(lambda x: tsum(mul(take_slice(x, slice(0, 4)), w))
+                   + tsum(mul(take_slice(x, slice(2, 6)), u)),
+                   None, rng(6).normal(size=(1, 6, 3)), monkeypatch)
+
+    def test_linear_whose_bias_gradient_is_the_upstream(self, monkeypatch):
+        """A (3, 5) bias on a (3, 5) output: its gradient is the upstream
+        array itself, which the weight and input products read after it."""
+        w, u = self.upstream((2, 3, 5), 7)
+        r = rng(8)
+        arrays = [r.normal(size=(3, 4)), r.normal(size=(4, 5)), r.normal(size=(3, 5))]
+        self.check(lambda x, m, b: tsum(mul(linear(x, m, b), w)) + tsum(mul(b, u)),
+                   lambda x, m, b: tsum(mul(add(matmul(x, m), b), w)) + tsum(mul(b, u)),
+                   arrays, monkeypatch)
 
 
 def _composed_layer_norm(x, gain, bias, eps=1e-5):

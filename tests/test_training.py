@@ -268,6 +268,38 @@ def test_every_stepped_parameter_gets_a_gradient(stage, monkeypatch):
     assert [n for n, g in grads.items() if not g > 1e-10 * largest] == []
 
 
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stepped_gradients_share_no_memory(stage, monkeypatch):
+    """Ops hand the gradient arrays they build over to the parameters. At
+    the first step of each stage on the benchmark's configs and a 240-frame
+    sequence, where the codec attention's backward spans several head
+    groups, no two parameters' gradients share memory, and no gradient
+    shares memory with any parameter's values."""
+    ccfg, pcfg = CodecConfig(), PredictorConfig(num_speakers=8)
+    codec = MotionCodec(ccfg, seed=14)
+    predictor = ConditionPredictor(pcfg, seed=12)
+    head = DiffusionHead((ccfg.components, ccfg.width), pcfg.hidden, 256, 1000, seed=13)
+    r = np.random.default_rng(7)
+    example = SequenceExample(r.normal(size=(240, pcfg.audio_width)),
+                              0.3 * r.normal(size=(240, ccfg.vertices, 3)), 1)
+    values = [t.data for m in (codec, predictor, head) for _, t in m.store.items()]
+    seen = []
+    step = AdamW.step
+
+    def recording_step(self, lr):
+        seen.append([p.grad for p in self.params if p.grad is not None])
+        step(self, lr)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    run_stage(stage, [example], (codec, predictor, head, build_schedule(1000)),
+              config(epochs=1))
+    [grads] = seen
+    assert len(grads) > 10
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, v) for v in values)
+
+
 def test_stage2_restores_the_decoder_after_divergence():
     codec, _, head, _ = models = tiny_models()
     head.store["lin2.b"].data[...] = 1e308
