@@ -216,6 +216,14 @@ def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
     ``timesteps[i]``, which is called for i = 0 ... steps - 1 in order. Each
     update re-derives the implied noise from the clean prediction; the final
     step's previous alpha-bar is 1, so its prediction is returned itself.
+    A step returns an array of ``z_t``'s shape and dtype, which the update
+    only reads.
+
+    The update ``z = signal_prev * z0_hat + noise_prev * eps_hat``, with
+    ``eps_hat = (z - signal * z0_hat) / noise``, runs its six ufuncs in that
+    order into two new arrays per step, the noise estimate and the next
+    ``z``. A step may keep the ``z_t`` it was given, so no ``z`` is
+    overwritten.
     """
     timesteps = sample_timesteps(schedule.num_steps, steps)
     step = plan(timesteps)
@@ -225,8 +233,12 @@ def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
     z = rng.standard_normal(shape)
     for i, (signal, noise, signal_prev, noise_prev) in enumerate(roots):
         z0_hat = np.asarray(step(z, i))
-        eps_hat = (z - signal * z0_hat) / noise
-        z = signal_prev * z0_hat + noise_prev * eps_hat
+        eps_hat = signal * z0_hat
+        np.subtract(z, eps_hat, out=eps_hat)
+        eps_hat /= noise
+        z = signal_prev * z0_hat
+        eps_hat *= noise_prev
+        z += eps_hat
     return np.asarray(step(z, steps - 1))
 
 

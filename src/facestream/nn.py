@@ -2,12 +2,16 @@
 
 One pre-norm residual block (self-attention, optional cross-attention,
 feed-forward) that the codec and the condition predictor both stack,
-multi-head attention with additive bias and boolean masks, sinusoidal
-positions, and the ALiBi slope/bias tables used by the condition predictor.
+multi-head attention with an additive bias and an additive mask, sinusoidal
+positions, and the ALiBi slope/bias tables and the causal mask used by the
+condition predictor. A layout such as ``causal_mask`` is boolean, True where
+a query may read a key; ``additive_mask`` turns it into the 0/-inf array
+``attention`` adds, once, when a model is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,14 +39,22 @@ def normal_init(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(0.0, INIT_STD, size=shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _sinusoid_rates(width: int) -> np.ndarray:
+    """The (width // 2,) pair frequencies 1/10000^(2k/width), read-only and
+    built once per width."""
+    k = np.arange(width // 2)
+    rates = 1.0 / np.power(10000.0, 2.0 * k / width)
+    rates.setflags(write=False)
+    return rates
+
+
 def sinusoid_table(positions: np.ndarray, width: int) -> np.ndarray:
     """Interleaved (sin, cos) pairs: pair k oscillates at 1/10000^(2k/width)."""
     if width % 2 != 0:
         raise ValueError("sinusoid width must be even")
     positions = np.asarray(positions, dtype=np.float64)
-    k = np.arange(width // 2)
-    rates = 1.0 / np.power(10000.0, 2.0 * k / width)
-    angles = positions[:, None] * rates[None, :]
+    angles = positions[:, None] * _sinusoid_rates(width)[None, :]
     table = np.empty((positions.shape[0], width))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
@@ -75,6 +87,16 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=bool))
 
 
+def additive_mask(admits: np.ndarray) -> np.ndarray:
+    """The ``attention`` mask of a boolean layout: 0.0 where ``admits`` is
+    True and -inf where it is False. Every query row must admit a key, else
+    ``ValueError('degenerate attention row')``."""
+    admits = np.asarray(admits, dtype=bool)
+    if not np.logical_or.reduce(admits, axis=-1).all():
+        raise ValueError("degenerate attention row")
+    return np.where(admits, 0.0, -np.inf)
+
+
 class Linear:
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
                  rng: np.random.Generator):
@@ -97,10 +119,12 @@ class LayerNorm:
 class MultiHeadAttention:
     """Multi-head attention over (..., L, d) inputs; optionally cross-modal.
 
-    ``bias`` is per-head additive (heads, L_q, L_k); ``mask`` is boolean
-    (L_q, L_k), shared across heads. The projections keep the heads side by
-    side in the last axis, and ``attention`` splits and merges them. Keys
-    take no bias: softmax cancels the shift q·b_k it adds to a score row.
+    ``bias`` is per-head and finite, (heads, L_q, L_k); ``mask`` is the
+    additive 0/-inf array of ``additive_mask``, (L_q, L_k), shared across
+    heads. Both are constants that the caller builds once and ``attention``
+    adds to the scores. The projections keep the heads side by side in the
+    last axis, and ``attention`` splits and merges them. Keys take no bias:
+    softmax cancels the shift q·b_k it adds to a score row.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
@@ -136,11 +160,16 @@ class Block:
     """Pre-norm residual block: biased self-attention, then cross-attention
     over ``memory`` when built with ``cross``, then feed-forward.
 
+    ``bias`` is the self-attention's per-head bias; ``mask`` and
+    ``cross_mask`` are additive 0/-inf masks (``additive_mask``) of the self-
+    and cross-attention, built once by the caller (see ``MultiHeadAttention``).
+
     ``rows``, a slice of the query rows, computes only those output rows:
     self-attention keys and values still come from every row of ``x``, and
-    ``bias`` and ``mask`` must be given. The caller restricts ``memory`` and
-    ``cross_mask`` to what the selected rows read. A stack can pass it to its
-    last block when only some rows are read.
+    ``bias`` and ``mask`` must be given; the block takes their rows. The
+    caller restricts ``memory`` and ``cross_mask`` to what the selected rows
+    read. A stack can pass it to its last block when only some rows are
+    read.
 
     Parameter names follow the sublayers: the norms are ``ln1``, ``ln2``, …
     in sublayer order, and the self-attention is ``attn`` in a block with one

@@ -10,9 +10,14 @@ the next, not-yet-generated unit. The predictor owns the speaker table: the
 style of speaker k is row k of its ``style.table`` parameter, added to every
 input row.
 
-The attention layout (ALiBi bias, causal and alignment masks) is built once,
-read-only, for the longest window; a shorter window's layout is its top-left
-block, since ALiBi uses relative distance.
+The attention layout is built once, read-only, for the longest window: the
+ALiBi bias, and the causal and alignment masks in the additive form that
+``attention`` adds to its scores, 0 where a query reads a key and -inf
+where it does not. The masks come from the boolean ``causal_mask`` and
+``alignment_mask``, and the build checks that every row reads a key, so no
+call repeats that check. A shorter window's layout is its top-left block,
+since ALiBi uses relative distance and every row of that block still reads
+a key.
 
 A call returns only that final row, the next unit's condition, which is all a
 stream reads: the last decoder block computes its queries, cross-attention
@@ -30,7 +35,15 @@ from typing import Sequence
 import numpy as np
 
 from .fileio import DataError, check_count, check_integer
-from .nn import Block, LayerNorm, Linear, alibi_bias, causal_mask, normal_init
+from .nn import (
+    Block,
+    LayerNorm,
+    Linear,
+    additive_mask,
+    alibi_bias,
+    causal_mask,
+    normal_init,
+)
 from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat, take_rows
 
 
@@ -114,8 +127,8 @@ class ConditionPredictor:
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
         rows = c.history_units + 1
-        self._layout = (alibi_bias(rows, c.heads), causal_mask(rows),
-                        alignment_mask(rows, c.components))
+        self._layout = (alibi_bias(rows, c.heads), additive_mask(causal_mask(rows)),
+                        additive_mask(alignment_mask(rows, c.components)))
         for arr in self._layout:
             arr.setflags(write=False)
 
@@ -125,12 +138,15 @@ class ConditionPredictor:
         computing only that row; with ``every_row``, all the condition rows,
         (len(window) + 1, hidden), one per window unit plus the next unit's.
 
-        ``style_index`` must be an integer in [0, num_speakers), else
-        ``ValueError``. ``audio`` must hold at least (len(window) + 1) * H
-        frames starting at the window's first motion frame, else
-        ``DataError``; trailing audio past those frames is dropped before
-        any work, not masked. Off the tape the result is checked for
-        finiteness once (``checked``), which covers every op of the call.
+        Each window unit must have the shape (H, C) = (components,
+        latent_width), else ``DataError``; a transposed (C, H) unit is
+        rejected too. ``style_index`` must be an integer in [0,
+        num_speakers), else ``ValueError``. ``audio`` must hold at least
+        (len(window) + 1) * H frames starting at the window's first motion
+        frame, else ``DataError``; trailing audio past those frames is
+        dropped before any work, not masked. Off the tape the result is
+        checked for finiteness once (``checked``), which covers every op of
+        the call.
         """
         c = self.config
         check_integer(style_index, "speaker index")
@@ -150,9 +166,11 @@ class ConditionPredictor:
 
         x = self.begin_token
         if units:
-            if any(u.size != c.unit_size for u in units):
-                raise DataError("history unit shape does not match codec config")
-            stacked = np.stack([u.reshape(c.unit_size) for u in units])
+            shape = (c.components, c.latent_width)
+            if any(u.shape != shape for u in units):
+                raise DataError(f"history unit shape does not match codec config: "
+                                f"each unit must be (H, C) = {shape}")
+            stacked = np.stack(units).reshape(len(units), c.unit_size)
             x = concat([x, self.unit_embed(as_tensor(stacked))], axis=0)
         x = add(x, take_rows(self.style_table, np.array([style_index])))
 

@@ -20,21 +20,27 @@ outputs, so each model call checks its own result once with ``checked``.
 Only leaves keep a ``grad`` after ``backward``; an op node frees its own.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
-so no layout node reaches the tape. ``attention`` scales, biases and
-normalises its scores in one buffer. Its backward works one cache-sized
-block of heads at a time, building each block's score gradient in one
-buffer and taking the softmax row term from the (L_q, d) output instead of
-an (L_q, L_k) product. A gradient's first write is one pass, ``g + 0.0``:
-the values, dtype and signed zeros of ``zeros + g``. An op hands over an
-array it built for one parent, which then keeps it and writes that pass in
-place; whatever may be a view of another gradient is copied. The
-finite check, softmax, ``layer_norm`` and the attention row sums call the
-ufuncs' ``reduce`` directly: the ``ndarray`` methods run the same reductions
-behind a Python frame, a cost that shows on the many small arrays of a unit.
+so no layout node reaches the tape. ``attention`` scales, biases, masks and
+normalises its scores in one buffer. Its mask is additive, like its bias: a
+constant float array of 0 (admit the key) and -inf (mask it) that the caller
+builds once, so a call adds it and does no boolean work. Its backward works
+one cache-sized block of heads at a time, building each block's score
+gradient in one buffer and taking the softmax row term from the (L_q, d)
+output instead of an (L_q, L_k) product. A gradient's first write is one
+pass, ``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``. An
+op hands over an array it built for one parent, which then keeps it and
+writes that pass in place; whatever may be a view of another gradient is
+copied. A node owns the upstream gradient its backward receives and drops
+it afterwards, so ``add`` hands that array to the last parent that takes it
+whole. The finite check, softmax, ``layer_norm`` and the attention row sums
+call the ufuncs' ``reduce`` directly: the ``ndarray`` methods run the same
+reductions behind a Python frame, a cost that shows on the many small arrays
+of a unit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -128,11 +134,13 @@ class Tensor:
         ``g`` for this tensor alone hands it over with ``own=True``; a first
         ``g`` of this tensor's shape and dtype is then written in place and
         kept instead of copied. Anything that may be a view of another
-        gradient, such as the upstream one an identity passes on, is copied.
+        gradient, such as the upstream one an identity passes on, is copied,
+        and so is a numpy scalar, which has no buffer to write in place.
         """
         if self.grad is not None:
             self.grad += g
-        elif own and g.shape == self.data.shape and g.dtype == self.data.dtype:
+        elif own and type(g) is np.ndarray and g.shape == self.data.shape \
+                and g.dtype == self.data.dtype:
             self.grad = np.add(g, 0.0, out=g)
         else:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
@@ -254,14 +262,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise ops ---------------------------------------------------------
 
 def add(a, b) -> Tensor:
+    """``a + b``. The backward hands ``g``, which the node owns, to the last
+    parent that takes it unreduced; a parent's reduced copy is its own."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a._accumulate(ga, own=ga is not g or not b.requires_grad)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape), own=True)
 
     return _node(out, (a, b), backward, "add")
 
@@ -272,9 +283,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), own=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), own=True)
 
     return _node(out, (a, b), backward, "mul")
 
@@ -295,8 +306,7 @@ def reshape(a, shape) -> Tensor:
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0, *itertools.accumulate(p.data.shape[axis] for p in parts)]
 
     def backward(g):
         for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
@@ -358,10 +368,11 @@ def _mean_loss(a, b, value, slope, op: str) -> Tensor:
 
     def backward(g):
         gd = slope(g * scale, d)
+        gb = -gd if b.requires_grad else None   # before ``a`` may take gd
         if a.requires_grad:
-            a._accumulate(gd)
-        if b.requires_grad:
-            b._accumulate(-gd)
+            a._accumulate(gd, own=True)
+        if gb is not None:
+            b._accumulate(gb, own=True)
 
     return _node(value(d).sum() * scale, (a, b), backward, op)
 
@@ -446,7 +457,10 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     pre = _affine(x.data, w1.data, b1.data)
     if recording(parents):
         _check_finite(pre, "feed_forward hidden")
-    cdf = 0.5 * (1.0 + _erf(pre / math.sqrt(2.0)))
+    cdf = pre / math.sqrt(2.0)   # Phi(pre) = 0.5 * (1 + erf(pre / sqrt 2))
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     hidden = pre * cdf
     out = _affine(hidden, w2.data, b2.data)
 
@@ -463,15 +477,15 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     return _node(out, parents, backward, "feed_forward")
 
 
-def _softmax(x: np.ndarray, mask) -> np.ndarray:
-    """Masked softmax over the last axis, written over ``x`` and returned;
-    masked positions are set to -inf, so their weight is exactly exp(-inf) = 0."""
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not np.logical_and.reduce(np.logical_or.reduce(m, axis=-1), axis=None):
-            raise ValueError("degenerate attention row")
-        np.copyto(x, -np.inf, where=~m)
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, written over ``x`` and returned. An entry
+    of -inf, a masked key, gets weight exactly exp(-inf) = 0; a row of -inf
+    alone, whose maximum is -inf, raises ``ValueError``. A NaN row maximum
+    passes on as NaN weights."""
+    top = np.maximum.reduce(x, axis=-1, keepdims=True)
+    if np.minimum.reduce(top, axis=None, initial=np.inf) == -np.inf:
+        raise ValueError("degenerate attention row")
+    x -= top
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
@@ -494,13 +508,26 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
 
     Shapes: q (..., L_q, heads*d), k (..., L_k, heads*d), v (..., L_k, heads*d_v),
     heads side by side in the last axis; the result is (..., L_q, heads*d_v).
-    Head k attends with its own slice of width d, scaled by 1/sqrt(d). bias
-    is a constant array, like mask, and gets no gradient; it broadcasts into
-    the (..., heads, L_q, L_k) score tensor, so a per-head bias is
-    (heads, L_q, L_k); mask is boolean with the same broadcast rule. Masked
-    keys receive exactly zero weight. The biased scores are checked for
-    finiteness before the mask can hide a non-finite entry, which also
-    covers a non-finite bias.
+    Head k attends with its own slice of width d, scaled by 1/sqrt(d).
+
+    ``bias`` and ``mask`` are constant arrays that get no gradient, and both
+    are added to the scores, broadcast into the (..., heads, L_q, L_k) score
+    tensor: a per-head bias is (heads, L_q, L_k), and a mask shared by the
+    heads (L_q, L_k). The bias holds finite values, such as ALiBi's distance
+    penalties. The mask is a float array of 0, which admits a key, and -inf,
+    which gives it exactly zero weight; a caller builds it once, from a
+    boolean layout, and passes it to every call. A mask of any other dtype,
+    a boolean one included, raises ``ValueError``, since adding it would
+    shift the scores instead of masking them.
+
+    The order of the checks: the scaled and biased scores are checked for
+    finiteness first, so a non-finite score or bias entry raises
+    ``NonFiniteError`` even where the mask would hide it. The mask is added
+    next. A query row that admits no key has a row maximum of -inf, which
+    the softmax sees and reports as ``ValueError('degenerate attention
+    row')``. A NaN in the mask gives NaN weights, which the tape's check of
+    the output, or the model call's ``checked``, reports as
+    ``NonFiniteError``.
 
     The backward keeps the softmax weights W and the output O = W V. The
     softmax's row term sum_j dW_ij W_ij equals sum_d dO_id O_id (the
@@ -522,6 +549,9 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
         raise ValueError("key/value length mismatch")
     if q.data.shape[-1] % heads or v.data.shape[-1] % heads:
         raise ValueError("query and value widths must be divisible by heads")
+    if mask is not None and np.asarray(mask).dtype.kind != "f":
+        raise ValueError("attention mask must be an additive float array: "
+                         "0 admits a key, -inf masks it")
     qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qs.shape[-1])
     scores = qs @ np.swapaxes(ks, -1, -2)
@@ -529,7 +559,9 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     if bias is not None:
         scores += bias
     _check_finite(scores, "attention scores")
-    weights = _softmax(scores, mask)
+    if mask is not None:
+        scores += mask
+    weights = _softmax(scores)
     out = _merge_heads(weights @ vs)
 
     def backward(g):

@@ -39,19 +39,35 @@ def matmul(a, b) -> Tensor:
 
 
 def masked_softmax(scores, mask=None) -> Tensor:
-    """Softmax over the last axis; positions where ``mask`` is False get weight 0.
+    """Softmax over the last axis; positions where the boolean ``mask`` is
+    False get weight 0.
 
-    A query row with no admissible key raises
+    This is the boolean-mask reference for ``attention``'s additive mask: it
+    broadcasts the mask, checks each row for an admitted key itself and
+    fills the masked scores with -inf, where ``attention`` adds a 0/-inf
+    array. A query row with no admissible key raises
     ``ValueError('degenerate attention row')``.
     """
     scores = as_tensor(scores)
-    out = _softmax(scores.data.copy(), mask)   # _softmax writes in place
+    out = _softmax(fill_masked(scores.data.copy(), mask))   # both write in place
 
     def backward(g):
         if scores.requires_grad:
             scores._accumulate(out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return _node(out, (scores,), backward, "masked_softmax")
+
+
+def fill_masked(x: np.ndarray, mask) -> np.ndarray:
+    """``x`` with -inf written over the positions where the boolean ``mask``,
+    broadcast to ``x``'s shape, is False; ``ValueError('degenerate attention
+    row')`` if a row keeps no position."""
+    if mask is not None:
+        admits = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        if not admits.any(axis=-1).all():
+            raise ValueError("degenerate attention row")
+        np.copyto(x, -np.inf, where=~admits)
+    return x
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:

@@ -218,6 +218,31 @@ class TestDDIM:
         want = _per_step_ddim(oracle, s, steps, np.random.default_rng(5), (4, 8))
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("steps", [1, 2, 10, 50])
+    def test_in_place_update_matches_the_out_of_place_one(self, steps):
+        """The update writes into two arrays per step and gives, byte for
+        byte, the out-of-place expressions it replaced, for an oracle and for
+        a head's plan; the z each step was given is left as it was."""
+        s = build_schedule(1000)
+        given = []
+
+        def oracle(z_t, t):
+            given.append((z_t, z_t.tobytes()))
+            return np.tanh(1.5 * z_t + 0.001 * t) - 0.2 * z_t * z_t
+
+        got = ddim_sample(_plan(oracle), s, steps, np.random.default_rng(6), (4, 8))
+        want = _out_of_place_ddim(_plan(oracle), s, steps, np.random.default_rng(6),
+                                  (4, 8))
+        assert got.tobytes() == want.tobytes()
+        assert all(z.tobytes() == data for z, data in given)
+        head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=1000, seed=3)
+        cond = np.random.default_rng(7).normal(size=(3, 6))
+        got = ddim_sample(head_denoiser(head, cond), s, steps,
+                          np.random.default_rng(8), (3, 2, 4))
+        want = _out_of_place_ddim(head_denoiser(head, cond), s, steps,
+                                  np.random.default_rng(8), (3, 2, 4))
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_steps_rejected(self):
         s = build_schedule(100)
         with pytest.raises(ValueError):
@@ -231,6 +256,22 @@ class TestDDIM:
             out = ddim_sample(_plan(lambda z, t: np.full(z.shape, 1.7e308)), s, 10,
                               np.random.default_rng(0), (2, 4))
         np.testing.assert_array_equal(out, np.full((2, 4), 1.7e308))
+
+
+def _out_of_place_ddim(plan, schedule, steps, rng, shape):
+    """``ddim_sample`` with its update written as out-of-place expressions,
+    each making a new array."""
+    timesteps = sample_timesteps(schedule.num_steps, steps)
+    step = plan(timesteps)
+    abar = schedule.alpha_bar[timesteps[:-1]]
+    abar_prev = schedule.alpha_bar[timesteps[1:]]
+    roots = np.sqrt([abar, 1.0 - abar, abar_prev, 1.0 - abar_prev]).T.tolist()
+    z = rng.standard_normal(shape)
+    for i, (signal, noise, signal_prev, noise_prev) in enumerate(roots):
+        z0_hat = np.asarray(step(z, i))
+        eps_hat = (z - signal * z0_hat) / noise
+        z = signal_prev * z0_hat + noise_prev * eps_hat
+    return np.asarray(step(z, steps - 1))
 
 
 def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
@@ -330,6 +371,18 @@ class TestHead:
     def test_unit_shape_needs_two_entries(self):
         with pytest.raises(ValueError):
             DiffusionHead((2, 4, 1), cond_width=6, hidden=8, num_steps=50)
+
+    @pytest.mark.parametrize("width", [6, 128])
+    def test_sinusoid_table_matches_its_formula(self, width):
+        """The frequencies are built once per width; each table equals the
+        formula with fresh frequencies byte for byte, on every call."""
+        positions = np.array([0, 1, 7, 999, 1000])
+        k = np.arange(width // 2)
+        angles = positions[:, None] * (1.0 / np.power(10000.0, 2.0 * k / width))[None, :]
+        want = np.empty((5, width))
+        want[:, 0::2], want[:, 1::2] = np.sin(angles), np.cos(angles)
+        for _ in range(2):
+            assert sinusoid_table(positions, width).tobytes() == want.tobytes()
 
     def test_time_embedding_sinusoid_structure(self):
         head = self.make_head()

@@ -6,7 +6,7 @@ import pytest
 from composed_ops import tsum
 from facestream import predictor as predictor_mod
 from facestream.fileio import DataError
-from facestream.nn import Block, alibi_bias, alibi_slopes, causal_mask
+from facestream.nn import Block, additive_mask, alibi_bias, alibi_slopes, causal_mask
 from facestream.predictor import (
     ConditionPredictor,
     PredictorConfig,
@@ -204,7 +204,8 @@ class TestPredictor:
 
     def test_each_length_reads_its_layout_read_only(self, monkeypatch):
         """For every window length, each block gets the per-length bias and
-        masks, as read-only arrays."""
+        the additive forms of the causal and alignment masks, as read-only
+        arrays."""
         seen = []
         call = Block.__call__
 
@@ -220,9 +221,27 @@ class TestPredictor:
             self.conditions(random_units(length - 1, seed=length), audio)
             [(bias, self_mask, cross_mask)] = seen
             np.testing.assert_array_equal(bias, alibi_bias(length, self.cfg.heads))
-            np.testing.assert_array_equal(self_mask, causal_mask(length))
-            np.testing.assert_array_equal(cross_mask, alignment_mask(length, h))
+            want = additive_mask(causal_mask(length)), additive_mask(alignment_mask(length, h))
+            assert self_mask.tobytes() == want[0].tobytes()
+            assert cross_mask.tobytes() == want[1].tobytes()
             assert not any(a.flags.writeable for a in (bias, self_mask, cross_mask))
+
+    def test_layout_masks_are_read_only_and_admit_a_key_in_every_row(self):
+        """The masks are 0/-inf float arrays built at construction; every
+        row of the longest window, and so of each top-left block, reads a
+        key, so no call checks for a degenerate row."""
+        rows, h = self.cfg.history_units + 1, self.cfg.components
+        bias, causal, aligned = self.model._layout
+        assert bias.shape == (self.cfg.heads, rows, rows)
+        assert causal.shape == (rows, rows) and aligned.shape == (rows, rows * h)
+        for mask in (causal, aligned):
+            assert not mask.flags.writeable and mask.dtype == np.float64
+            assert set(np.unique(mask)) == {0.0, -np.inf}
+            for length in range(1, rows + 1):
+                block = mask[:length, :length * (h if mask is aligned else 1)]
+                assert (block == 0.0).any(axis=-1).all()
+        with pytest.raises(ValueError, match="read-only"):
+            causal[0, 1] = 0.0
 
     def test_trailing_audio_is_dropped(self):
         """Trailing audio changes no condition, however many rows of it the
@@ -258,6 +277,16 @@ class TestPredictor:
 
     def test_wrong_size_history_unit_rejected(self):
         units = random_units(1, seed=13) + [np.zeros((2, 5))]  # unit_size is 12
+        with pytest.raises(DataError, match="history unit shape"):
+            with no_grad():
+                self.model(units, np.zeros((6, 4)), 0)
+
+    @pytest.mark.parametrize("bad", ["transposed", "flat"])
+    def test_right_size_wrong_shape_history_unit_rejected(self, bad):
+        """A (C, H) unit, or a flat one, has the unit's size but not its
+        (H, C) shape, and is rejected instead of read in another order."""
+        units = random_units(2, seed=15)   # (H, C) = (2, 6)
+        units[1] = units[1].T if bad == "transposed" else units[1].reshape(-1)
         with pytest.raises(DataError, match="history unit shape"):
             with no_grad():
                 self.model(units, np.zeros((6, 4)), 0)

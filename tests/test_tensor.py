@@ -9,6 +9,7 @@ import pytest
 from composed_ops import (
     composed_l1_loss,
     composed_l2_loss,
+    fill_masked,
     gelu,
     masked_softmax,
     matmul,
@@ -20,7 +21,13 @@ from composed_ops import (
 )
 from facestream import tensor as T
 from facestream.fileio import DataError
-from facestream.nn import FeedForward, MultiHeadAttention, alibi_bias, causal_mask
+from facestream.nn import (
+    FeedForward,
+    MultiHeadAttention,
+    additive_mask,
+    alibi_bias,
+    causal_mask,
+)
 from facestream.tensor import (
     NonFiniteError,
     ParamStore,
@@ -83,17 +90,19 @@ class TestBackwardBasics:
         q = Tensor(np.array([[1e200, 1.0]]))
         k = Tensor(np.array([[1.0, 0.0], [1e200, 0.0]]))
         v = Tensor(np.ones((2, 3)))
-        mask = np.array([[True, False]])
+        mask = np.array([[0.0, -np.inf]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             attention(q, k, v, mask=mask)
 
     def test_attention_overflowing_bias_sum_raises(self):
-        # finite scores and a finite bias whose sum overflows
+        # finite scores and a finite bias whose sum overflows, at a key the
+        # mask hides: the biased scores are checked before the mask is added
         q = Tensor(np.array([[1e307, 0.0]]))
         k = Tensor(np.ones((2, 2)))
         bias = np.array([[1.79e308, 0.0]])
+        mask = np.array([[-np.inf, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            attention(q, k, Tensor(np.ones((2, 1))), bias=bias)
+            attention(q, k, Tensor(np.ones((2, 1))), bias=bias, mask=mask)
 
     def test_negative_zero_first_gradient_lands_as_positive_zero(self):
         # the first write is g + 0.0, which has the signs of zeros + g
@@ -177,8 +186,9 @@ def _random_case(op_name, seed):
         # head axis, as the predictor passes them; every query keeps a key. A
         # batched q (2, 3, 8) reads shared keys and values, so their gradients
         # sum over the batch
-        mask = r.random((1, 3, 5)) > 0.4
-        mask[..., 0] = True
+        admits = r.random((1, 3, 5)) > 0.4
+        admits[..., 0] = True
+        mask = additive_mask(admits)
         batch = (2,) if op_name.startswith("batched") else ()
         args = {"q": r.normal(size=batch + (3, 8)), "k": r.normal(size=(5, 8)),
                 "v": r.normal(size=(5, 6))}
@@ -285,9 +295,9 @@ class TestAttention:
         q, k = Tensor(r.normal(size=(2, 4))), Tensor(r.normal(size=(5, 4)))
         v = Tensor(r.normal(size=(5, 3)))
         bias = r.normal(size=(2, 5))
-        mask = np.zeros((2, 5), dtype=bool)
-        mask[0, 3] = True
-        mask[1, 1] = True
+        mask = np.full((2, 5), -np.inf)
+        mask[0, 3] = 0.0
+        mask[1, 1] = 0.0
         out = attention(q, k, v, bias=bias, mask=mask)
         np.testing.assert_allclose(out.data[0], v.data[3])
         np.testing.assert_allclose(out.data[1], v.data[1])
@@ -330,16 +340,19 @@ class TestAttention:
                    Tensor(r.normal(size=(2, 5, 4)), requires_grad=True),
                    Tensor(r.normal(size=(2, 5, 6)), requires_grad=True))
         bias = r.normal(size=(2, 3, 5))
-        mask = r.random((3, 5)) > 0.4 if masked else None
+        mask = None
         if masked:
-            mask[:, 0] = True
+            admits = r.random((3, 5)) > 0.4
+            admits[:, 0] = True
+            mask = additive_mask(admits)
         g = r.normal(size=(2, 3, 6))
         inputs = (q, k, v)
-        before = [t.data.tobytes() for t in inputs] + [bias.tobytes(), g.tobytes()]
+        consts = [bias] + ([mask] if masked else [])
+        before = [a.tobytes() for a in [t.data for t in inputs] + consts + [g]]
         out = attention(q, k, v, bias=bias, mask=mask, heads=2)
-        assert [t.data.tobytes() for t in inputs] + [bias.tobytes()] == before[:4]
+        assert [a.tobytes() for a in [t.data for t in inputs] + consts] == before[:-1]
         out._backward(g)
-        assert [t.data.tobytes() for t in inputs] + [bias.tobytes(), g.tobytes()] == before
+        assert [a.tobytes() for a in [t.data for t in inputs] + consts + [g]] == before
         assert all(t.grad is not None for t in inputs)
 
     def test_permutation_equivariance_over_keys(self):
@@ -348,14 +361,92 @@ class TestAttention:
         k = r.normal(size=(5, 8))
         v = r.normal(size=(5, 4))
         bias = r.normal(size=(2, 3, 5))
-        mask = r.random((3, 5)) > 0.2
-        mask[:, 2] = True
+        admits = r.random((3, 5)) > 0.2
+        admits[:, 2] = True
+        mask = additive_mask(admits)
         perm = r.permutation(5)
         out = attention(Tensor(q.data), Tensor(k), Tensor(v), bias, mask, heads=2).data
         out_p = attention(Tensor(q.data), Tensor(k[perm]), Tensor(v[perm]),
                           bias[..., perm], mask[:, perm], heads=2).data
         np.testing.assert_allclose(out, out_p, atol=1e-12)
 
+
+class TestAdditiveMask:
+    """``attention``'s mask is an additive 0/-inf float array that the caller
+    builds once; ``additive_mask`` makes it from a boolean layout."""
+
+    @staticmethod
+    def inputs(seed, requires_grad=False):
+        r = rng(seed)
+        return [Tensor(r.normal(size=shape), requires_grad=requires_grad)
+                for shape in ((3, 8), (5, 8), (5, 4))]
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_non_float_mask_rejected(self, dtype):
+        """A boolean or integer mask would shift the scores by its 1s."""
+        admits = np.ones((3, 5), dtype=dtype)
+        with pytest.raises(ValueError, match="additive float array"):
+            attention(*self.inputs(0), mask=admits, heads=2)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_all_masked_row_raises(self, taped):
+        mask = np.zeros((3, 5))
+        mask[1] = -np.inf
+        with pytest.raises(ValueError, match="degenerate attention row"):
+            attention(*self.inputs(1, taped), mask=mask, heads=2)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_nan_mask_entry_ends_in_non_finite_error(self, taped):
+        """On the tape the output check names ``attention``; off it, the
+        model call's check raises."""
+        mask = np.zeros((3, 5))
+        mask[2, 3] = np.nan
+        q, k, v = self.inputs(2, taped)
+        if taped:
+            with pytest.raises(NonFiniteError, match="'attention'"):
+                attention(q, k, v, mask=mask, heads=2)
+        else:
+            out = attention(q, k, v, mask=mask, heads=2)
+            with pytest.raises(NonFiniteError, match="'model call'"):
+                checked(out, "model call")
+
+    def test_additive_mask_of_a_layout(self):
+        admits = np.array([[True, False, True], [False, True, False]])
+        mask = additive_mask(admits)
+        assert mask.dtype == np.float64
+        assert mask.tobytes() == np.array([[0.0, -np.inf, 0.0],
+                                           [-np.inf, 0.0, -np.inf]]).tobytes()
+        admits[1, 1] = False
+        with pytest.raises(ValueError, match="degenerate attention row"):
+            additive_mask(admits)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layout", ["causal", "random"])
+    def test_equals_the_boolean_fill_bit_for_bit(self, seed, layout, monkeypatch):
+        """Adding the 0/-inf mask gives the output and the q, k and v
+        gradients, byte for byte, of the same fused op whose softmax fills
+        the boolean mask's hidden scores with -inf (``fill_masked``), for a
+        batch of two, two heads and a per-head bias."""
+        r = rng(seed)
+        if layout == "causal":
+            admits = causal_mask(6)
+        else:
+            admits = r.random((6, 6)) > 0.5
+            admits[:, 4] = True
+        arrays = [r.normal(size=(2, 6, 16)), r.normal(size=(2, 6, 16)),
+                  r.normal(size=(2, 6, 10))]
+        bias = r.normal(size=(2, 6, 6))
+        weight = r.normal(size=(2, 6, 10))
+        additive = _value_and_grads(
+            lambda q, k, v: attention(q, k, v, bias, additive_mask(admits), heads=2),
+            arrays, weight)
+        softmax = T._softmax
+        monkeypatch.setattr(T, "_softmax", lambda x: softmax(fill_masked(x, admits)))
+        filled = _value_and_grads(lambda q, k, v: attention(q, k, v, bias, heads=2),
+                                  arrays, weight)
+        assert additive[0].tobytes() == filled[0].tobytes()
+        for got, want in zip(additive[1], filled[1]):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAttentionBackward:
@@ -366,9 +457,9 @@ class TestAttentionBackward:
         """Row 1 reads key 2 alone: its weight is exactly one, so its output
         is that value row and its query row gets no gradient."""
         r = rng(21)
-        mask = np.ones((4, 5), dtype=bool)
-        mask[1] = False
-        mask[1, 2] = True
+        mask = np.zeros((4, 5))
+        mask[1] = -np.inf
+        mask[1, 2] = 0.0
         args = {"q": r.normal(size=(4, 8)), "k": r.normal(size=(5, 8)),
                 "v": r.normal(size=(5, 6))}
         bias = r.normal(size=(2, 4, 5))
@@ -405,8 +496,8 @@ class TestAttentionBackward:
         length, width, heads = 96, 32, 4
         q, k, v = (Tensor(r.normal(size=(length, width)), requires_grad=n in needs)
                    for n in "qkv")
-        out = attention(q, k, v, alibi_bias(length, heads), causal_mask(length),
-                        heads=heads)
+        out = attention(q, k, v, alibi_bias(length, heads),
+                        additive_mask(causal_mask(length)), heads=heads)
         g = r.normal(size=out.shape)
         tracemalloc.start()
         try:
@@ -440,7 +531,7 @@ class TestAttentionHeadGroups:
         arrays = {"q": r.normal(size=(2, length, heads * d)),
                   "k": r.normal(size=kv_shape), "v": r.normal(size=kv_shape)}
         bias = r.normal(size=(heads, length, length))
-        mask = causal_mask(length)
+        mask = additive_mask(causal_mask(length))
         g = r.normal(size=(2, length, heads * d))
         leaves = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
         out = attention(**leaves, bias=bias, mask=mask, heads=heads)
@@ -479,7 +570,7 @@ class TestAttentionHeadGroups:
         bias = np.zeros((heads, length, length))
         bias[-1, 0, -1] = np.inf
         with pytest.raises(NonFiniteError, match="attention scores"):
-            attention(q, k, v, bias, causal_mask(length), heads=heads)
+            attention(q, k, v, bias, additive_mask(causal_mask(length)), heads=heads)
 
 
 class TestGradientHandOver:
@@ -555,6 +646,39 @@ class TestGradientHandOver:
                    + tsum(mul(take_slice(x, slice(2, 6)), u)),
                    None, rng(6).normal(size=(1, 6, 3)), monkeypatch)
 
+    @pytest.mark.parametrize("shape_y", [(2, 3, 4), (3, 1), ()])
+    def test_mul_hands_over_its_products(self, shape_y, monkeypatch):
+        """``mul(x, x)`` adds its second product to the first, which ``x``
+        kept; a broadcast ``y`` gets its reduced product, or a 0-d one."""
+        w, u = self.upstream((2, 2, 3, 4), 9)
+        r = rng(10)
+        self.check(lambda x, y: tsum(mul(mul(x, x), w)) + tsum(mul(mul(x, y), u)),
+                   None, [r.normal(size=(2, 3, 4)), r.normal(size=shape_y)],
+                   monkeypatch)
+
+    @pytest.mark.parametrize("loss", [l1_loss, l2_loss])
+    @pytest.mark.parametrize("same", [False, True])
+    def test_losses_hand_over_both_gradients(self, loss, same, monkeypatch):
+        """``b`` gets ``-gd``, made before ``a`` may take ``gd``; with ``a``
+        and ``b`` one tensor, its two gradients cancel onto the first."""
+        w = self.upstream((2, 5), 11)
+        arrays = rng(12).normal(size=(2, 2, 5))
+        arrays[1, 0] = arrays[0, 0]   # zero differences in the first row
+        graph = ((lambda x, y: loss(x, x) + tsum(mul(add(x, y), w))) if same
+                 else (lambda x, y: loss(x, y) + tsum(mul(x, w))))
+        self.check(graph, None, arrays, monkeypatch)
+
+    @pytest.mark.parametrize("broadcast", ["none", "a", "b", "both"])
+    def test_add_hands_over_to_its_last_parent(self, broadcast, monkeypatch):
+        """Each parent of ``add`` either takes the upstream array or its own
+        reduction; at most one takes the upstream array."""
+        shapes = {"none": ((2, 3), (2, 3)), "a": ((3,), (2, 3)),
+                  "b": ((2, 3), (1, 3)), "both": ((2, 1), (3,))}[broadcast]
+        r = rng(13)
+        w = self.upstream((2, 3), 14)
+        self.check(lambda x, y: tsum(mul(add(x, y), w)), None,
+                   [r.normal(size=shape) for shape in shapes], monkeypatch)
+
     def test_linear_whose_bias_gradient_is_the_upstream(self, monkeypatch):
         """A (3, 5) bias on a (3, 5) output: its gradient is the upstream
         array itself, which the weight and input products read after it."""
@@ -626,12 +750,13 @@ class TestFusedMatchesComposed:
     def test_attention_with_bias_and_mask(self, seed):
         r = rng(seed)
         # a batch of two, two heads and a per-head bias shared across the batch
-        mask = np.tril(np.ones((1, 6, 6), dtype=bool))
+        admits = np.tril(np.ones((1, 6, 6), dtype=bool))
         arrays = [r.normal(size=(2, 6, 16)), r.normal(size=(2, 6, 16)),
                   r.normal(size=(2, 6, 10))]
         bias = r.normal(size=(2, 6, 6))
+        mask = additive_mask(admits)
         self._check(lambda q, k, v: attention(q, k, v, bias, mask, heads=2),
-                    lambda q, k, v: _composed_heads(q, k, v, bias, mask, heads=2),
+                    lambda q, k, v: _composed_heads(q, k, v, bias, admits, heads=2),
                     arrays, (2, 6, 10), seed)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -656,10 +781,12 @@ def _composed_feed_forward(x, w1, b1, w2, b2):
 
 
 # (x, w1, b1, w2, b2) shapes: a rank-2 and a rank-3 x, each with a b1 that
-# broadcasts over x's rows, and a b1 that widens the hidden layer to (S, B, n)
+# broadcasts over x's rows, a rank-3 x with a 1-D b1 as the modules pass
+# it, and a b1 that widens the hidden layer to (S, B, n)
 FF_SHAPES = {
     "rank2": [(3, 4), (4, 5), (1, 5), (5, 2), (2,)],
     "rank3": [(2, 3, 4), (4, 5), (3, 5), (5, 2), (2,)],
+    "rank3_flat_b1": [(2, 3, 4), (4, 5), (5,), (5, 2), (2,)],
     "wide_b1": [(3, 4), (4, 5), (2, 1, 5), (5, 2), (2,)],
 }
 FF_INPUTS = ["x", "w1", "b1", "w2", "b2"]
@@ -870,23 +997,23 @@ class TestMultiHeadAttention:
         if setting == "alibi_causal":
             mha = MultiHeadAttention(store, "attn", 8, 2, r)
             inputs = [r.normal(size=(5, 8))]   # self-attention: one input
-            bias, mask = alibi_bias(5, 2), causal_mask(5)
+            bias, admits = alibi_bias(5, 2), causal_mask(5)
         else:
             # a batch of two; keys and values come from a second sequence
             mha = MultiHeadAttention(store, "attn", 8, 2, r)
             inputs = [r.normal(size=(2, 4, 8)), r.normal(size=(2, 7, 8))]
-            bias, mask = None, r.random((4, 7)) > 0.3
-            mask[:, 0] = True
+            bias, admits = None, r.random((4, 7)) > 0.3
+            admits[:, 0] = True
 
         def composed(x_q, x_kv=None):
             x_kv = x_q if x_kv is None else x_kv
             out = _composed_heads(mha.wq(x_q), matmul(x_kv, mha.wk), mha.wv(x_kv), bias,
-                                  mask, heads=2)
+                                  admits, heads=2)
             return mha.wo(out)
 
         def fused(x_q, x_kv=None):
             x_kv = x_q if x_kv is None else x_kv
-            return mha(x_q, x_kv, bias=bias, mask=mask)
+            return mha(x_q, x_kv, bias=bias, mask=additive_mask(admits))
 
         weight = r.normal(size=inputs[0].shape)
         out_f, grads_f = _value_and_grads(fused, inputs, weight, store.tensors())
@@ -901,7 +1028,7 @@ class TestMultiHeadAttention:
         r = rng(8)
         mha = MultiHeadAttention(ParamStore(), "attn", 8, 2, r)
         x = Tensor(r.normal(size=(5, 8)), requires_grad=True)
-        out = mha(x, x, bias=alibi_bias(5, 2), mask=causal_mask(5))
+        out = mha(x, x, bias=alibi_bias(5, 2), mask=additive_mask(causal_mask(5)))
         assert sorted(_taped_ops(out)) == ["attention"] + ["linear"] * 4
 
 
