@@ -8,12 +8,11 @@ state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import check_count
+from .fileio import check_count, check_real
 
 WINDOW_SECONDS = 0.025
 LOG_FLOOR = 1e-10
@@ -31,9 +30,7 @@ class AudioFeatureSequence:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValueError("features must have shape (T_a, C_a)")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"feature rate must be finite and positive, "
-                             f"got {self.rate}")
+        check_real(self.rate, "feature rate")
         if not np.isfinite(self.features).all():
             raise ValueError("non-finite feature values")
 
@@ -87,9 +84,8 @@ class FeatureExtractor:
     def __call__(self, waveform: np.ndarray, sample_rate: float,
                  target_rate: float) -> AudioFeatureSequence:
         waveform = np.asarray(waveform, dtype=np.float64).reshape(-1)
-        for name, rate in (("sample", sample_rate), ("target", target_rate)):
-            if not (math.isfinite(rate) and rate > 0):
-                raise ValueError(f"{name} rate must be finite and positive, got {rate}")
+        check_real(sample_rate, "sample rate")
+        check_real(target_rate, "target rate")
         if waveform.size == 0:
             raise ValueError("empty waveform")
         window = max(2, int(round(WINDOW_SECONDS * sample_rate)))

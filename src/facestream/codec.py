@@ -10,12 +10,11 @@ estimator so encoder gradients pass the quantizer unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fileio import DataError, check_count, check_integer
+from .fileio import DataError, check_count, check_integer, check_real
 from .nn import Block, LayerNorm, Linear, normal_init, sinusoid_table
 from .tensor import (
     ParamStore,
@@ -23,15 +22,12 @@ from .tensor import (
     add,
     as_tensor,
     checked,
-    l1_loss,
-    l2_loss,
     no_grad,
     reshape,
     straight_through,
     take_rows,
 )
 
-COMMITMENT = 0.25   # weight of the commitment term in the stage-1 loss
 MAX_POSITION = 2 ** 53   # float64 holds every integer frame position below it
 
 
@@ -50,9 +46,7 @@ class MotionSequence:
             raise ValueError("need at least one frame")
         if not np.isfinite(self.offsets).all():
             raise ValueError("non-finite motion values")
-        if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
-            raise ValueError(f"frame rate must be finite and positive, "
-                             f"got {self.frame_rate}")
+        check_real(self.frame_rate, "frame rate")
 
     @property
     def num_frames(self) -> int:
@@ -224,21 +218,3 @@ class MotionCodec:
             codebook = self.codebook.data
             codes = codebook[quantize(self.encode(offsets).data, codebook)]
         return checked(codes, "MotionCodec.encode_quantized")
-
-
-def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor,
-                z_gathered: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Reconstruction + quantization objective.
-
-    rec   = mean |x_hat - x|
-    quant = mean (sg(z_hat) - z_q)^2 + COMMITMENT * mean (z_hat - sg(z_q))^2
-    total = rec + quant  (unit weights)
-
-    The stop-gradient sg passes a tensor's array, a constant.
-    """
-    rec = l1_loss(x_hat, np.asarray(x))
-    codebook_pull = l2_loss(z_gathered, z_hat.data)
-    commit = l2_loss(z_hat, z_gathered.data)
-    quant = add(codebook_pull, COMMITMENT * commit)
-    total = add(rec, quant)
-    return total, rec, quant

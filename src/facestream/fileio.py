@@ -1,4 +1,6 @@
-"""On-disk formats: motion files, audio-feature files, checkpoints, manifests.
+"""On-disk formats: motion files, audio-feature files, checkpoints, manifests;
+and the three number checkers every module calls, ``check_integer``,
+``check_count`` and ``check_real``, each raising ``ValueError``.
 
 All payloads are little-endian. Writers are deterministic (sorted tensor
 names, no timestamps) so identical state produces identical bytes. Readers
@@ -48,6 +50,17 @@ def check_count(value, name: str) -> None:
     check_integer(value, name)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def check_real(value, name: str, zero_ok: bool = False) -> None:
+    """Reject anything but a finite real ``value`` > 0, or >= 0 with
+    ``zero_ok``: a bool, a non-real such as a string, a NaN or an infinity,
+    a negative value, and zero unless ``zero_ok``. The message says
+    "<name> must be finite and positive" (or "non-negative") and the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        bound = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _unpack(fmt: str, raw: bytes, offset: int, path) -> tuple:

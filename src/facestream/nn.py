@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .fileio import check_count
 from .tensor import (
     ParamStore,
     Tensor,
@@ -63,8 +64,7 @@ def sinusoid_table(positions: np.ndarray, width: int) -> np.ndarray:
 
 def alibi_slopes(num_heads: int) -> np.ndarray:
     """Geometric head slopes m_k = 2^(-8(k+1)/num_heads)."""
-    if num_heads < 1:
-        raise ValueError("num_heads must be >= 1")
+    check_count(num_heads, "num_heads")
     k = np.arange(1, num_heads + 1)
     return np.power(2.0, -8.0 * k / num_heads)
 

@@ -49,9 +49,9 @@ from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat, take_ro
 
 def history_capacity(h_frames: int, components: int) -> int:
     """Units in a history of ``h_frames`` motion frames; ``ValueError``
-    unless a unit has a frame and the history covers one."""
-    if components < 1:
-        raise ValueError("components must be >= 1")
+    unless both are integers, a unit has a frame and the history covers one."""
+    check_count(components, "components")
+    check_integer(h_frames, "h_frames")
     if h_frames < components:
         raise ValueError("history must cover at least one unit")
     return math.ceil(h_frames / components)

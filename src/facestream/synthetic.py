@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import AudioFeatureSequence
 from .codec import MotionSequence
-from .fileio import DataError, write_features, write_motion
+from .fileio import DataError, check_count, check_integer, write_features, write_motion
 from .metrics import RegionSpec
 
 # seed namespace tags, mixed into per-sequence/per-speaker substreams
@@ -59,6 +59,7 @@ class SynthTopology(RegionSpec):
 def default_topology(num_vertices: int = 30) -> SynthTopology:
     """Canonical layout: vertices 0-5 are lips (0 upper / 1 lower mouth pair),
     6-13 are upper face, the rest are cheeks/jaw filler."""
+    check_integer(num_vertices, "num_vertices")
     if num_vertices < 14:
         raise ValueError("topology needs at least 14 vertices")
     lips = np.arange(0, 6)
@@ -126,8 +127,8 @@ def generate_pair(seed: int, num_frames: int, topology: SynthTopology,
     """One paired sequence. ``dataset_seed`` fixes the feature maps and the
     per-speaker style offsets shared across a dataset; ``seed`` drives the
     per-sequence envelopes and noise."""
-    if num_frames < 1:
-        raise ValueError("need at least one frame")
+    check_count(num_frames, "num_frames")
+    check_integer(speaker_index, "speaker_index")
     if not 0 <= speaker_index < num_speakers:
         raise ValueError("speaker index out of range")
 
@@ -166,8 +167,10 @@ def make_splits(num_train: int = 8, num_val: int = 2, num_test: int = 2,
                 num_speakers: int = 3) -> list[SplitEntry]:
     """Disjoint seed ranges per split; the test split holds out the last
     speaker index entirely so unseen-speaker evaluation is possible."""
-    if min(num_train, num_val, num_test) < 1:
-        raise ValueError("every split needs at least one sequence")
+    for name, count in (("num_train", num_train), ("num_val", num_val),
+                        ("num_test", num_test)):
+        check_count(count, name)
+    check_integer(num_speakers, "num_speakers")
     if num_speakers < 2:
         raise ValueError("need a held-out speaker, so at least 2")
     train_speakers = num_speakers - 1

@@ -298,7 +298,7 @@ def reshape(a, shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+            a._accumulate(g.reshape(a.data.shape), own=True)
 
     return _node(out, (a,), backward, "reshape")
 

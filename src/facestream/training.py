@@ -19,30 +19,24 @@ tuple, total first.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MotionCodec, stage1_loss
+from .codec import MotionCodec
 from .diffusion import DiffusionHead, NoiseSchedule, add_noise
-from .fileio import check_integer, write_csv
+from .fileio import check_count, check_integer, check_real
 from .predictor import ConditionPredictor, select_history
 from .tensor import NonFiniteError, Tensor, add, as_tensor, l1_loss, l2_loss, reshape
 
+COMMITMENT = 0.25   # weight of the commitment term in the stage-1 loss
 STAGE1_FIELDS = ["epoch", "total", "rec", "quant"]
 STAGE2_FIELDS = ["epoch", "total", "latent", "vert", "vel"]
 
 
 class DivergenceError(RuntimeError):
     """Training produced non-finite values."""
-
-
-def _check_weight_decay(weight_decay: float) -> None:
-    if not (math.isfinite(weight_decay) and weight_decay >= 0):
-        raise ValueError(f"weight decay must be finite and non-negative, "
-                         f"got {weight_decay}")
 
 
 @dataclass
@@ -55,15 +49,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be finite and positive, "
-                             f"got {self.learning_rate}")
-        _check_weight_decay(self.weight_decay)
-        for name in ("stage1_epochs", "stage2_epochs", "lr_halving_interval", "seed"):
-            check_integer(getattr(self, name), name.replace("_", " "))
-        if min(self.stage1_epochs, self.stage2_epochs,
-               self.lr_halving_interval) < 1:
-            raise ValueError("epoch counts must be positive")
+        check_real(self.learning_rate, "learning rate")
+        check_real(self.weight_decay, "weight decay", zero_ok=True)
+        for name in ("stage1_epochs", "stage2_epochs", "lr_halving_interval"):
+            check_count(getattr(self, name), name.replace("_", " "))
+        check_integer(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -100,7 +90,7 @@ class AdamW:
     """
 
     def __init__(self, params: list[Tensor], weight_decay: float):
-        _check_weight_decay(weight_decay)
+        check_real(weight_decay, "weight decay", zero_ok=True)
         self.params = params
         self.weight_decay = weight_decay
         self.t = 0
@@ -177,6 +167,24 @@ def _train(stage: int, dataset: list[SequenceExample], params: list[Tensor],
     finally:
         optimizer.zero_grads()
     return history
+
+
+def stage1_loss(x: np.ndarray, x_hat: Tensor, z_hat: Tensor,
+                z_gathered: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Reconstruction + quantization objective.
+
+    rec   = mean |x_hat - x|
+    quant = mean (sg(z_hat) - z_q)^2 + COMMITMENT * mean (z_hat - sg(z_q))^2
+    total = rec + quant  (unit weights)
+
+    The stop-gradient sg passes a tensor's array, a constant.
+    """
+    rec = l1_loss(x_hat, np.asarray(x))
+    codebook_pull = l2_loss(z_gathered, z_hat.data)
+    commit = l2_loss(z_hat, z_gathered.data)
+    quant = add(codebook_pull, COMMITMENT * commit)
+    total = add(rec, quant)
+    return total, rec, quant
 
 
 def train_stage1(dataset: list[SequenceExample], codec: MotionCodec,
@@ -270,11 +278,3 @@ def train_stage2(dataset: list[SequenceExample], codec: MotionCodec,
     finally:
         for p in frozen:
             p.requires_grad = True
-
-
-def write_loss_csv(path, history: list[dict]) -> None:
-    if not history:
-        raise ValueError("empty loss history")
-    fields = list(history[0].keys())
-    rows = [[row[f] for f in fields] for row in history]
-    write_csv(path, fields, rows)

@@ -66,7 +66,7 @@ class TestFeatureExtractor:
         with pytest.raises(ValueError):
             fe(np.zeros(100), 0, 25)
 
-    @pytest.mark.parametrize("rate", [0, -25.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rate", [0, -25.0, np.nan, np.inf, -np.inf, True, "16000"])
     def test_bad_rates_rejected_up_front(self, rate):
         fe = FeatureExtractor()
         with pytest.raises(ValueError, match="sample rate must be finite and positive"):
@@ -85,7 +85,7 @@ class TestFeatureExtractor:
 
 
 class TestAudioFeatureSequence:
-    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0, True, "25"])
     def test_bad_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="feature rate must be finite and positive"):
             AudioFeatureSequence(np.zeros((2, 3)), rate)

@@ -10,10 +10,10 @@ from facestream.codec import (
     MotionSequence,
     pad_to_units,
     quantize,
-    stage1_loss,
 )
 from facestream.fileio import DataError
 from facestream.tensor import NonFiniteError, Tensor, as_tensor, no_grad
+from facestream.training import stage1_loss
 from finite_diff import finite_diff_check
 from non_finite import assert_never_returns_non_finite
 
@@ -325,7 +325,7 @@ class TestMotionSequence:
         with pytest.raises(ValueError):
             MotionSequence(bad, 25.0)
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0, True, "25"])
     def test_bad_frame_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="frame rate must be finite and positive"):
             MotionSequence(np.zeros((2, 2, 3)), rate)

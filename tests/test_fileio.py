@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from facestream.fileio import (
     DataError,
+    check_real,
     parse_manifest,
     read_checkpoint,
     read_features,
@@ -18,6 +19,22 @@ from facestream.fileio import (
     write_features,
     write_motion,
 )
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [25.0, 16000, np.float32(25.0), np.int64(16000)])
+    def test_finite_positive_reals_accepted(self, value):
+        check_real(value, "rate")
+
+    def test_zero_only_with_zero_ok(self):
+        """Zero passes only with ``zero_ok``; the message names the bound
+        and the refused value."""
+        check_real(0.0, "weight decay", zero_ok=True)
+        with pytest.raises(ValueError, match=r"^rate must be finite and positive, got 0\.0$"):
+            check_real(0.0, "rate")
+        with pytest.raises(ValueError,
+                           match="^weight decay must be finite and non-negative, got -1$"):
+            check_real(-1, "weight decay", zero_ok=True)
 
 
 class TestMotionFormat:

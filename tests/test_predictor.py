@@ -51,6 +51,13 @@ class TestSelectHistory:
         assert history_capacity(7, 2) == 4
         assert history_capacity(8, 2) == 4
 
+    @pytest.mark.parametrize("h_frames, components", [(8, 2.0), (8, True), (7.5, 2),
+                                                      (True, 1)])
+    def test_non_integer_arguments_rejected(self, h_frames, components):
+        """``history_capacity(8, 2.0)`` returned 4, and so did ``(7.5, 2)``."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            history_capacity(h_frames, components)
+
     def test_no_components_rejected(self):
         with pytest.raises(ValueError, match="components must be >= 1"):
             select_history(random_units(2), h_frames=8, components=0)
@@ -89,6 +96,12 @@ class TestAlibi:
     def test_four_head_slopes(self):
         np.testing.assert_allclose(alibi_slopes(4),
                                    [2.0 ** -2, 2.0 ** -4, 2.0 ** -6, 2.0 ** -8])
+
+    @pytest.mark.parametrize("heads", [2.5, 4.0, True])
+    def test_non_integer_heads_rejected(self, heads):
+        """``alibi_slopes(2.5)`` returned 3 slopes."""
+        with pytest.raises(ValueError, match="num_heads must be an integer"):
+            alibi_slopes(heads)
 
     def test_distance_times_slope(self):
         bias = alibi_bias(6, 4)

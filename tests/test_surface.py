@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "facestream"
 READERS = (PACKAGE, ROOT / "perfbench")
-CHECKED = ("tensor", "nn", "codec", "diffusion", "predictor", "audio")
+CHECKED = ("tensor", "nn", "codec", "diffusion", "predictor", "audio", "training")
 
 
 def _bound(fn):

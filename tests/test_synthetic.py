@@ -34,6 +34,12 @@ class TestTopology:
         with pytest.raises(ValueError):
             default_topology(num_vertices=5)
 
+    @pytest.mark.parametrize("num_vertices", [20.5, 30.0, True])
+    def test_non_integer_vertex_count_rejected(self, num_vertices):
+        """A float leaked numpy's ``TypeError`` from ``np.zeros``."""
+        with pytest.raises(ValueError, match="num_vertices must be an integer"):
+            default_topology(num_vertices)
+
 
 class TestGeneratePair:
     def test_deterministic(self):
@@ -75,6 +81,15 @@ class TestGeneratePair:
         topo = default_topology()
         with pytest.raises(ValueError):
             generate_pair(0, 10, topo, 2, 5)
+
+    @pytest.mark.parametrize("name, num_frames, speaker", [
+        ("num_frames", 2.5, 0), ("num_frames", True, 0),
+        ("speaker_index", 10, 1.0), ("speaker_index", 10, True)])
+    def test_non_integer_arguments_rejected(self, name, num_frames, speaker):
+        """A float or bool count leaked numpy's ``TypeError``, and
+        ``speaker_index=True`` made a pair for speaker 1."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate_pair(1, num_frames, default_topology(), 3, speaker)
 
 
 class TestBandLimitedNoise:
@@ -132,6 +147,20 @@ class TestSplits:
         loaded = read_manifest(tmp_path)
         assert [e.sequence_id for e in loaded] == [e.sequence_id for e in entries]
         assert [e.seed for e in loaded] == [e.seed for e in entries]
+
+    @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test",
+                                       "num_speakers"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_non_integer_counts_rejected(self, field, value):
+        """``num_train=2.5`` leaked a ``TypeError`` from ``range``, and a
+        float speaker count gave float speaker indices."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_splits(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test"])
+    def test_empty_split_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            make_splits(**{field: 0})
 
     @pytest.mark.parametrize("row", ["a train x 0 240", "a train 1 0 2.5",
                                      "a train 1 0", "a train 1 0 240 extra"])

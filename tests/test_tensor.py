@@ -646,6 +646,22 @@ class TestGradientHandOver:
                    + tsum(mul(take_slice(x, slice(2, 6)), u)),
                    None, rng(6).normal(size=(1, 6, 3)), monkeypatch)
 
+    @pytest.mark.parametrize("add_first", [False, True])
+    def test_reshapes_of_one_tensor(self, add_first, monkeypatch):
+        """``reshape`` hands its parent a view of the gradient it owns: ``x``
+        adopts one reshape's and adds the other's into it, and an ``add``
+        behind a reshape passes the view on to one parent only, whichever
+        backward runs first."""
+        w, u, v = (self.upstream(shape, 15 + i)
+                   for i, shape in enumerate([(6, 4), (4, 6), (24,)]))
+
+        def graph(x, y):
+            terms = [tsum(mul(reshape(x, (6, 4)), w)) + tsum(mul(reshape(x, (4, 6)), u)),
+                     tsum(mul(reshape(add(x, y), (24,)), v))]
+            return terms[1] + terms[0] if add_first else terms[0] + terms[1]
+
+        self.check(graph, None, rng(18).normal(size=(2, 2, 3, 4)), monkeypatch)
+
     @pytest.mark.parametrize("shape_y", [(2, 3, 4), (3, 1), ()])
     def test_mul_hands_over_its_products(self, shape_y, monkeypatch):
         """``mul(x, x)`` adds its second product to the first, which ``x``

@@ -311,8 +311,9 @@ def test_stage2_restores_the_decoder_after_divergence():
 
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", float("nan")),
-    ("learning_rate", float("inf")), ("weight_decay", -1.0),
-    ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("learning_rate", float("inf")), ("learning_rate", True), ("learning_rate", "1e-3"),
+    ("weight_decay", -1.0), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf")), ("weight_decay", True), ("weight_decay", "0.01"),
 ])
 def test_bad_optimizer_settings_rejected(field, value):
     with pytest.raises(ValueError, match=field.replace("_", " ")):
@@ -326,6 +327,14 @@ def test_non_integer_counts_rejected(field, value):
     """A fractional count would reach ``range`` as a ``TypeError``, and
     ``True`` would pass for one epoch."""
     with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["stage1_epochs", "stage2_epochs",
+                                   "lr_halving_interval"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_counts_below_one_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be >= 1"):
         TrainConfig(**{field: value})
 
 
@@ -350,7 +359,7 @@ def test_zero_weight_decay_accepted():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
-@pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf"), True, "0.01"])
 def test_adamw_rejects_bad_weight_decay(value):
     params = [Tensor(np.ones(3), requires_grad=True)]
     with pytest.raises(ValueError, match="weight decay must be finite and non-negative"):
