@@ -72,11 +72,12 @@ class FeatureExtractor:
 
     The projection matrix is drawn once from ``seed``; identical waveforms
     always produce identical features. ``width`` must be an integer >= 1
-    (``ValueError`` otherwise).
+    and ``seed`` one >= 0 (``ValueError`` otherwise).
     """
 
     def __init__(self, width: int = 16, seed: int = 0):
         check_count(width, "width")
+        check_count(seed, "seed", zero_ok=True)
         rng = np.random.default_rng(seed)
         self.projection = rng.normal(size=(NUM_FILTERS, width)) / np.sqrt(NUM_FILTERS)
         self._tables: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}

@@ -107,6 +107,7 @@ class MotionCodec:
     """Transformer VQ-VAE over motion sequences."""
 
     def __init__(self, config: CodecConfig, seed: int = 0):
+        check_count(seed, "seed", zero_ok=True)
         self.config = config
         self.store = ParamStore()
         rng = np.random.default_rng(seed)

@@ -111,6 +111,7 @@ class DiffusionHead:
                             ("cond_width", cond_width), ("hidden", hidden),
                             ("num_steps", num_steps)):
             check_count(value, name)
+        check_count(seed, "seed", zero_ok=True)
         if cond_width % 2:
             raise ValueError(f"cond_width must be even for the sinusoid "
                              f"timestep features, got {cond_width}")

@@ -45,20 +45,27 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def check_count(value, name: str) -> None:
-    """Reject anything but an integer >= 1 (``check_integer``, then the bound)."""
+def check_count(value, name: str, zero_ok: bool = False) -> None:
+    """Reject anything but an integer >= 1, or >= 0 with ``zero_ok``
+    (``check_integer``, then the bound)."""
     check_integer(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    bound = 0 if zero_ok else 1
+    if value < bound:
+        raise ValueError(f"{name} must be >= {bound}, got {value!r}")
 
 
 def check_real(value, name: str, zero_ok: bool = False) -> None:
     """Reject anything but a finite real ``value`` > 0, or >= 0 with
-    ``zero_ok``: a bool, a non-real such as a string, a NaN or an infinity,
-    a negative value, and zero unless ``zero_ok``. The message says
-    "<name> must be finite and positive" (or "non-negative") and the value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+    ``zero_ok``: a bool, a non-real such as a string, a NaN, an infinity or
+    an integer beyond the float range, a negative value, and zero unless
+    ``zero_ok``. The message says "<name> must be finite and positive" (or
+    "non-negative") and the value."""
+    try:
+        bad = isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok)
+    except OverflowError:   # an integer beyond the float range
+        bad = True
+    if bad:
         bound = "non-negative" if zero_ok else "positive"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 

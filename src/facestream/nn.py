@@ -2,11 +2,11 @@
 
 One pre-norm residual block (self-attention, optional cross-attention,
 feed-forward) that the codec and the condition predictor both stack,
-multi-head attention with an additive bias and an additive mask, sinusoidal
-positions, and the ALiBi slope/bias tables and the causal mask used by the
-condition predictor. A layout such as ``causal_mask`` is boolean, True where
-a query may read a key; ``additive_mask`` turns it into the 0/-inf array
-``attention`` adds, once, when a model is built.
+multi-head attention with one additive mask, sinusoidal positions, and the
+ALiBi slopes and causal ALiBi mask used by the condition predictor. A mask
+is the constant float array ``attention`` adds to its scores, built once
+when a model is built: a finite entry admits a key and shifts its score,
+-inf hides it.
 """
 
 from __future__ import annotations
@@ -69,32 +69,15 @@ def alibi_slopes(num_heads: int) -> np.ndarray:
     return np.power(2.0, -8.0 * k / num_heads)
 
 
-def alibi_bias(length: int, num_heads: int) -> np.ndarray:
-    """Per-head causal distance penalty: bias[k][i, j] = -m_k * (i - j), j <= i.
-
-    Entries above the diagonal are irrelevant (the causal mask removes them)
-    and are left at the same linear expression.
-    """
+def alibi_mask(length: int, num_heads: int) -> np.ndarray:
+    """Causal ALiBi mask, (num_heads, length, length): mask[k][i, j] =
+    -m_k * (i - j) where j <= i, and -inf above the diagonal. Every query
+    admits its own key, so no row is degenerate."""
     slopes = alibi_slopes(num_heads)
     i = np.arange(length)[:, None]
     j = np.arange(length)[None, :]
     distance = (i - j).astype(np.float64)
-    return -slopes[:, None, None] * distance[None, :, :]
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """Boolean mask admitting keys at or before each query position."""
-    return np.tril(np.ones((length, length), dtype=bool))
-
-
-def additive_mask(admits: np.ndarray) -> np.ndarray:
-    """The ``attention`` mask of a boolean layout: 0.0 where ``admits`` is
-    True and -inf where it is False. Every query row must admit a key, else
-    ``ValueError('degenerate attention row')``."""
-    admits = np.asarray(admits, dtype=bool)
-    if not np.logical_or.reduce(admits, axis=-1).all():
-        raise ValueError("degenerate attention row")
-    return np.where(admits, 0.0, -np.inf)
+    return np.where(j <= i, -slopes[:, None, None] * distance, -np.inf)
 
 
 class Linear:
@@ -119,12 +102,11 @@ class LayerNorm:
 class MultiHeadAttention:
     """Multi-head attention over (..., L, d) inputs; optionally cross-modal.
 
-    ``bias`` is per-head and finite, (heads, L_q, L_k); ``mask`` is the
-    additive 0/-inf array of ``additive_mask``, (L_q, L_k), shared across
-    heads. Both are constants that the caller builds once and ``attention``
-    adds to the scores. The projections keep the heads side by side in the
-    last axis, and ``attention`` splits and merges them. Keys take no bias:
-    softmax cancels the shift q·b_k it adds to a score row.
+    ``mask`` is the constant that ``attention`` adds to the scores, built
+    once by the caller: per head, (heads, L_q, L_k), such as ``alibi_mask``,
+    or shared across heads, (L_q, L_k). The projections keep the heads side
+    by side in the last axis, and ``attention`` splits and merges them. Keys
+    take no bias: softmax cancels the shift q·b_k it adds to a score row.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
@@ -137,9 +119,9 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.wv", d_model, d_model, rng)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model, rng)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, bias=None, mask=None) -> Tensor:
+    def __call__(self, x_q: Tensor, x_kv: Tensor, mask=None) -> Tensor:
         out = attention(self.wq(x_q), linear(x_kv, self.wk, _NO_BIAS), self.wv(x_kv),
-                        bias=bias, mask=mask, heads=self.num_heads)
+                        mask=mask, heads=self.num_heads)
         return self.wo(out)
 
 
@@ -157,19 +139,18 @@ class FeedForward:
 
 
 class Block:
-    """Pre-norm residual block: biased self-attention, then cross-attention
-    over ``memory`` when built with ``cross``, then feed-forward.
+    """Pre-norm residual block: self-attention, then cross-attention over
+    ``memory`` when built with ``cross``, then feed-forward.
 
-    ``bias`` is the self-attention's per-head bias; ``mask`` and
-    ``cross_mask`` are additive 0/-inf masks (``additive_mask``) of the self-
-    and cross-attention, built once by the caller (see ``MultiHeadAttention``).
+    ``mask`` and ``cross_mask`` are the masks of the self- and
+    cross-attention, built once by the caller (see ``MultiHeadAttention``).
 
     ``rows``, a slice of the query rows, computes only those output rows:
     self-attention keys and values still come from every row of ``x``, and
-    ``bias`` and ``mask`` must be given; the block takes their rows. The
-    caller restricts ``memory`` and ``cross_mask`` to what the selected rows
-    read. A stack can pass it to its last block when only some rows are
-    read.
+    ``mask`` must be given; the block takes its rows, ``mask[..., rows, :]``.
+    The caller restricts ``memory`` and ``cross_mask`` to what the selected
+    rows read. A stack can pass it to its last block when only some rows
+    are read.
 
     Parameter names follow the sublayers: the norms are ``ln1``, ``ln2``, …
     in sublayer order, and the self-attention is ``attn`` in a block with one
@@ -190,13 +171,12 @@ class Block:
         self.ln_ff = LayerNorm(store, f"{name}.ln{3 if cross else 2}", d_model)
         self.ff = FeedForward(store, f"{name}.ff", d_model, d_ff, rng)
 
-    def __call__(self, x: Tensor, bias=None, mask=None, memory: Tensor | None = None,
+    def __call__(self, x: Tensor, mask=None, memory: Tensor | None = None,
                  cross_mask=None, rows: slice | None = None) -> Tensor:
         q = h = self.ln1(x)
         if rows is not None:
-            q, x = h[rows], x[rows]
-            bias, mask = bias[:, rows], mask[rows]
-        x = add(x, self.self_attn(q, h, bias=bias, mask=mask))
+            q, x, mask = h[rows], x[rows], mask[..., rows, :]
+        x = add(x, self.self_attn(q, h, mask=mask))
         if self.cross_attn is not None:
             x = add(x, self.cross_attn(self.ln_cross(x), memory, mask=cross_mask))
         return add(x, self.ff(self.ln_ff(x)))

@@ -10,14 +10,14 @@ the next, not-yet-generated unit. The predictor owns the speaker table: the
 style of speaker k is row k of its ``style.table`` parameter, added to every
 input row.
 
-The attention layout is built once, read-only, for the longest window: the
-ALiBi bias, and the causal and alignment masks in the additive form that
-``attention`` adds to its scores, 0 where a query reads a key and -inf
-where it does not. The masks come from the boolean ``causal_mask`` and
-``alignment_mask``, and the build checks that every row reads a key, so no
-call repeats that check. A shorter window's layout is its top-left block,
-since ALiBi uses relative distance and every row of that block still reads
-a key.
+The attention layout is two read-only constants, built once for the
+longest window, that ``attention`` adds to its scores: the self-attention's
+``alibi_mask``, ALiBi's distance penalty where a query reads a key and -inf
+above the diagonal, and the cross-attention's ``alignment_mask``, 0 where a
+query reads a key and -inf where it does not. Every row of each reads a key
+by construction, its own position or its own H audio frames. A shorter
+window's layout is the top-left block of each, since ALiBi uses relative
+distance and every row of that block still reads a key.
 
 A call returns only that final row, the next unit's condition, which is all a
 stream reads: the last decoder block computes its queries, cross-attention
@@ -39,9 +39,7 @@ from .nn import (
     Block,
     LayerNorm,
     Linear,
-    additive_mask,
-    alibi_bias,
-    causal_mask,
+    alibi_mask,
     normal_init,
 )
 from .tensor import ParamStore, Tensor, add, as_tensor, checked, concat, take_rows
@@ -69,15 +67,16 @@ def select_history(all_past_units: Sequence[np.ndarray], h_frames: int,
 
 
 def alignment_mask(l_motion: int, components: int) -> np.ndarray:
-    """Cross-attention mask over l_motion * H audio rows: token i may read
-    audio frames [i*H, (i+1)*H).
+    """Cross-attention mask of l_motion tokens over l_motion * H audio rows:
+    0 where token i reads audio frames [i*H, (i+1)*H), -inf elsewhere.
 
     Audio rows are indexed relative to the window start; the caller is
     responsible for slicing the global audio buffer at the window's absolute
     start frame.
     """
     t_audio = l_motion * components
-    return np.arange(t_audio)[None, :] // components == np.arange(l_motion)[:, None]
+    reads = np.arange(t_audio)[None, :] // components == np.arange(l_motion)[:, None]
+    return np.where(reads, 0.0, -np.inf)
 
 
 @dataclass
@@ -110,6 +109,7 @@ class ConditionPredictor:
     """Maps (history window, aligned audio, style) to per-unit conditions."""
 
     def __init__(self, config: PredictorConfig, seed: int = 0):
+        check_count(seed, "seed", zero_ok=True)
         self.config = config
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
@@ -127,8 +127,8 @@ class ConditionPredictor:
         ]
         self.norm = LayerNorm(self.store, "norm", c.hidden)
         rows = c.history_units + 1
-        self._layout = (alibi_bias(rows, c.heads), additive_mask(causal_mask(rows)),
-                        additive_mask(alignment_mask(rows, c.components)))
+        # one additive constant per attention, for the longest window
+        self._layout = (alibi_mask(rows, c.heads), alignment_mask(rows, c.components))
         for arr in self._layout:
             arr.setflags(write=False)
 
@@ -174,14 +174,14 @@ class ConditionPredictor:
             x = concat([x, self.unit_embed(as_tensor(stacked))], axis=0)
         x = add(x, take_rows(self.style_table, np.array([style_index])))
 
-        bias, causal, aligned = self._layout
-        bias, causal = bias[:, :length, :length], causal[:length, :length]
+        alibi, aligned = self._layout
+        alibi = alibi[:, :length, :length]
         aligned = aligned[:length, :length * c.components]
         memory = self.audio_embed(as_tensor(audio))
         for block in self.blocks[:-1]:
-            x = block(x, bias, causal, memory, aligned)
+            x = block(x, alibi, memory, aligned)
         rows = None
         if not every_row:   # the last row reads all of the last H audio rows
             memory, aligned, rows = memory[-c.components:], None, slice(-1, None)
-        x = self.blocks[-1](x, bias, causal, memory, aligned, rows)
+        x = self.blocks[-1](x, alibi, memory, aligned, rows)
         return checked(self.norm(x), "ConditionPredictor")

@@ -127,7 +127,11 @@ def generate_pair(seed: int, num_frames: int, topology: SynthTopology,
     """One paired sequence. ``dataset_seed`` fixes the feature maps and the
     per-speaker style offsets shared across a dataset; ``seed`` drives the
     per-sequence envelopes and noise."""
-    check_count(num_frames, "num_frames")
+    for name, value in (("seed", seed), ("dataset_seed", dataset_seed)):
+        check_count(value, name, zero_ok=True)
+    for name, value in (("num_frames", num_frames), ("num_speakers", num_speakers),
+                        ("feature_width", feature_width)):
+        check_count(value, name)
     check_integer(speaker_index, "speaker_index")
     if not 0 <= speaker_index < num_speakers:
         raise ValueError("speaker index out of range")
@@ -170,6 +174,7 @@ def make_splits(num_train: int = 8, num_val: int = 2, num_test: int = 2,
     for name, count in (("num_train", num_train), ("num_val", num_val),
                         ("num_test", num_test)):
         check_count(count, name)
+    check_count(base_seed, "base_seed", zero_ok=True)
     check_integer(num_speakers, "num_speakers")
     if num_speakers < 2:
         raise ValueError("need a held-out speaker, so at least 2")

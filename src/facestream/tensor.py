@@ -9,24 +9,26 @@ training losses, ``l1_loss`` and ``l2_loss``, each one node that takes the
 mean of |a - b| or (a - b)^2 over equal shapes. A stop-gradient needs no
 op: the loss takes the tensor's array, a constant. Four fused primitives,
 ``linear`` (x @ w + b), ``feed_forward`` (linear, exact GELU, linear),
-``layer_norm`` and ``attention`` (head split, scale, bias, mask, softmax,
-weighted sum and head merge), each record one tape node with a closed-form backward, so a
-transformer layer costs a handful of nodes instead of dozens. ``Tensor()``
-builds leaves and checks them for finiteness; ``_node`` builds every op
-output and checks it only when it records. Off the tape (under ``no_grad``,
-or when no input needs a gradient) an op output is a bare, unchecked node
-with no parents or closure: the ops pass a non-finite value on to their
-outputs, so each model call checks its own result once with ``checked``.
+``layer_norm`` and ``attention`` (head split, scale, mask, softmax, weighted
+sum and head merge), each record one tape node with a closed-form backward,
+so a transformer layer costs a handful of nodes instead of dozens.
+``Tensor()`` builds leaves and checks them for finiteness; ``_node`` builds
+every op output and checks it only when it records. Off the tape (under
+``no_grad``, or when no input needs a gradient) an op output is a bare,
+unchecked node with no parents or closure: the ops pass a non-finite value
+on to their outputs, so each model call checks its own result once with
+``checked``.
 Only leaves keep a ``grad`` after ``backward``; an op node frees its own.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
-so no layout node reaches the tape. ``attention`` scales, biases, masks and
-normalises its scores in one buffer. Its mask is additive, like its bias: a
-constant float array of 0 (admit the key) and -inf (mask it) that the caller
-builds once, so a call adds it and does no boolean work. Its backward works
-one cache-sized block of heads at a time, building each block's score
-gradient in one buffer and taking the softmax row term from the (L_q, d)
-output instead of an (L_q, L_k) product. A gradient's first write is one
+so no layout node reaches the tape. ``attention`` scales, masks and
+normalises its scores in one buffer. Its mask is one additive constant that
+the caller builds once: a finite entry admits a key and shifts its score
+(0, or a distance penalty such as ALiBi's), -inf masks it, so a call adds
+one array and does no boolean work. Its backward works one cache-sized block
+of heads at a time, building each block's score gradient in one buffer and
+taking the softmax row term from the (L_q, d) output instead of an
+(L_q, L_k) product. A gradient's first write is one
 pass, ``g + 0.0``: the values, dtype and signed zeros of ``zeros + g``. An
 op hands over an array it built for one parent, which then keeps it and
 writes that pass in place; whatever may be a view of another gradient is
@@ -503,28 +505,26 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
-def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention with optional bias and mask.
+def attention(q, k, v, mask=None, heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention with an optional additive mask.
 
     Shapes: q (..., L_q, heads*d), k (..., L_k, heads*d), v (..., L_k, heads*d_v),
     heads side by side in the last axis; the result is (..., L_q, heads*d_v).
     Head k attends with its own slice of width d, scaled by 1/sqrt(d).
 
-    ``bias`` and ``mask`` are constant arrays that get no gradient, and both
-    are added to the scores, broadcast into the (..., heads, L_q, L_k) score
-    tensor: a per-head bias is (heads, L_q, L_k), and a mask shared by the
-    heads (L_q, L_k). The bias holds finite values, such as ALiBi's distance
-    penalties. The mask is a float array of 0, which admits a key, and -inf,
-    which gives it exactly zero weight; a caller builds it once, from a
-    boolean layout, and passes it to every call. A mask of any other dtype,
-    a boolean one included, raises ``ValueError``, since adding it would
-    shift the scores instead of masking them.
+    ``mask`` is one constant float array that gets no gradient, added to the
+    scaled scores and broadcast into the (..., heads, L_q, L_k) score
+    tensor: per head, (heads, L_q, L_k), or shared by the heads, (L_q, L_k).
+    A finite entry admits its key and shifts its score, such as ALiBi's
+    distance penalty or 0; -inf gives the key exactly zero weight. A caller
+    builds it once and passes it to every call. A mask of any other dtype, a
+    boolean one included, raises ``ValueError``, since adding it would shift
+    the scores instead of masking them.
 
-    The order of the checks: the scaled and biased scores are checked for
-    finiteness first, so a non-finite score or bias entry raises
-    ``NonFiniteError`` even where the mask would hide it. The mask is added
-    next. A query row that admits no key has a row maximum of -inf, which
-    the softmax sees and reports as ``ValueError('degenerate attention
+    The scaled scores are checked for finiteness before the mask is added,
+    so a non-finite score raises ``NonFiniteError`` even where the mask
+    would hide it. A query row that admits no key has a row maximum of -inf,
+    which the softmax sees and reports as ``ValueError('degenerate attention
     row')``. A NaN in the mask gives NaN weights, which the tape's check of
     the output, or the model call's ``checked``, reports as
     ``NonFiniteError``.
@@ -556,8 +556,6 @@ def attention(q, k, v, bias=None, mask=None, heads: int = 1) -> Tensor:
     scale = 1.0 / math.sqrt(qs.shape[-1])
     scores = qs @ np.swapaxes(ks, -1, -2)
     scores *= scale
-    if bias is not None:
-        scores += bias
     _check_finite(scores, "attention scores")
     if mask is not None:
         scores += mask

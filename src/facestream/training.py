@@ -26,7 +26,7 @@ import numpy as np
 
 from .codec import MotionCodec
 from .diffusion import DiffusionHead, NoiseSchedule, add_noise
-from .fileio import check_count, check_integer, check_real
+from .fileio import check_count, check_real
 from .predictor import ConditionPredictor, select_history
 from .tensor import NonFiniteError, Tensor, add, as_tensor, l1_loss, l2_loss, reshape
 
@@ -53,9 +53,7 @@ class TrainConfig:
         check_real(self.weight_decay, "weight decay", zero_ok=True)
         for name in ("stage1_epochs", "stage2_epochs", "lr_halving_interval"):
             check_count(getattr(self, name), name.replace("_", " "))
-        check_integer(self.seed, "seed")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_count(self.seed, "seed", zero_ok=True)
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * (0.5 ** (epoch // self.lr_halving_interval))

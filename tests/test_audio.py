@@ -79,6 +79,12 @@ class TestFeatureExtractor:
         with pytest.raises(ValueError, match="width"):
             FeatureExtractor(width=width)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        """A float seed leaked numpy's ``TypeError``."""
+        with pytest.raises(ValueError, match="seed must be"):
+            FeatureExtractor(seed=seed)
+
     def test_numpy_integer_width_accepted(self):
         fe = FeatureExtractor(width=np.int64(16), seed=3)
         assert fe(np.zeros(640), 16000, 25).width == 16

@@ -97,6 +97,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="width must be even"):
             CodecConfig(width=7)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        """A float seed leaked numpy's ``TypeError``."""
+        with pytest.raises(ValueError, match="seed must be"):
+            MotionCodec(CodecConfig(), seed=seed)
+
 
 class TestPadding:
     def test_aligned_input_unchanged(self):

@@ -368,6 +368,12 @@ class TestHead:
         with pytest.raises(ValueError, match=re.escape(field) + " must be"):
             DiffusionHead(unit_shape, **args)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_bad_seed_rejected(self, seed):
+        """A float seed leaked numpy's ``TypeError``."""
+        with pytest.raises(ValueError, match="seed must be"):
+            DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=50, seed=seed)
+
     def test_unit_shape_needs_two_entries(self):
         with pytest.raises(ValueError):
             DiffusionHead((2, 4, 1), cond_width=6, hidden=8, num_steps=50)

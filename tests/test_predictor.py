@@ -6,7 +6,7 @@ import pytest
 from composed_ops import tsum
 from facestream import predictor as predictor_mod
 from facestream.fileio import DataError
-from facestream.nn import Block, additive_mask, alibi_bias, alibi_slopes, causal_mask
+from facestream.nn import Block, alibi_mask, alibi_slopes
 from facestream.predictor import (
     ConditionPredictor,
     PredictorConfig,
@@ -86,12 +86,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_bad_seed_rejected(self, seed):
+        """A float seed leaked numpy's ``TypeError``."""
+        with pytest.raises(ValueError, match="seed must be"):
+            ConditionPredictor(tiny_config(), seed=seed)
+
 
 class TestAlibi:
     def test_zero_on_diagonal(self):
-        bias = alibi_bias(5, 3)
+        mask = alibi_mask(5, 3)
         for k in range(3):
-            np.testing.assert_array_equal(np.diag(bias[k]), np.zeros(5))
+            np.testing.assert_array_equal(np.diag(mask[k]), np.zeros(5))
+
+    def test_causal_bias_in_one_constant(self):
+        """The mask is the distance penalty -m_k * (i - j) where key j is at
+        or before query i and -inf above the diagonal, byte for byte; every
+        row of every top-left block admits a key."""
+        i, j = np.arange(5)[:, None], np.arange(5)[None, :]
+        penalty = -alibi_slopes(2)[:, None, None] * (i - j).astype(np.float64)
+        mask = alibi_mask(5, 2)
+        assert mask.tobytes() == np.where(j <= i, penalty, -np.inf).tobytes()
+        for length in range(1, 6):
+            assert np.isfinite(mask[:, :length, :length]).any(axis=-1).all()
 
     def test_four_head_slopes(self):
         np.testing.assert_allclose(alibi_slopes(4),
@@ -104,20 +121,20 @@ class TestAlibi:
             alibi_slopes(heads)
 
     def test_distance_times_slope(self):
-        bias = alibi_bias(6, 4)
+        mask = alibi_mask(6, 4)
         # head 0 slope is 0.25; distance 2 gives -0.5
-        assert bias[0, 4, 2] == pytest.approx(-0.5)
+        assert mask[0, 4, 2] == pytest.approx(-0.5)
 
 
 class TestAlignmentMask:
     def test_identity_when_one_frame_per_unit(self):
         mask = alignment_mask(4, components=1)
-        np.testing.assert_array_equal(mask, np.eye(4, dtype=bool))
+        assert mask.tobytes() == np.where(np.eye(4, dtype=bool), 0.0, -np.inf).tobytes()
 
     def test_unit_zero_gets_first_interval(self):
         mask = alignment_mask(3, components=4)
-        np.testing.assert_array_equal(np.flatnonzero(mask[0]), [0, 1, 2, 3])
-        np.testing.assert_array_equal(np.flatnonzero(mask[1]), [4, 5, 6, 7])
+        np.testing.assert_array_equal(np.flatnonzero(mask[0] == 0.0), [0, 1, 2, 3])
+        np.testing.assert_array_equal(np.flatnonzero(mask[1] == 0.0), [4, 5, 6, 7])
 
 
 class TestPredictor:
@@ -196,35 +213,33 @@ class TestPredictor:
             self.conditions(units, np.zeros((6, 3)))  # wrong feature width
 
     def test_layout_built_once_at_construction(self, monkeypatch):
-        """The bias and masks are built once each, for history_units + 1
-        rows, when the predictor is made, and never during a forward."""
+        """The two masks are built once each, for history_units + 1 rows,
+        when the predictor is made, and never during a forward."""
         built = []
-        for name in ("alibi_bias", "causal_mask", "alignment_mask"):
+        for name in ("alibi_mask", "alignment_mask"):
             make = getattr(predictor_mod, name)
             monkeypatch.setattr(predictor_mod, name,
                                 lambda *a, make=make, name=name:
                                 built.append((name, a[0])) or make(*a))
         model = ConditionPredictor(self.cfg, seed=0)
         rows = self.cfg.history_units + 1
-        assert built == [("alibi_bias", rows), ("causal_mask", rows),
-                         ("alignment_mask", rows)]
+        assert built == [("alibi_mask", rows), ("alignment_mask", rows)]
         audio = np.random.default_rng(4).normal(size=(rows * 2, 4))
         with no_grad():
             for n in range(rows):
                 for every_row in (False, True):
                     model(random_units(n, seed=n), audio, 0, every_row=every_row)
-        assert len(built) == 3
+        assert len(built) == 2
 
     def test_each_length_reads_its_layout_read_only(self, monkeypatch):
-        """For every window length, each block gets the per-length bias and
-        the additive forms of the causal and alignment masks, as read-only
-        arrays."""
+        """For every window length, each block gets the per-length ALiBi and
+        alignment masks, as read-only arrays."""
         seen = []
         call = Block.__call__
 
-        def recording_call(self, x, bias, mask, memory, cross_mask, *rows):
-            seen.append((bias, mask, cross_mask))
-            return call(self, x, bias, mask, memory, cross_mask, *rows)
+        def recording_call(self, x, mask, memory, cross_mask, *rows):
+            seen.append((mask, cross_mask))
+            return call(self, x, mask, memory, cross_mask, *rows)
 
         monkeypatch.setattr(Block, "__call__", recording_call)
         h = self.cfg.components
@@ -232,29 +247,27 @@ class TestPredictor:
         for length in range(1, self.cfg.history_units + 2):
             seen.clear()
             self.conditions(random_units(length - 1, seed=length), audio)
-            [(bias, self_mask, cross_mask)] = seen
-            np.testing.assert_array_equal(bias, alibi_bias(length, self.cfg.heads))
-            want = additive_mask(causal_mask(length)), additive_mask(alignment_mask(length, h))
-            assert self_mask.tobytes() == want[0].tobytes()
-            assert cross_mask.tobytes() == want[1].tobytes()
-            assert not any(a.flags.writeable for a in (bias, self_mask, cross_mask))
+            [(self_mask, cross_mask)] = seen
+            assert self_mask.tobytes() == alibi_mask(length, self.cfg.heads).tobytes()
+            assert cross_mask.tobytes() == alignment_mask(length, h).tobytes()
+            assert not any(a.flags.writeable for a in (self_mask, cross_mask))
 
     def test_layout_masks_are_read_only_and_admit_a_key_in_every_row(self):
-        """The masks are 0/-inf float arrays built at construction; every
-        row of the longest window, and so of each top-left block, reads a
-        key, so no call checks for a degenerate row."""
+        """The two masks are float arrays built at construction; every row of
+        the longest window, and so of each top-left block, reads a key, so no
+        call checks for a degenerate row."""
         rows, h = self.cfg.history_units + 1, self.cfg.components
-        bias, causal, aligned = self.model._layout
-        assert bias.shape == (self.cfg.heads, rows, rows)
-        assert causal.shape == (rows, rows) and aligned.shape == (rows, rows * h)
-        for mask in (causal, aligned):
+        alibi, aligned = self.model._layout
+        assert alibi.shape == (self.cfg.heads, rows, rows)
+        assert aligned.shape == (rows, rows * h)
+        assert set(np.unique(aligned)) == {0.0, -np.inf}
+        for mask, width in ((alibi, 1), (aligned, h)):
             assert not mask.flags.writeable and mask.dtype == np.float64
-            assert set(np.unique(mask)) == {0.0, -np.inf}
             for length in range(1, rows + 1):
-                block = mask[:length, :length * (h if mask is aligned else 1)]
-                assert (block == 0.0).any(axis=-1).all()
+                block = mask[..., :length, :length * width]
+                assert np.isfinite(block).any(axis=-1).all()
         with pytest.raises(ValueError, match="read-only"):
-            causal[0, 1] = 0.0
+            aligned[0, 1] = 0.0
 
     def test_trailing_audio_is_dropped(self):
         """Trailing audio changes no condition, however many rows of it the

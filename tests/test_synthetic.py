@@ -91,6 +91,21 @@ class TestGeneratePair:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             generate_pair(1, num_frames, default_topology(), 3, speaker)
 
+    @pytest.mark.parametrize("name, value, error", [
+        ("num_speakers", 2.5, "an integer"), ("num_speakers", True, "an integer"),
+        ("num_speakers", 0, ">= 1"), ("feature_width", 2.5, "an integer"),
+        ("feature_width", 0, ">= 1"), ("seed", 2.5, "an integer"),
+        ("seed", True, "an integer"), ("seed", -1, ">= 0"),
+        ("dataset_seed", 2.5, "an integer"), ("dataset_seed", True, "an integer"),
+        ("dataset_seed", -1, ">= 0")])
+    def test_bad_counts_and_seeds_rejected(self, name, value, error):
+        """``num_speakers=2.5`` made a pair, and a float feature width or
+        seed leaked numpy's ``TypeError``."""
+        args = {"seed": 1, "num_frames": 10, "topology": default_topology(),
+                "num_speakers": 3, "speaker_index": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be {error}"):
+            generate_pair(**args)
+
 
 class TestBandLimitedNoise:
     def test_high_frequency_energy_suppressed(self):
@@ -156,6 +171,12 @@ class TestSplits:
         float speaker count gave float speaker indices."""
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make_splits(**{field: value})
+
+    @pytest.mark.parametrize("value, error", [(2.5, "an integer"), (True, "an integer"),
+                                              (-1, ">= 0")])
+    def test_bad_base_seed_rejected(self, value, error):
+        with pytest.raises(ValueError, match=f"base_seed must be {error}"):
+            make_splits(base_seed=value)
 
     @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test"])
     def test_empty_split_rejected(self, field):

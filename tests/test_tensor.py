@@ -21,13 +21,7 @@ from composed_ops import (
 )
 from facestream import tensor as T
 from facestream.fileio import DataError
-from facestream.nn import (
-    FeedForward,
-    MultiHeadAttention,
-    additive_mask,
-    alibi_bias,
-    causal_mask,
-)
+from facestream.nn import FeedForward, MultiHeadAttention, alibi_mask
 from facestream.tensor import (
     NonFiniteError,
     ParamStore,
@@ -53,6 +47,11 @@ from finite_diff import finite_diff_check
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def additive(admits):
+    """The 0/-inf mask of a boolean layout: 0 admits a key, -inf hides it."""
+    return np.where(admits, 0.0, -np.inf)
 
 
 class TestBackwardBasics:
@@ -93,16 +92,6 @@ class TestBackwardBasics:
         mask = np.array([[0.0, -np.inf]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             attention(q, k, v, mask=mask)
-
-    def test_attention_overflowing_bias_sum_raises(self):
-        # finite scores and a finite bias whose sum overflows, at a key the
-        # mask hides: the biased scores are checked before the mask is added
-        q = Tensor(np.array([[1e307, 0.0]]))
-        k = Tensor(np.ones((2, 2)))
-        bias = np.array([[1.79e308, 0.0]])
-        mask = np.array([[-np.inf, 0.0]])
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            attention(q, k, Tensor(np.ones((2, 1))), bias=bias, mask=mask)
 
     def test_negative_zero_first_gradient_lands_as_positive_zero(self):
         # the first write is g + 0.0, which has the signs of zeros + g
@@ -182,19 +171,18 @@ def _random_case(op_name, seed):
                 "b": r.normal(size=2)}
         return _differentiate(args, op_name[-1], linear)
     if op_name in ATTENTION_CASES:
-        # two heads side by side, a per-head bias and a mask shared across the
-        # head axis, as the predictor passes them; every query keeps a key. A
-        # batched q (2, 3, 8) reads shared keys and values, so their gradients
-        # sum over the batch
+        # two heads side by side and a per-head mask, a finite bias where a
+        # query reads a key, as the predictor passes it; every query keeps a
+        # key. A batched q (2, 3, 8) reads shared keys and values, so their
+        # gradients sum over the batch
         admits = r.random((1, 3, 5)) > 0.4
         admits[..., 0] = True
-        mask = additive_mask(admits)
         batch = (2,) if op_name.startswith("batched") else ()
         args = {"q": r.normal(size=batch + (3, 8)), "k": r.normal(size=(5, 8)),
                 "v": r.normal(size=(5, 6))}
-        bias = r.normal(size=(2, 3, 5))
+        mask = r.normal(size=(2, 3, 5)) + additive(admits)
         return _differentiate(args, op_name.rsplit("_", 1)[1],
-                              lambda q, k, v: attention(q, k, v, bias, mask, heads=2))
+                              lambda q, k, v: attention(q, k, v, mask, heads=2))
     if op_name in ("layer_norm_gain", "layer_norm_bias"):
         args = {"x": r.normal(size=(2, 5)), "gain": r.normal(size=5),
                 "bias": r.normal(size=5)}
@@ -203,8 +191,8 @@ def _random_case(op_name, seed):
         x = r.normal(size=(3, 2))
         k = r.normal(size=(4, 2))
         v = r.normal(size=(4, 3))
-        b = r.normal(size=(3, 4))
-        return x, lambda t: tsum(square(attention(t, Tensor(k), Tensor(v), bias=b)))
+        b = r.normal(size=(3, 4))   # a finite mask shifts every score
+        return x, lambda t: tsum(square(attention(t, Tensor(k), Tensor(v), b)))
     if op_name == "layer_norm":
         x = r.normal(size=(2, 5))
         g = r.normal(size=5)
@@ -294,11 +282,9 @@ class TestAttention:
         r = rng(3)
         q, k = Tensor(r.normal(size=(2, 4))), Tensor(r.normal(size=(5, 4)))
         v = Tensor(r.normal(size=(5, 3)))
-        bias = r.normal(size=(2, 5))
         mask = np.full((2, 5), -np.inf)
-        mask[0, 3] = 0.0
-        mask[1, 1] = 0.0
-        out = attention(q, k, v, bias=bias, mask=mask)
+        mask[0, 3], mask[1, 1] = r.normal(size=2)
+        out = attention(q, k, v, mask=mask)
         np.testing.assert_allclose(out.data[0], v.data[3])
         np.testing.assert_allclose(out.data[1], v.data[1])
 
@@ -339,17 +325,16 @@ class TestAttention:
         q, k, v = (Tensor(r.normal(size=(2, 3, 4)), requires_grad=True),
                    Tensor(r.normal(size=(2, 5, 4)), requires_grad=True),
                    Tensor(r.normal(size=(2, 5, 6)), requires_grad=True))
-        bias = r.normal(size=(2, 3, 5))
-        mask = None
+        mask = r.normal(size=(2, 3, 5))
         if masked:
             admits = r.random((3, 5)) > 0.4
             admits[:, 0] = True
-            mask = additive_mask(admits)
+            mask = mask + additive(admits)
         g = r.normal(size=(2, 3, 6))
         inputs = (q, k, v)
-        consts = [bias] + ([mask] if masked else [])
+        consts = [mask]
         before = [a.tobytes() for a in [t.data for t in inputs] + consts + [g]]
-        out = attention(q, k, v, bias=bias, mask=mask, heads=2)
+        out = attention(q, k, v, mask=mask, heads=2)
         assert [a.tobytes() for a in [t.data for t in inputs] + consts] == before[:-1]
         out._backward(g)
         assert [a.tobytes() for a in [t.data for t in inputs] + consts + [g]] == before
@@ -363,17 +348,18 @@ class TestAttention:
         bias = r.normal(size=(2, 3, 5))
         admits = r.random((3, 5)) > 0.2
         admits[:, 2] = True
-        mask = additive_mask(admits)
+        mask = bias + additive(admits)
         perm = r.permutation(5)
-        out = attention(Tensor(q.data), Tensor(k), Tensor(v), bias, mask, heads=2).data
+        out = attention(Tensor(q.data), Tensor(k), Tensor(v), mask, heads=2).data
         out_p = attention(Tensor(q.data), Tensor(k[perm]), Tensor(v[perm]),
-                          bias[..., perm], mask[:, perm], heads=2).data
+                          mask[..., perm], heads=2).data
         np.testing.assert_allclose(out, out_p, atol=1e-12)
 
 
 class TestAdditiveMask:
-    """``attention``'s mask is an additive 0/-inf float array that the caller
-    builds once; ``additive_mask`` makes it from a boolean layout."""
+    """``attention``'s mask is one additive float array that the caller
+    builds once: a finite entry admits a key and shifts its score, -inf
+    hides it."""
 
     @staticmethod
     def inputs(seed, requires_grad=False):
@@ -410,26 +396,17 @@ class TestAdditiveMask:
             with pytest.raises(NonFiniteError, match="'model call'"):
                 checked(out, "model call")
 
-    def test_additive_mask_of_a_layout(self):
-        admits = np.array([[True, False, True], [False, True, False]])
-        mask = additive_mask(admits)
-        assert mask.dtype == np.float64
-        assert mask.tobytes() == np.array([[0.0, -np.inf, 0.0],
-                                           [-np.inf, 0.0, -np.inf]]).tobytes()
-        admits[1, 1] = False
-        with pytest.raises(ValueError, match="degenerate attention row"):
-            additive_mask(admits)
-
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("layout", ["causal", "random"])
     def test_equals_the_boolean_fill_bit_for_bit(self, seed, layout, monkeypatch):
-        """Adding the 0/-inf mask gives the output and the q, k and v
-        gradients, byte for byte, of the same fused op whose softmax fills
-        the boolean mask's hidden scores with -inf (``fill_masked``), for a
-        batch of two, two heads and a per-head bias."""
+        """Adding a per-head bias where the layout admits a key and -inf
+        where it does not gives the output and the q, k and v gradients,
+        byte for byte, of the same fused op that adds the finite bias and
+        whose softmax fills the boolean layout's hidden scores with -inf
+        (``fill_masked``), for a batch of two and two heads."""
         r = rng(seed)
         if layout == "causal":
-            admits = causal_mask(6)
+            admits = np.tri(6, dtype=bool)
         else:
             admits = r.random((6, 6)) > 0.5
             admits[:, 4] = True
@@ -438,7 +415,7 @@ class TestAdditiveMask:
         bias = r.normal(size=(2, 6, 6))
         weight = r.normal(size=(2, 6, 10))
         additive = _value_and_grads(
-            lambda q, k, v: attention(q, k, v, bias, additive_mask(admits), heads=2),
+            lambda q, k, v: attention(q, k, v, np.where(admits, bias, -np.inf), heads=2),
             arrays, weight)
         softmax = T._softmax
         monkeypatch.setattr(T, "_softmax", lambda x: softmax(fill_masked(x, admits)))
@@ -462,13 +439,13 @@ class TestAttentionBackward:
         mask[1, 2] = 0.0
         args = {"q": r.normal(size=(4, 8)), "k": r.normal(size=(5, 8)),
                 "v": r.normal(size=(5, 6))}
-        bias = r.normal(size=(2, 4, 5))
+        mask = mask + r.normal(size=(2, 4, 5))
         for name in args:
             point, fn = _differentiate(
-                args, name, lambda q, k, v: attention(q, k, v, bias, mask, heads=2))
+                args, name, lambda q, k, v: attention(q, k, v, mask, heads=2))
             assert finite_diff_check(fn, point, eps=1e-5) < 1e-4, name
         leaves = {n: Tensor(a, requires_grad=True) for n, a in args.items()}
-        out = attention(**leaves, bias=bias, mask=mask, heads=2)
+        out = attention(**leaves, mask=mask, heads=2)
         weight = r.normal(size=out.shape)
         tsum(out * weight).backward()
         scale = max(np.abs(t.grad).max() for t in leaves.values())
@@ -496,8 +473,7 @@ class TestAttentionBackward:
         length, width, heads = 96, 32, 4
         q, k, v = (Tensor(r.normal(size=(length, width)), requires_grad=n in needs)
                    for n in "qkv")
-        out = attention(q, k, v, alibi_bias(length, heads),
-                        additive_mask(causal_mask(length)), heads=heads)
+        out = attention(q, k, v, alibi_mask(length, heads), heads=heads)
         g = r.normal(size=out.shape)
         tracemalloc.start()
         try:
@@ -530,17 +506,16 @@ class TestAttentionHeadGroups:
         kv_shape = (length, heads * d) if shared_kv else (2, length, heads * d)
         arrays = {"q": r.normal(size=(2, length, heads * d)),
                   "k": r.normal(size=kv_shape), "v": r.normal(size=kv_shape)}
-        bias = r.normal(size=(heads, length, length))
-        mask = additive_mask(causal_mask(length))
+        mask = r.normal(size=(heads, length, length)) + additive(np.tri(length, dtype=bool))
         g = r.normal(size=(2, length, heads * d))
         leaves = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
-        out = attention(**leaves, bias=bias, mask=mask, heads=heads)
+        out = attention(**leaves, mask=mask, heads=heads)
         out._backward(g)
         outs, grads = [], {n: [] for n in arrays}
         for h in range(heads):
             cols = slice(h * d, (h + 1) * d)
             part = {n: Tensor(a[..., cols], requires_grad=True) for n, a in arrays.items()}
-            out_h = attention(**part, bias=bias[h], mask=mask, heads=1)
+            out_h = attention(**part, mask=mask[h], heads=1)
             out_h._backward(g[..., cols])
             outs.append(out_h.data)
             for n, t in part.items():
@@ -561,16 +536,16 @@ class TestAttentionHeadGroups:
         assert not k.grad.any() and not v.grad.any()
 
     def test_non_finite_score_in_the_last_group_raises(self):
-        """The scores are checked whole in the forward: an infinite bias
-        entry of the last head, at a masked position, still raises."""
+        """The scores are checked whole in the forward: a score of the last
+        head that overflows, at a masked position, still raises."""
         heads, d, length = self.HEADS, self.WIDTH, 200
         r = rng(32)
-        q, k, v = (Tensor(r.normal(size=(2, length, heads * d)), requires_grad=True)
-                   for _ in range(3))
-        bias = np.zeros((heads, length, length))
-        bias[-1, 0, -1] = np.inf
-        with pytest.raises(NonFiniteError, match="attention scores"):
-            attention(q, k, v, bias, additive_mask(causal_mask(length)), heads=heads)
+        q, k, v = (r.normal(size=(2, length, heads * d)) for _ in range(3))
+        q[0, 0, -d:] = k[0, -1, -d:] = 1e200   # query 0 may not read key -1
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="attention scores"):
+            attention(q, k, v, alibi_mask(length, heads), heads=heads)
 
 
 class TestGradientHandOver:
@@ -770,8 +745,8 @@ class TestFusedMatchesComposed:
         arrays = [r.normal(size=(2, 6, 16)), r.normal(size=(2, 6, 16)),
                   r.normal(size=(2, 6, 10))]
         bias = r.normal(size=(2, 6, 6))
-        mask = additive_mask(admits)
-        self._check(lambda q, k, v: attention(q, k, v, bias, mask, heads=2),
+        mask = bias + additive(admits)
+        self._check(lambda q, k, v: attention(q, k, v, mask, heads=2),
                     lambda q, k, v: _composed_heads(q, k, v, bias, admits, heads=2),
                     arrays, (2, 6, 10), seed)
 
@@ -1013,13 +988,15 @@ class TestMultiHeadAttention:
         if setting == "alibi_causal":
             mha = MultiHeadAttention(store, "attn", 8, 2, r)
             inputs = [r.normal(size=(5, 8))]   # self-attention: one input
-            bias, admits = alibi_bias(5, 2), causal_mask(5)
+            mask, admits = alibi_mask(5, 2), np.tri(5, dtype=bool)
+            bias = np.where(admits, mask, 0.0)
         else:
             # a batch of two; keys and values come from a second sequence
             mha = MultiHeadAttention(store, "attn", 8, 2, r)
             inputs = [r.normal(size=(2, 4, 8)), r.normal(size=(2, 7, 8))]
             bias, admits = None, r.random((4, 7)) > 0.3
             admits[:, 0] = True
+            mask = additive(admits)
 
         def composed(x_q, x_kv=None):
             x_kv = x_q if x_kv is None else x_kv
@@ -1029,7 +1006,7 @@ class TestMultiHeadAttention:
 
         def fused(x_q, x_kv=None):
             x_kv = x_q if x_kv is None else x_kv
-            return mha(x_q, x_kv, bias=bias, mask=additive_mask(admits))
+            return mha(x_q, x_kv, mask=mask)
 
         weight = r.normal(size=inputs[0].shape)
         out_f, grads_f = _value_and_grads(fused, inputs, weight, store.tensors())
@@ -1044,7 +1021,7 @@ class TestMultiHeadAttention:
         r = rng(8)
         mha = MultiHeadAttention(ParamStore(), "attn", 8, 2, r)
         x = Tensor(r.normal(size=(5, 8)), requires_grad=True)
-        out = mha(x, x, bias=alibi_bias(5, 2), mask=additive_mask(causal_mask(5)))
+        out = mha(x, x, mask=alibi_mask(5, 2))
         assert sorted(_taped_ops(out)) == ["attention"] + ["linear"] * 4
 
 

@@ -312,6 +312,7 @@ def test_stage2_restores_the_decoder_after_divergence():
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", float("nan")),
     ("learning_rate", float("inf")), ("learning_rate", True), ("learning_rate", "1e-3"),
+    pytest.param("learning_rate", 10**400, id="learning_rate-10**400"),
     ("weight_decay", -1.0), ("weight_decay", float("nan")),
     ("weight_decay", float("inf")), ("weight_decay", True), ("weight_decay", "0.01"),
 ])
@@ -347,7 +348,7 @@ def test_non_integer_seed_rejected(value):
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         TrainConfig(seed=-1)
 
 
