@@ -90,6 +90,7 @@ def add_noise(z0: np.ndarray, t: int, eps: np.ndarray,
 
 def sample_timesteps(num_steps: int, steps: int) -> np.ndarray:
     """Descending uniform-stride subsequence that starts at the last timestep."""
+    check_count(num_steps, "num_steps")
     check_count(steps, "steps")
     if steps > num_steps:
         raise ValueError("steps cannot exceed the schedule length")

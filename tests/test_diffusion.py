@@ -159,6 +159,16 @@ class TestTimesteps:
         np.testing.assert_array_equal(sample_timesteps(1000, np.int32(50)),
                                       sample_timesteps(1000, 50))
 
+    def test_non_integer_schedule_length_rejected(self):
+        """A fractional length must not give float timesteps."""
+        for num_steps in (10.5, 10.0, True, "10"):
+            with pytest.raises(ValueError, match="num_steps must be an integer"):
+                sample_timesteps(num_steps, 1)
+        with pytest.raises(ValueError, match="num_steps must be >= 1"):
+            sample_timesteps(0, 1)
+        np.testing.assert_array_equal(sample_timesteps(np.int64(10), 2),
+                                      sample_timesteps(10, 2))
+
 
 class TestDDIM:
     def test_oracle_denoiser_recovered_exactly(self):

@@ -138,13 +138,23 @@ class TestRegionSpec:
                                      dict(upper_face_indices=[3, 4.5]),
                                      dict(upper_face_indices=[3.0, 4.0]),
                                      dict(lip_indices=["0", "1"]),
-                                     dict(mouth_pair=(0.5, 1))])
+                                     dict(mouth_pair=(0.5, 1)),
+                                     dict(lip_indices=[[0, 1]]),
+                                     dict(upper_face_indices=[[3], [4]]),
+                                     dict(lip_indices=2),
+                                     dict(mouth_pair=[[0, 1]])])
     def test_non_integer_indices_rejected(self, bad):
-        # a fractional index must not be truncated to a vertex it never named
+        # a fractional index must not be truncated to a vertex it never
+        # named, and a 2-D set must not turn the metrics' norms to another axis
         spec = dict(lip_indices=[0, 1], upper_face_indices=[3, 4], mouth_pair=(0, 1))
         spec.update(bad)
         with pytest.raises(ValueError, match="must be non-empty integers"):
             RegionSpec(**spec)
+
+    @pytest.mark.parametrize("pair", [(3,), (3, 4, 5)])
+    def test_mouth_pair_of_other_length_rejected(self, pair):
+        with pytest.raises(ValueError, match="mouth_pair must be two distinct vertices"):
+            RegionSpec(lip_indices=[0], upper_face_indices=[1], mouth_pair=pair)
 
     def test_numpy_integer_indices_accepted(self):
         reg = RegionSpec(lip_indices=np.array([0, 1, 2], dtype=np.int32),
@@ -182,3 +192,15 @@ def test_vertex_index_outside_the_mesh_rejected(metric, bad):
     pred, gt = random_pair(9, t=5)
     with pytest.raises(ValueError, match="indices must lie in"):
         metric(pred, gt, RegionSpec(**spec))
+
+
+@pytest.mark.parametrize("metric", [lve, fdd, mouth_open_diff, evaluate_pair])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_non_finite_motion_rejected(metric, bad, side):
+    """A non-finite entry is malformed input and raises, even at a vertex
+    no metric reads, where a NaN prediction used to score NaN silently."""
+    pair = dict(zip(("pred", "gt"), random_pair(11, t=5)))
+    pair[side][2, 5, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        metric(pair["pred"], pair["gt"], region())

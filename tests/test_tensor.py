@@ -1,10 +1,16 @@
 """Tape engine tests: gradients against central differences, attention laws."""
 
+import importlib.machinery
 import math
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from composed_ops import (
     composed_l1_loss,
@@ -873,6 +879,55 @@ class TestFeedForward:
         assert _taped_ops(out) == ["feed_forward"]
         want = _composed_feed_forward(x, ff.lin1.w, ff.lin1.b, ff.lin2.w, ff.lin2.b)
         assert out.data.tobytes() == want.data.tobytes()
+
+
+ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+class TestErfLoader:
+    """``feed_forward`` takes scipy's ``erf`` from its extension module, not
+    from the ``scipy.special`` package."""
+
+    def test_import_runs_no_scipy_package(self):
+        """Fails, rather than skips, on any scipy that ships the ufunc where
+        the loader looks, so a silent fall back to the package shows."""
+        try:
+            ships = hasattr(importlib.import_module(ERF_MODULE), "erf")
+        except ImportError:
+            ships = False
+        if not ships:
+            pytest.skip(f"this scipy has no {ERF_MODULE}.erf")
+        src = str(Path(T.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import facestream; "
+                f"print([m for m in ('scipy', 'scipy.special') if m in sys.modules])")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.split() == ["[]"]
+
+    def test_bytes_equal_to_the_public_erf(self):
+        tiny = np.nextafter(0.0, 1.0)   # the smallest subnormal
+        edges = np.array([1.0, -1.0, 8.0, -8.0])
+        sweep = np.logspace(-300, 300, 601)
+        x = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny],
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            sweep, -sweep, rng(0).normal(size=1000)])
+        assert T._erf(x).tobytes() == scipy.special.erf(x).tobytes()
+
+    def test_is_the_public_erf(self):
+        assert scipy.special.erf is T._erf
+        assert T._load_erf() is T._erf   # reuses the loaded module
+
+    @pytest.mark.parametrize("missing", ["file", "erf"])
+    def test_falls_back_to_the_public_import(self, missing, monkeypatch):
+        if missing == "file":
+            monkeypatch.delitem(sys.modules, ERF_MODULE)
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        else:
+            monkeypatch.setitem(sys.modules, ERF_MODULE, types.ModuleType(ERF_MODULE))
+        assert T._load_erf() is scipy.special.erf
+        if missing == "file":
+            assert ERF_MODULE not in sys.modules   # nothing was loaded
 
 
 class TestFusedLosses:
