@@ -4,8 +4,10 @@ and the three number checkers every module calls, ``check_integer``,
 
 All payloads are little-endian. Writers are deterministic (sorted tensor
 names, no timestamps) so identical state produces identical bytes. Readers
-raise ``DataError`` on truncated or corrupt input, and the motion and feature
-readers also on a non-finite value or a rate that is not finite and positive.
+raise ``DataError`` on truncated or corrupt input, on bytes after the payload
+that the header does not account for, on a repeated manifest key or tensor
+name, and the motion and feature readers also on a non-finite value or a
+rate that is not finite and positive.
 The motion and feature writers raise the same ``DataError`` before they open
 the file, checking the values as stored, after the cast to float32.
 
@@ -78,6 +80,15 @@ def _unpack(fmt: str, raw: bytes, offset: int, path) -> tuple:
         raise DataError(f"{path}: truncated at byte {offset}") from None
 
 
+def _check_end(raw: bytes, end: int, what: str, path) -> None:
+    """The header accounts for ``end`` bytes: a shorter file is truncated,
+    and a longer one holds bytes that no field reads."""
+    if len(raw) < end:
+        raise DataError(f"{path}: truncated {what}")
+    if len(raw) > end:
+        raise DataError(f"{path}: {len(raw) - end} bytes after the {what}")
+
+
 def _utf8(raw: bytes, path) -> str:
     try:
         return raw.decode("utf-8")
@@ -123,8 +134,7 @@ def read_motion(path) -> tuple[np.ndarray, float]:
     version, t, v, rate = _unpack("<IIIf", raw, 4, path)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported motion format version {version}")
-    if len(raw) < 20 + 4 * t * v * 3:
-        raise DataError(f"{path}: truncated motion payload")
+    _check_end(raw, 20 + 4 * t * v * 3, "motion payload", path)
     payload = np.frombuffer(raw, dtype="<f4", count=t * v * 3, offset=20)
     _check_values(payload, rate, path)
     return payload.reshape(t, v, 3).astype(np.float64), float(rate)
@@ -148,8 +158,7 @@ def read_features(path) -> tuple[np.ndarray, float]:
     if raw[:4] != FEATURE_MAGIC:
         raise DataError(f"{path}: not a feature file")
     t, c, rate = _unpack("<IIf", raw, 4, path)
-    if len(raw) < 16 + 4 * t * c:
-        raise DataError(f"{path}: truncated feature payload")
+    _check_end(raw, 16 + 4 * t * c, "feature payload", path)
     payload = np.frombuffer(raw, dtype="<f4", count=t * c, offset=16)
     _check_values(payload, rate, path)
     return payload.reshape(t, c).astype(np.float64), float(rate)
@@ -168,8 +177,10 @@ def parse_manifest(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DataError(f"bad manifest line: {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise DataError(f"repeated manifest key {key!r}")
+        out[key] = value
     return out
 
 
@@ -221,6 +232,8 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         cursor += 4 * ndim
         if code not in _CODE_DTYPES:
             raise DataError(f"{path}: unknown dtype code {code} for '{name}'")
+        if name in tensors:
+            raise DataError(f"{path}: repeated tensor name '{name}'")
         dtype = np.dtype(_CODE_DTYPES[code])
         n_items = math.prod(shape)
         if cursor + n_items * dtype.itemsize > len(raw):
@@ -232,6 +245,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         except ValueError:
             raise DataError(f"{path}: shape {shape} of '{name}' is too large") from None
         tensors[name] = arr.copy()
+    _check_end(raw, cursor, "last tensor", path)
     return tensors, manifest
 
 

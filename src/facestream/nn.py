@@ -111,6 +111,7 @@ class MultiHeadAttention:
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,
                  rng: np.random.Generator):
+        check_count(num_heads, "num_heads")
         if d_model % num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         self.num_heads = num_heads

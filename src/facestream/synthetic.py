@@ -16,7 +16,8 @@ import numpy as np
 
 from .audio import AudioFeatureSequence
 from .codec import MotionSequence
-from .fileio import DataError, check_count, check_integer, write_features, write_motion
+from .fileio import (DataError, check_count, check_integer, check_real, write_features,
+                     write_motion)
 from .metrics import RegionSpec
 
 # seed namespace tags, mixed into per-sequence/per-speaker substreams
@@ -135,6 +136,7 @@ def generate_pair(seed: int, num_frames: int, topology: SynthTopology,
     check_integer(speaker_index, "speaker_index")
     if not 0 <= speaker_index < num_speakers:
         raise ValueError("speaker index out of range")
+    check_real(fps, "fps")
 
     env_rng = np.random.default_rng([seed, _ENVELOPE_TAG])
     envelopes = np.stack(
@@ -172,7 +174,7 @@ def make_splits(num_train: int = 8, num_val: int = 2, num_test: int = 2,
     """Disjoint seed ranges per split; the test split holds out the last
     speaker index entirely so unseen-speaker evaluation is possible."""
     for name, count in (("num_train", num_train), ("num_val", num_val),
-                        ("num_test", num_test)):
+                        ("num_test", num_test), ("num_frames", num_frames)):
         check_count(count, name)
     check_count(base_seed, "base_seed", zero_ok=True)
     check_integer(num_speakers, "num_speakers")
@@ -218,6 +220,9 @@ def write_dataset(directory, entries: list[SplitEntry], topology: SynthTopology,
 
 
 def read_manifest(directory) -> list[SplitEntry]:
+    """The entries ``write_dataset`` listed. A row that is not five fields,
+    with an integer seed and speaker >= 0 and an integer frame count >= 1,
+    raises ``DataError``."""
     path = Path(directory) / "manifest.txt"
     if not path.exists():
         raise DataError(f"no manifest at {path}")
@@ -228,9 +233,12 @@ def read_manifest(directory) -> list[SplitEntry]:
             continue
         try:
             name, split, seed, speaker, frames = line.split()
-            entries.append(SplitEntry(name, split, int(seed), int(speaker),
-                                      int(frames)))
+            entry = SplitEntry(name, split, int(seed), int(speaker), int(frames))
         except ValueError:
             # a wrong field count fails the unpacking, a non-integer int()
-            raise DataError(f"bad manifest row in {path}: {line!r}") from None
+            entry = None
+        if entry is None or min(entry.seed, entry.speaker_index) < 0 \
+                or entry.num_frames < 1:
+            raise DataError(f"bad manifest row in {path}: {line!r}")
+        entries.append(entry)
     return entries

@@ -12,7 +12,11 @@ op: the loss takes the tensor's array, a constant. Four fused primitives,
 ``layer_norm`` and ``attention`` (head split, scale, mask, softmax, weighted
 sum and head merge), each record one tape node with a closed-form backward,
 so a transformer layer costs a handful of nodes instead of dozens.
-``Tensor()`` builds leaves and checks them for finiteness; ``_node`` builds
+``Tensor()`` builds leaves and checks them for finiteness; ``ParamStore``
+registers a model's parameters as leaves and takes ownership of each
+writeable float array it is handed, so a parameter is the very array its
+initialiser drew (a view stays a view) and building a model copies no
+weights; any other input is copied. ``_node`` builds
 every op output and checks it only when it records. Off the tape (under
 ``no_grad``, or when no input needs a gradient) an op output is a bare,
 unchecked node with no parents or closure: the ops pass a non-finite value
@@ -54,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fileio import DataError
+from .fileio import DataError, check_count
 
 
 def _load_erf():
@@ -597,6 +601,7 @@ def attention(q, k, v, mask=None, heads: int = 1) -> Tensor:
         raise ValueError("query/key width mismatch")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ValueError("key/value length mismatch")
+    check_count(heads, "heads")
     if q.data.shape[-1] % heads or v.data.shape[-1] % heads:
         raise ValueError("query and value widths must be divisible by heads")
     if mask is not None and np.asarray(mask).dtype.kind != "f":
@@ -716,9 +721,22 @@ class ParamStore:
         self._params: dict[str, Tensor] = {}
 
     def create(self, name: str, array: np.ndarray) -> Tensor:
+        """Register ``array`` as the parameter ``name``, a leaf that requires
+        a gradient; a taken name raises ``ValueError``.
+
+        The store takes ownership of a writeable float32 or float64
+        ``np.ndarray``: the parameter is that very array, not a copy, so
+        ``AdamW`` steps it in place and the caller must not keep writing it.
+        A view is kept as a view, so row blocks of one drawn matrix stay
+        blocks of it. Any other input (a list, another dtype, a read-only
+        array or an ndarray subclass) is copied to a new float array, which
+        the store alone holds.
+        """
         if name in self._params:
             raise ValueError(f"duplicate parameter name '{name}'")
-        t = Tensor(np.array(array), requires_grad=True)
+        owned = type(array) is np.ndarray and array.flags.writeable \
+            and array.dtype in (np.float32, np.float64)
+        t = Tensor(array if owned else np.array(array), requires_grad=True)
         self._params[name] = t
         return t
 

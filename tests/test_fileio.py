@@ -118,6 +118,12 @@ class TestManifestAndCSV:
         with pytest.raises(DataError):
             parse_manifest("not a pair\n")
 
+    @pytest.mark.parametrize("text", ["a = 1\na = 2\n", "a = 1\n a=1\n"])
+    def test_repeated_manifest_key_rejected(self, text):
+        """The last value of a repeated key won."""
+        with pytest.raises(DataError, match="repeated manifest key 'a'"):
+            parse_manifest(text)
+
     def test_csv_deterministic_full_precision(self, tmp_path):
         rows = [[1, 0.1 + 0.2, "x"], [2, 1e-17, "y"]]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -234,6 +240,41 @@ class TestCorruptInput:
             (root / "cut").write_bytes(files[kind][:keep])
             with pytest.raises(DataError):
                 self.READERS[kind](root / "cut")
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_lowered_count_rejected(self, kind, valid):
+        """A header that counts one frame or tensor less leaves bytes no
+        field reads: a motion file with T lowered from 2 to 1 read as a
+        (1, 3, 3) motion, and a checkpoint with its count lowered read as
+        one tensor fewer."""
+        root, files = valid
+        data = bytearray(files[kind])
+        # the u32 motion T, feature T_a, or checkpoint tensor count, which
+        # follows the u64 manifest length and the manifest
+        at = {"motion": 8, "features": 4,
+              "checkpoint": 16 + int.from_bytes(data[8:16], "little")}[kind]
+        data[at:at + 4] = (int.from_bytes(data[at:at + 4], "little") - 1).to_bytes(4, "little")
+        (root / "short").write_bytes(bytes(data))
+        with pytest.raises(DataError, match="bytes after"):
+            self.READERS[kind](root / "short")
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("extra", [1, 4, 8])
+    def test_trailing_bytes_rejected(self, kind, extra, valid):
+        root, files = valid
+        (root / "long").write_bytes(files[kind] + bytes(extra))
+        with pytest.raises(DataError, match=f"{extra} bytes after"):
+            self.READERS[kind](root / "long")
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        """The second of two tensors named "a" replaced the first."""
+        path = tmp_path / "ckpt"
+        write_checkpoint(path, {"a": np.zeros(2), "b": np.ones(2)}, {})
+        data = path.read_bytes()
+        assert data.count(b"\x01\x00b") == 1   # u16 name length, then the name
+        path.write_bytes(data.replace(b"\x01\x00b", b"\x01\x00a"))
+        with pytest.raises(DataError, match="repeated tensor name 'a'"):
+            read_checkpoint(path)
 
     def test_unknown_dtype_code_rejected(self, valid):
         root, files = valid

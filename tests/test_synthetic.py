@@ -106,6 +106,13 @@ class TestGeneratePair:
         with pytest.raises(ValueError, match=f"{name} must be {error}"):
             generate_pair(**args)
 
+    @pytest.mark.parametrize("fps", ["25", np.nan, np.inf, 0.0, -25.0, True])
+    def test_bad_fps_rejected(self, fps):
+        """``fps="25"`` leaked a ``TypeError``, and ``fps=nan`` "cannot
+        convert float NaN to integer"."""
+        with pytest.raises(ValueError, match="fps must be finite and positive"):
+            generate_pair(1, 10, default_topology(), 3, 0, fps=fps)
+
 
 class TestBandLimitedNoise:
     def test_high_frequency_energy_suppressed(self):
@@ -164,7 +171,7 @@ class TestSplits:
         assert [e.seed for e in loaded] == [e.seed for e in entries]
 
     @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test",
-                                       "num_speakers"])
+                                       "num_speakers", "num_frames"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True])
     def test_non_integer_counts_rejected(self, field, value):
         """``num_train=2.5`` leaked a ``TypeError`` from ``range``, and a
@@ -178,13 +185,15 @@ class TestSplits:
         with pytest.raises(ValueError, match=f"base_seed must be {error}"):
             make_splits(base_seed=value)
 
-    @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test"])
+    @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test", "num_frames"])
     def test_empty_split_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             make_splits(**{field: 0})
 
     @pytest.mark.parametrize("row", ["a train x 0 240", "a train 1 0 2.5",
-                                     "a train 1 0", "a train 1 0 240 extra"])
+                                     "a train 1 0", "a train 1 0 240 extra",
+                                     "a train -1 -3 0", "a train -1 0 240",
+                                     "a train 1 -3 240", "a train 1 0 0"])
     def test_bad_manifest_row_rejected(self, tmp_path, row):
         path = tmp_path / "manifest.txt"
         path.write_text(f"# id split seed speaker frames\n{row}\n", encoding="utf-8")

@@ -1,12 +1,15 @@
 """Print a sha256 digest of every benchmark output array, one line each.
 
-The arrays are the frames of the ``solo_d10`` (24 rounds) and ``multi_d50``
-(3 rounds) stream runs, the loss rows of ``train_s1`` (1 epoch) and
-``train_s2`` (2 epochs), and every codec, predictor and head parameter after
-each training call, at seeds 0 and 2718. Parameters are labelled by their
-position in construction order, not by name, so a renamed parameter keeps
-its line. Running this on two trees and diffing the outputs shows whether a
-change kept the outputs byte-equal:
+The arrays are every codec, predictor and head parameter of the benchmark
+models as built, before any training call; then, at seeds 0 and 2718, the
+frames of the ``solo_d10`` (24 rounds) and ``multi_d50`` (3 rounds) stream
+runs, the loss rows of ``train_s1`` (1 epoch) and ``train_s2`` (2 epochs),
+and every parameter after each training call. The built lines check a
+change to model construction directly, not only through what the models
+compute. Parameters are labelled by their position in construction order,
+not by name, so a renamed parameter keeps its line. Running this on two
+trees and diffing the outputs shows whether a change kept the outputs
+byte-equal:
 
     PYTHONPATH=src python3 tools/output_digest.py > digest.txt
 
@@ -42,8 +45,15 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(head + array.tobytes()).hexdigest()
 
 
+def print_params(label: str, models) -> None:
+    for part in ("codec", "predictor", "head"):
+        for i, (_, param) in enumerate(getattr(models, part).store.items()):
+            print(f"{label} {part}[{i}] {digest(param.data)}")
+
+
 def main() -> None:
     workloads = _load_workloads()
+    print_params("built", workloads.build_models())
     for seed in SEEDS:
         for name, size in SIZES.items():
             work = workloads.make_work(name, seed)
@@ -52,10 +62,7 @@ def main() -> None:
                 models = workloads.build_models()
                 rows = work.call(models, workloads.training_set(seed), size, seed)
                 print(f"{label} losses {digest(np.array([list(r.values()) for r in rows]))}")
-                for part in ("codec", "predictor", "head"):
-                    store = getattr(models, part).store
-                    for i, (_, param) in enumerate(store.items()):
-                        print(f"{label} {part}[{i}] {digest(param.data)}")
+                print_params(label, models)
             else:
                 work.setup()
                 print(f"{label} frames {digest(work.reference(seed, size))}")
