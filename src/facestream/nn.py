@@ -6,7 +6,8 @@ multi-head attention with one additive mask, sinusoidal positions, and the
 ALiBi slopes and causal ALiBi mask used by the condition predictor. A mask
 is the constant float array ``attention`` adds to its scores, built once
 when a model is built: a finite entry admits a key and shifts its score,
--inf hides it.
+-inf hides it. The initialisers draw numpy's numbers into arrays that start
+on a cache line, and a model keeps them as its parameters.
 """
 
 from __future__ import annotations
@@ -28,16 +29,41 @@ from .tensor import (
 )
 
 INIT_STD = 0.02   # std of the normal initialisation of embeddings and codebooks
+CACHE_LINE = 64   # bytes; every drawn weight array starts on one
 _NO_BIAS = Tensor(0.0)   # zero bias of the key projections, built once, not per call
 
 
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` that starts on a cache
+    line. numpy aligns a buffer to 16 bytes only, and a model keeps the
+    arrays its initialisers draw, so without this a weight's offset in its
+    cache line would follow the heap: on a 2-core AVX-512 Xeon VM with
+    OpenBLAS, an 8-row product with a 256 x 256 weight measured 7% slower
+    at 32 bytes past a line than on one."""
+    n = math.prod(shape)
+    buf = np.empty(n + CACHE_LINE // 8)
+    start = (-buf.ctypes.data % CACHE_LINE) // 8
+    return buf[start:start + n].reshape(shape)
+
+
 def glorot_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+    """The numbers of ``rng.uniform(-limit, limit, (d_in, d_out))``, which
+    is ``-limit + 2 limit u`` for ``u`` from ``rng.random``, drawn into a
+    cache-line-aligned array."""
     limit = math.sqrt(6.0 / (d_in + d_out))
-    return rng.uniform(-limit, limit, size=(d_in, d_out))
+    w = rng.random(out=_aligned_empty((d_in, d_out)))
+    w *= 2.0 * limit
+    w -= limit
+    return w
 
 
 def normal_init(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.normal(0.0, INIT_STD, size=shape)
+    """The numbers of ``rng.normal(0.0, INIT_STD, shape)``, drawn into a
+    cache-line-aligned array."""
+    w = rng.standard_normal(out=_aligned_empty(shape))
+    w *= INIT_STD
+    w += 0.0   # as rng.normal adds its mean: a -0.0 becomes 0.0
+    return w
 
 
 @functools.lru_cache(maxsize=None)

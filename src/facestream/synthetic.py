@@ -234,11 +234,10 @@ def read_manifest(directory) -> list[SplitEntry]:
         try:
             name, split, seed, speaker, frames = line.split()
             entry = SplitEntry(name, split, int(seed), int(speaker), int(frames))
+            if min(entry.seed, entry.speaker_index) < 0 or entry.num_frames < 1:
+                raise ValueError("negative seed or speaker, or no frames")
         except ValueError:
             # a wrong field count fails the unpacking, a non-integer int()
-            entry = None
-        if entry is None or min(entry.seed, entry.speaker_index) < 0 \
-                or entry.num_frames < 1:
-            raise DataError(f"bad manifest row in {path}: {line!r}")
+            raise DataError(f"bad manifest row in {path}: {line!r}") from None
         entries.append(entry)
     return entries

@@ -16,7 +16,7 @@ so a transformer layer costs a handful of nodes instead of dozens.
 registers a model's parameters as leaves and takes ownership of each
 writeable float array it is handed, so a parameter is the very array its
 initialiser drew (a view stays a view) and building a model copies no
-weights; any other input is copied. ``_node`` builds
+weights; any other input is converted or copied. ``_node`` builds
 every op output and checks it only when it records. Off the tape (under
 ``no_grad``, or when no input needs a gradient) an op output is a bare,
 unchecked node with no parents or closure: the ops pass a non-finite value
@@ -724,19 +724,17 @@ class ParamStore:
         """Register ``array`` as the parameter ``name``, a leaf that requires
         a gradient; a taken name raises ``ValueError``.
 
-        The store takes ownership of a writeable float32 or float64
-        ``np.ndarray``: the parameter is that very array, not a copy, so
-        ``AdamW`` steps it in place and the caller must not keep writing it.
-        A view is kept as a view, so row blocks of one drawn matrix stay
-        blocks of it. Any other input (a list, another dtype, a read-only
-        array or an ndarray subclass) is copied to a new float array, which
-        the store alone holds.
+        The store takes ownership of a writeable float32 or float64 array:
+        the parameter is that very array, not a copy, so ``AdamW`` steps it
+        in place and the caller must not keep writing it. A view is kept as
+        a view, so row blocks of one drawn matrix stay blocks of it. A list
+        or another dtype is converted to a new float64 array, and a
+        read-only array is copied, so the store alone holds either.
         """
         if name in self._params:
             raise ValueError(f"duplicate parameter name '{name}'")
-        owned = type(array) is np.ndarray and array.flags.writeable \
-            and array.dtype in (np.float32, np.float64)
-        t = Tensor(array if owned else np.array(array), requires_grad=True)
+        data = _float_array(array)
+        t = Tensor(data if data.flags.writeable else data.copy(), requires_grad=True)
         self._params[name] = t
         return t
 

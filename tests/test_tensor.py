@@ -29,7 +29,15 @@ from facestream import tensor as T
 from facestream.codec import CodecConfig, MotionCodec
 from facestream.diffusion import DiffusionHead
 from facestream.fileio import DataError
-from facestream.nn import FeedForward, MultiHeadAttention, alibi_mask
+from facestream.nn import (
+    CACHE_LINE,
+    INIT_STD,
+    FeedForward,
+    MultiHeadAttention,
+    alibi_mask,
+    glorot_uniform,
+    normal_init,
+)
 from facestream.predictor import ConditionPredictor, PredictorConfig
 from facestream.tensor import (
     NonFiniteError,
@@ -1110,6 +1118,38 @@ class TestStraightThrough:
         np.testing.assert_allclose(z.grad, [[2.0, 5.0]])
 
 
+def build_benchmark_model(model: str):
+    """The benchmark's models, as perfbench/workloads.py ``build_models``
+    sizes them."""
+    p, c = PredictorConfig(num_speakers=8), CodecConfig()
+    if model == "codec":
+        return MotionCodec(c, seed=14)
+    if model == "head":
+        return DiffusionHead((c.components, c.width), p.hidden, 256, 1000, seed=13)
+    return ConditionPredictor(p, seed=12)
+
+
+class TestInitialisers:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 256)])
+    def test_initialisers_draw_numpys_numbers(self, shape):
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            limit = math.sqrt(6.0 / sum(shape))
+            assert glorot_uniform(a, *shape).tobytes() == \
+                b.uniform(-limit, limit, shape).tobytes()
+            assert normal_init(a, shape).tobytes() == \
+                b.normal(0.0, INIT_STD, shape).tobytes()
+            assert a.random() == b.random()   # both took the same draws
+
+    @pytest.mark.parametrize("model", ["codec", "head", "predictor"])
+    def test_models_draw_weights_on_cache_lines(self, model):
+        """Every weight matrix, table and codebook starts on a 64-byte cache
+        line, wherever the heap put its buffer."""
+        for name, t in build_benchmark_model(model).store.items():
+            if t.data.ndim == 2:
+                assert t.data.ctypes.data % CACHE_LINE == 0, name
+
+
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = ParamStore()
@@ -1183,16 +1223,10 @@ class TestParamStore:
         The traced peak of a build exceeded the bytes still live after it
         by 1600, 270 and 52 KB (head, predictor, codec) while ``create``
         copied its array, and by 64, 14 and 7 KB since it keeps it."""
-        # the benchmark's models, as perfbench/workloads.py ``build_models`` sizes them
-        p, c = PredictorConfig(num_speakers=8), CodecConfig()
-        build = {"codec": lambda: MotionCodec(c, seed=14),
-                 "head": lambda: DiffusionHead((c.components, c.width), p.hidden,
-                                               256, 1000, seed=13),
-                 "predictor": lambda: ConditionPredictor(p, seed=12)}[model]
-        build()   # fills the caches that later builds read
+        build_benchmark_model(model)   # fills the caches that later builds read
         tracemalloc.start()
         try:
-            built = build()
+            built = build_benchmark_model(model)
             live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
