@@ -11,6 +11,13 @@ of that table and does only the work that depends on ``z_t``: one fused
 ``feed_forward`` node whose first bias is that row. ``denoise`` returns flat
 (B, H*C) rows; callers restore the unit shape, the sampler in numpy and
 stage-2 training on the tape. Training and sampling share this one path.
+Off the tape ``denoise`` checks nothing of its own, like any op: the sampled
+unit is the one checked model call. ``ddim_sample`` checks the unit it
+returns once, and that covers every step, since each DDIM update carries a
+non-finite prediction into the next step's noisy unit and the head's
+products and GELU carry it on into the last prediction. On the tape the
+fused ``feed_forward`` checks its hidden layer and its output, so stage-2
+training names the op that failed.
 Stage-2 training builds the table of the one timestep it draws; the sampler
 hands its plan (``head_denoiser``) a unit's whole descending timestep
 sequence once, and each of its steps reads the next row.
@@ -35,6 +42,7 @@ from .tensor import (
     ParamStore,
     Tensor,
     as_tensor,
+    bare_node,
     checked,
     feed_forward,
     linear,
@@ -192,18 +200,21 @@ class DiffusionHead:
         (B, H*C) rows. ``row`` is one (B, hidden) row of a :meth:`condition`
         table, one condition row per unit (B = 1 for a single unit); a unit
         shape or a row count that does not match raises ``DataError``.
-        ``z_t`` enters as data only, wrapped and checked once; no caller
-        needs its gradient. Off the tape the result is checked for
-        finiteness once, which covers the row it reads."""
+        ``z_t`` enters as data only, an unchecked ``bare_node``; no caller
+        needs its gradient. Off the tape this is an op like
+        ``feed_forward``: a non-finite value in ``z_t``, the row or a weight
+        reaches the result unchecked, and the caller's check catches it
+        (``ddim_sample`` checks the unit it returns). On the tape the fused
+        ``feed_forward`` checks its hidden layer and its output, and so
+        every non-finite value this call makes."""
         z = np.asarray(z_t.data if isinstance(z_t, Tensor) else z_t)
         if z.ndim not in (2, 3) or z.shape[-2:] != self.unit_shape:
             raise DataError(f"noisy units {z.shape} are not (H, C) or (B, H, C) "
                             f"with (H, C) = {self.unit_shape}")
-        rows = Tensor(z.reshape(-1, self.unit_shape[0] * self.unit_shape[1]))
+        rows = bare_node(z.reshape(-1, self.unit_shape[0] * self.unit_shape[1]))
         if row.data.ndim != 2 or row.data.shape[0] != rows.data.shape[0]:
             raise DataError("condition rows do not match the batch")
-        return checked(feed_forward(rows, self.wz, row, self.lin2.w, self.lin2.b),
-                       "DiffusionHead.denoise")
+        return feed_forward(rows, self.wz, row, self.lin2.w, self.lin2.b)
 
 
 def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
@@ -224,6 +235,14 @@ def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
     order into two new arrays per step, the noise estimate and the next
     ``z``. A step may keep the ``z_t`` it was given, so no ``z`` is
     overwritten.
+
+    The returned unit is checked for finiteness (``checked``), once for all
+    the steps, and a non-finite one raises ``NonFiniteError``. A step need
+    not check its own prediction: the update carries a NaN or ±inf in any
+    prediction into the next ``z``, and a step that reads every entry of
+    its ``z_t``, as the head does, carries it into its own prediction. On
+    the way numpy may emit the ``RuntimeWarning``s that ``no_grad``
+    describes.
     """
     timesteps = sample_timesteps(schedule.num_steps, steps)
     step = plan(timesteps)
@@ -239,7 +258,7 @@ def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
         z = signal_prev * z0_hat
         eps_hat *= noise_prev
         z += eps_hat
-    return np.asarray(step(z, steps - 1))
+    return checked(np.asarray(step(z, steps - 1)), "ddim_sample")
 
 
 def head_denoiser(head: DiffusionHead, cond: np.ndarray):
@@ -250,7 +269,8 @@ def head_denoiser(head: DiffusionHead, cond: np.ndarray):
     nothing is recorded until the plan runs. The plan binds the condition
     and every timestep's time term at once (``DiffusionHead.condition``)
     under ``no_grad``; its step i is one ``head.denoise`` with row i of that
-    table, returned in ``z_t``'s shape.
+    table, returned in ``z_t``'s shape. A step checks nothing of its own:
+    ``ddim_sample`` checks the unit it returns.
     """
     cond = np.asarray(cond)
     cond = head._checked_condition(cond.reshape(1, -1) if cond.ndim == 1 else cond)
@@ -261,7 +281,7 @@ def head_denoiser(head: DiffusionHead, cond: np.ndarray):
 
         def step(z_t: np.ndarray, i: int) -> np.ndarray:
             with no_grad():
-                return head.denoise(z_t, table[i]).data.reshape(np.shape(z_t))
+                return head.denoise(z_t, table[i]).data.reshape(z_t.shape)
 
         return step
 

@@ -30,6 +30,7 @@ CHANNELS = ("mouth_open", "lip_round", "brow_raise")
 AMPLITUDES = (1.0, 0.6, 0.6)   # envelope gain per channel
 FEATURE_NOISE = 0.01           # std of the noise added to the features
 ENVELOPE_CUTOFF_HZ = 4.0       # envelopes hold little content above this
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -183,7 +184,7 @@ def make_splits(num_train: int = 8, num_val: int = 2, num_test: int = 2,
     train_speakers = num_speakers - 1
     entries = []
     counter = 0
-    for split, count in (("train", num_train), ("val", num_val), ("test", num_test)):
+    for split, count in zip(SPLITS, (num_train, num_val, num_test)):
         for i in range(count):
             if split == "test" and i == 0:
                 speaker = num_speakers - 1  # unseen during training
@@ -221,12 +222,15 @@ def write_dataset(directory, entries: list[SplitEntry], topology: SynthTopology,
 
 def read_manifest(directory) -> list[SplitEntry]:
     """The entries ``write_dataset`` listed. A row that is not five fields,
-    with an integer seed and speaker >= 0 and an integer frame count >= 1,
-    raises ``DataError``."""
+    with a split in ``SPLITS``, an integer seed and speaker >= 0 and an
+    integer frame count >= 1, raises ``DataError``, and so does a sequence
+    id that an earlier row already named: ``write_dataset`` names each
+    sequence's files by its id."""
     path = Path(directory) / "manifest.txt"
     if not path.exists():
         raise DataError(f"no manifest at {path}")
     entries = []
+    ids = set()
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -234,10 +238,14 @@ def read_manifest(directory) -> list[SplitEntry]:
         try:
             name, split, seed, speaker, frames = line.split()
             entry = SplitEntry(name, split, int(seed), int(speaker), int(frames))
-            if min(entry.seed, entry.speaker_index) < 0 or entry.num_frames < 1:
-                raise ValueError("negative seed or speaker, or no frames")
+            if min(entry.seed, entry.speaker_index) < 0 or entry.num_frames < 1 \
+                    or split not in SPLITS:
+                raise ValueError("negative seed or speaker, no frames or unknown split")
         except ValueError:
             # a wrong field count fails the unpacking, a non-integer int()
             raise DataError(f"bad manifest row in {path}: {line!r}") from None
+        if name in ids:
+            raise DataError(f"sequence id {name!r} repeats in {path}: {line!r}")
+        ids.add(name)
         entries.append(entry)
     return entries

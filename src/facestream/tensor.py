@@ -19,9 +19,13 @@ initialiser drew (a view stays a view) and building a model copies no
 weights; any other input is converted or copied. ``_node`` builds
 every op output and checks it only when it records. Off the tape (under
 ``no_grad``, or when no input needs a gradient) an op output is a bare,
-unchecked node with no parents or closure: the ops pass a non-finite value
-on to their outputs, so each model call checks its own result once with
-``checked``.
+unchecked node with no parents or closure (``bare_node``): the ops pass a
+non-finite value on to their outputs, so each model call checks its own
+result once with ``checked``. The model calls are the predictor's forward,
+the codec's ``encode``, ``encode_quantized`` and ``decode``, and the
+sampler: ``ddim_sample`` checks the unit it returns, once for all its
+steps, since each DDIM update carries a non-finite prediction into the
+next step's input.
 Only leaves keep a ``grad`` after ``backward``; an op node frees its own.
 ``attention`` owns the multi-head layout: its inputs and output keep the
 heads side by side in the last axis, and it splits and merges them in numpy,
@@ -106,6 +110,7 @@ LAYER_NORM_EPS = 1e-5   # added to the variance before the inverse square root
 # block of this size: the block's softmax weights and its score gradient
 # together then fill half of a 2 MiB per-core L2 cache.
 _SCORE_BLOCK_BYTES = 512 * 1024
+_SQRT2 = math.sqrt(2.0)   # feed_forward's GELU divides its pre-activation by it
 
 
 class NonFiniteError(ArithmeticError):
@@ -256,9 +261,25 @@ def recording(tensors: Iterable[Tensor]) -> bool:
     return _tape_enabled and any(t.requires_grad for t in tensors)
 
 
+def bare_node(value: np.ndarray) -> Tensor:
+    """``value``, an array, as a node off the tape: no parents, no closure,
+    no gradient and, unlike a ``Tensor()`` leaf, no finite check. Every op
+    output off the tape is one (``_node``). A caller may wrap data in one
+    when an op reads it and passes its non-finite values on to a check the
+    caller makes anyway: ``DiffusionHead.denoise`` wraps the noisy unit,
+    which reaches the unit that ``ddim_sample`` checks."""
+    node = Tensor.__new__(Tensor)
+    node.data = value
+    node.grad = None
+    node.requires_grad = False
+    node._parents = ()
+    node._backward = None
+    return node
+
+
 def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     """Op ``op``'s output as a tensor: on the tape when recording and some
-    parent requires a gradient, else a bare node with no parents or closure.
+    parent requires a gradient, else a ``bare_node``.
 
     ``value`` is a float array computed from tensors' data, so the node
     skips the leaf coercions; numpy returns a 0-d result as a scalar, which
@@ -275,12 +296,12 @@ def _node(value: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Te
     """
     if type(value) is not np.ndarray:
         value = np.asarray(value)
-    node = Tensor.__new__(Tensor)
-    node.grad = None
-    node.requires_grad = recording(parents)
-    node.data = _check_finite(value, op) if node.requires_grad else value
-    node._parents = tuple(parents) if node.requires_grad else ()
-    node._backward = backward if node.requires_grad else None
+    if not recording(parents):
+        return bare_node(value)
+    node = bare_node(_check_finite(value, op))
+    node.requires_grad = True
+    node._parents = tuple(parents)
+    node._backward = backward
     return node
 
 
@@ -466,7 +487,10 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
 
 
 def _check_affine(op: str, x: Tensor, *weights: Tensor) -> None:
-    if x.data.ndim < 2 or any(w.data.ndim != 2 for w in weights):
+    ranked = x.data.ndim >= 2
+    for w in weights:
+        ranked = ranked and w.data.ndim == 2
+    if not ranked:
         raise ValueError(f"{op} expects x of rank >= 2 and 2-D weights")
 
 
@@ -513,7 +537,7 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     pre = _affine(x.data, w1.data, b1.data)
     if recording(parents):
         _check_finite(pre, "feed_forward hidden")
-    cdf = pre / math.sqrt(2.0)   # Phi(pre) = 0.5 * (1 + erf(pre / sqrt 2))
+    cdf = pre / _SQRT2   # Phi(pre) = 0.5 * (1 + erf(pre / sqrt 2))
     _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -758,13 +782,15 @@ class ParamStore:
         return {n: self._params[n].data.copy() for n in self.names()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Replace every parameter's values with the same-named array of
-        ``state``, all or none.
+        """Write the same-named array of ``state`` into every parameter's
+        own array, all or none.
 
         The whole state is checked before any parameter is written: a missing
         or unexpected name, or a non-finite array, raises ``DataError``, and a
         shape mismatch raises ``ValueError``. On any error the store is left
-        unchanged.
+        unchanged. The values are copied in place, so each parameter keeps its
+        buffer: blocks of one drawn matrix stay blocks of it, and a weight
+        drawn onto a cache line stays on it.
         """
         missing = sorted(set(self._params) - set(state))
         unexpected = sorted(set(state) - set(self._params))
@@ -782,4 +808,4 @@ class ParamStore:
                 raise DataError(f"non-finite values in parameter '{name}'")
             loaded[name] = arr
         for name, arr in loaded.items():
-            self._params[name].data = arr
+            np.copyto(self._params[name].data, arr)

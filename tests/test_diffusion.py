@@ -650,18 +650,42 @@ def swept_head():
     return DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=100, seed=3)
 
 
+def _overflow(a):
+    """Scale ``a`` in place past overflow; a zero bias is moved off zero."""
+    if not a.any():
+        a += 0.5
+    a *= 1e300
+    a *= 1e300
+
+
+def _one_nan(a):
+    a.flat[0] = np.nan
+
+
 @pytest.mark.parametrize("name", swept_head().store.names())
 def test_denoise_never_returns_non_finite_units(name):
-    """Off the tape denoise checks only its result, which covers the plan
-    row it slices: whatever one parameter holds, a planned step of a batch
-    raises or returns finite units."""
+    """Off the tape ``denoise`` is an op: it checks nothing of its own, and
+    the sampled unit is the one checked call. Whatever one parameter holds,
+    a planned step of a batch returns without raising, and ``ddim_sample``
+    over that plan raises ``NonFiniteError`` instead of returning the
+    spoiled unit."""
     head = swept_head()
     cond = np.random.default_rng(4).normal(size=(2, 6))
     z = np.random.default_rng(5).normal(size=(2, 2, 4))
-    timesteps = sample_timesteps(100, 10)
-    assert_never_returns_non_finite(
-        lambda: head.denoise(z, head.condition(cond, timesteps)[6]).data,
-        head.store[name])
+    s = build_schedule(100)
+    param = head.store[name]
+    original = param.data.copy()
+    for spoil in (_overflow, _one_nan):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                spoil(param.data)
+                step = head_denoiser(head, cond)(sample_timesteps(100, 10))
+                assert not np.isfinite(step(z, 6)).all()
+                with pytest.raises(NonFiniteError, match="ddim_sample"):
+                    ddim_sample(head_denoiser(head, cond), s, 10,
+                                np.random.default_rng(7), (2, 2, 4))
+            finally:
+                param.data[...] = original
 
 
 @pytest.mark.parametrize("name", swept_head().store.names())
@@ -674,6 +698,23 @@ def test_sampler_never_returns_non_finite_units(name):
         lambda: ddim_sample(head_denoiser(head, cond), s, 10,
                             np.random.default_rng(7), (2, 4)),
         head.store[name])
+
+
+def test_sampler_checks_a_fixed_number_of_arrays_whatever_its_steps(monkeypatch):
+    """The finite checks of one sampled unit do not grow with the step
+    count: the condition leaf, the time table's sinusoid leaf and the unit
+    the sampler returns, none per step."""
+    counts = {}
+    original = tensor._check_finite
+    for steps in (1, 10, 50):
+        head, calls = swept_head(), []
+        monkeypatch.setattr(tensor, "_check_finite",
+                            lambda *a: calls.append(a[-1]) or original(*a))
+        ddim_sample(head_denoiser(head, np.ones(6)), build_schedule(100),
+                    steps, np.random.default_rng(7), (2, 4))
+        monkeypatch.setattr(tensor, "_check_finite", original)
+        counts[steps] = calls
+    assert counts[1] == counts[10] == counts[50] == ["leaf", "leaf", "ddim_sample"]
 
 
 class TestTimeTable:

@@ -190,10 +190,21 @@ class TestSplits:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             make_splits(**{field: 0})
 
+    @pytest.mark.parametrize("second", ["a train 1 0 240", "a test 2 5 240"])
+    def test_repeated_sequence_id_rejected(self, tmp_path, second):
+        """Both rows would write ``a.sgmo``, the second over the first."""
+        (tmp_path / "manifest.txt").write_text(
+            f"# id split seed speaker frames\na train 1 0 240\n{second}\n",
+            encoding="utf-8")
+        with pytest.raises(DataError, match="'a' repeats") as caught:
+            read_manifest(tmp_path)
+        assert second in str(caught.value)
+
     @pytest.mark.parametrize("row", ["a train x 0 240", "a train 1 0 2.5",
                                      "a train 1 0", "a train 1 0 240 extra",
                                      "a train -1 -3 0", "a train -1 0 240",
-                                     "a train 1 -3 240", "a train 1 0 0"])
+                                     "a train 1 -3 240", "a train 1 0 0",
+                                     "a bogus 2 5 240", "a Train 2 5 240"])
     def test_bad_manifest_row_rejected(self, tmp_path, row):
         path = tmp_path / "manifest.txt"
         path.write_text(f"# id split seed speaker frames\n{row}\n", encoding="utf-8")

@@ -1198,6 +1198,26 @@ class TestParamStore:
         for name, arr in state.items():
             np.testing.assert_array_equal(store[name].data, arr)
 
+    @pytest.mark.parametrize("model", ["codec", "head", "predictor"])
+    def test_load_state_writes_into_each_parameter(self, model):
+        """A load keeps every parameter's buffer: each 2-D parameter still
+        starts on a cache line, the head's first-layer blocks stay blocks of
+        its one drawn matrix, and the loaded values read back exactly."""
+        store = build_benchmark_model(model).store
+        buffers = {name: t.data for name, t in store.items()}
+        state = {name: a * 0.5 + 1.0 for name, a in store.state().items()}
+        store.load_state(state)
+        for name, t in store.items():
+            assert t.data is buffers[name], name
+            assert t.data.tobytes() == state[name].tobytes(), name
+            if t.data.ndim == 2:
+                assert t.data.ctypes.data % CACHE_LINE == 0, name
+        if model == "head":
+            base = store["lin1.wz"].data.base
+            assert base is not None
+            assert store["lin1.wc"].data.base is base
+            assert store["lin1.wt"].data.base is base
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_create_keeps_a_writeable_float_array(self, dtype):
         array = np.arange(6, dtype=dtype).reshape(2, 3)
