@@ -1,22 +1,24 @@
-"""On-disk formats: motion files, audio-feature files, checkpoints, manifests;
-and the three number checkers every module calls, ``check_integer``,
-``check_count`` and ``check_real``, each raising ``ValueError``.
+"""On-disk formats: checkpoints, the motion and feature files stored as
+checkpoints, and manifests; and the three number checkers every module calls,
+``check_integer``, ``check_count`` and ``check_real``, each raising
+``ValueError``.
 
-All payloads are little-endian. Writers are deterministic (sorted tensor
-names, no timestamps) so identical state produces identical bytes. Readers
-raise ``DataError`` on truncated or corrupt input, on bytes after the payload
-that the header does not account for, on a repeated manifest key or tensor
-name, and the motion and feature readers also on a non-finite value or a
-rate that is not finite and positive.
-The motion and feature writers raise the same ``DataError`` before they open
-the file, checking the values as stored, after the cast to float32.
+There is one binary format, the checkpoint ("SGCK"), little-endian: magic,
+version u32, manifest length u64, the manifest (UTF-8 ``key = value`` lines),
+tensor count u32, then per tensor: name length u16, the UTF-8 name, dtype
+code u8, rank u8, one u32 per extent and the raw payload. The writer is
+deterministic (sorted tensor names, no timestamps) so identical state
+produces identical bytes, and it raises ``DataError`` before it opens the
+file for anything the reader would not give back as written.
 
-Motion file ("SGMO"):   magic, version u32, T u32, V u32, frame_rate f32,
-                        then T*V*3 float32 values.
-Feature file ("SGAF"):  magic, T_a u32, C_a u32, rate f32, then T_a*C_a float32.
-Checkpoint ("SGCK"):    magic, version u32, manifest (length-prefixed UTF-8
-                        key = value text), tensor count u32, then per tensor:
-                        name, dtype code, shape, raw payload.
+A motion file is a checkpoint with no manifest and two float32 tensors,
+``offsets`` (T, V, 3) and a 0-d ``rate``, the frame rate; a feature file
+holds ``features`` (T_a, C_a) and ``rate``. Readers raise ``DataError`` on
+truncated or corrupt input, on bytes after the last tensor and on a repeated
+manifest key or tensor name; the motion and feature readers also on any other
+tensor, dtype or rank, a non-finite value or a rate that is not finite and
+positive. The motion and feature writers raise the same ``DataError`` before
+they open the file, checking the values as stored, after the cast to float32.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-MOTION_MAGIC = b"SGMO"
-FEATURE_MAGIC = b"SGAF"
 CHECKPOINT_MAGIC = b"SGCK"
 FORMAT_VERSION = 1
 
@@ -80,15 +80,6 @@ def _unpack(fmt: str, raw: bytes, offset: int, path) -> tuple:
         raise DataError(f"{path}: truncated at byte {offset}") from None
 
 
-def _check_end(raw: bytes, end: int, what: str, path) -> None:
-    """The header accounts for ``end`` bytes: a shorter file is truncated,
-    and a longer one holds bytes that no field reads."""
-    if len(raw) < end:
-        raise DataError(f"{path}: truncated {what}")
-    if len(raw) > end:
-        raise DataError(f"{path}: {len(raw) - end} bytes after the {what}")
-
-
 def _utf8(raw: bytes, path) -> str:
     try:
         return raw.decode("utf-8")
@@ -104,69 +95,69 @@ def _check_values(payload: np.ndarray, rate: float, path) -> None:
         raise DataError(f"{path}: non-finite payload values")
 
 
-def _stored(values: np.ndarray, rate: float, path) -> tuple[np.ndarray, float]:
-    """``values`` and ``rate`` cast to float32 as a file stores them, checked
-    as the readers check them: a float64 value that overflows float32 fails."""
+def _write_rated(path, name: str, values: np.ndarray, rate) -> None:
+    """Store ``values`` as the float32 tensor ``name`` beside the 0-d float32
+    ``rate``, both checked as the readers check them: a float64 value or rate
+    that overflows float32 fails."""
     with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(values, dtype="<f4")
-        rate = float(np.float32(rate))
-    _check_values(payload, rate, path)
-    return payload, rate
+        tensors = {name: np.asarray(values, dtype="<f4"),
+                   "rate": np.asarray(rate, dtype="<f4").reshape(())}
+    _check_values(tensors[name], float(tensors["rate"]), path)
+    write_checkpoint(path, tensors, {})
+
+
+def _read_rated(path, name: str, what: str, shape_ok) -> tuple[np.ndarray, float]:
+    """(float64 ``name``, float rate) of a file that holds no manifest and
+    just the float32 tensor ``name``, whose shape passes ``shape_ok``, and
+    the 0-d float32 ``rate``."""
+    tensors, manifest = read_checkpoint(path)
+    if manifest or sorted(tensors) != sorted([name, "rate"]) \
+            or any(t.dtype != "<f4" for t in tensors.values()) \
+            or tensors["rate"].ndim != 0 or not shape_ok(tensors[name].shape):
+        raise DataError(f"{path}: not a {what} file")
+    rate = float(tensors["rate"])
+    _check_values(tensors[name], rate, path)
+    return tensors[name].astype(np.float64), rate
 
 
 def write_motion(path, offsets: np.ndarray, frame_rate: float) -> None:
     offsets = np.asarray(offsets)
     if offsets.ndim != 3 or offsets.shape[2] != 3:
         raise DataError("motion payload must have shape (T, V, 3)")
-    t, v, _ = offsets.shape
-    payload, frame_rate = _stored(offsets, frame_rate, path)
-    with open(path, "wb") as f:
-        f.write(MOTION_MAGIC)
-        f.write(struct.pack("<IIIf", FORMAT_VERSION, t, v, frame_rate))
-        f.write(payload.tobytes())
+    _write_rated(path, "offsets", offsets, frame_rate)
 
 
 def read_motion(path) -> tuple[np.ndarray, float]:
     """Returns (offsets (T, V, 3) float64, frame_rate)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != MOTION_MAGIC:
-        raise DataError(f"{path}: not a motion file")
-    version, t, v, rate = _unpack("<IIIf", raw, 4, path)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported motion format version {version}")
-    _check_end(raw, 20 + 4 * t * v * 3, "motion payload", path)
-    payload = np.frombuffer(raw, dtype="<f4", count=t * v * 3, offset=20)
-    _check_values(payload, rate, path)
-    return payload.reshape(t, v, 3).astype(np.float64), float(rate)
+    return _read_rated(path, "offsets", "motion",
+                       lambda shape: len(shape) == 3 and shape[2] == 3)
 
 
 def write_features(path, features: np.ndarray, rate: float) -> None:
     features = np.asarray(features)
     if features.ndim != 2:
         raise DataError("feature payload must have shape (T_a, C_a)")
-    t, c = features.shape
-    payload, rate = _stored(features, rate, path)
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<IIf", t, c, rate))
-        f.write(payload.tobytes())
+    _write_rated(path, "features", features, rate)
 
 
 def read_features(path) -> tuple[np.ndarray, float]:
     """Returns (features (T_a, C_a) float64, rate)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != FEATURE_MAGIC:
-        raise DataError(f"{path}: not a feature file")
-    t, c, rate = _unpack("<IIf", raw, 4, path)
-    _check_end(raw, 16 + 4 * t * c, "feature payload", path)
-    payload = np.frombuffer(raw, dtype="<f4", count=t * c, offset=16)
-    _check_values(payload, rate, path)
-    return payload.reshape(t, c).astype(np.float64), float(rate)
+    return _read_rated(path, "features", "feature", lambda shape: len(shape) == 2)
 
 
-def _manifest_text(manifest: dict) -> str:
-    lines = [f"{key} = {manifest[key]}" for key in sorted(manifest)]
-    return "\n".join(lines) + "\n"
+def _manifest_bytes(manifest: dict) -> bytes:
+    """``manifest`` as UTF-8 ``key = value`` lines in key order, which
+    ``parse_manifest`` must read back as ``{str(key): str(value)}``: a key
+    holding "=", a line break in a key or value, surrounding space, a "#"
+    key, two keys with one text or a lone surrogate raises ``DataError``."""
+    pairs = {str(key): str(value) for key, value in manifest.items()}
+    text = "\n".join(f"{key} = {pairs[key]}" for key in sorted(pairs)) + "\n"
+    try:
+        if len(pairs) == len(manifest) and parse_manifest(text) == pairs:
+            return text.encode("utf-8")
+    except (DataError, UnicodeEncodeError):
+        pass
+    raise DataError(f"manifest {manifest!r} does not read back as written")
 
 
 def parse_manifest(text: str) -> dict[str, str]:
@@ -184,27 +175,40 @@ def parse_manifest(text: str) -> dict[str, str]:
     return out
 
 
+def _tensor_record(name: str, value) -> tuple[bytes, np.ndarray]:
+    """The header of tensor ``name`` (name length, name, dtype code, rank,
+    extents) and its little-endian array. A dtype without a code, a name
+    that is not UTF-8 or longer than u16 and an extent beyond u32 raise
+    ``DataError``."""
+    arr = np.asarray(value, order="C")
+    dtype = arr.dtype.newbyteorder("<").str
+    if dtype not in _DTYPE_CODES:
+        raise DataError(f"unsupported checkpoint dtype {arr.dtype} for {name!r}")
+    try:
+        encoded = name.encode("utf-8")
+        header = struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
+                             _DTYPE_CODES[dtype], arr.ndim, *arr.shape)
+    except (UnicodeEncodeError, struct.error):
+        raise DataError(f"checkpoint tensor {name!r} of shape {arr.shape} "
+                        "cannot be stored") from None
+    return header, arr.astype(dtype, copy=False)
+
+
 def write_checkpoint(path, tensors: dict[str, np.ndarray], manifest: dict) -> None:
-    """Archive of named tensors plus a plain-text hyperparameter manifest."""
-    text = _manifest_text(manifest).encode("utf-8")
+    """Archive of named tensors plus a plain-text hyperparameter manifest.
+    Every name, tensor and the manifest are checked before the file opens,
+    so a refused write leaves no file."""
+    text = _manifest_bytes(manifest)
+    if not all(isinstance(name, str) for name in tensors):
+        raise DataError(f"checkpoint tensor names must be strings: {list(tensors)!r}")
+    records = [_tensor_record(name, tensors[name]) for name in sorted(tensors)]
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(text)))
+        f.write(struct.pack("<4sIQ", CHECKPOINT_MAGIC, FORMAT_VERSION, len(text)))
         f.write(text)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            dtype = arr.dtype.newbyteorder("<").str
-            if dtype not in _DTYPE_CODES:
-                raise DataError(f"unsupported checkpoint dtype {arr.dtype} for '{name}'")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<BB", _DTYPE_CODES[dtype], arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack("<I", extent))
-            f.write(arr.astype(dtype, copy=False).tobytes())
+        f.write(struct.pack("<I", len(records)))
+        for header, arr in records:
+            f.write(header)
+            f.write(arr.tobytes())
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -245,15 +249,16 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         except ValueError:
             raise DataError(f"{path}: shape {shape} of '{name}' is too large") from None
         tensors[name] = arr.copy()
-    _check_end(raw, cursor, "last tensor", path)
+    if len(raw) > cursor:
+        raise DataError(f"{path}: {len(raw) - cursor} bytes after the last tensor")
     return tensors, manifest
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
     """Deterministic CSV writer: floats via repr, no trailing whitespace."""
     def fmt(cell):
-        if isinstance(cell, float):
-            return repr(cell)
+        if isinstance(cell, float):   # np.float64 too, whose repr names its type
+            return repr(float(cell))
         return str(cell)
 
     with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -181,8 +181,7 @@ class Block:
 
     Parameter names follow the sublayers: the norms are ``ln1``, ``ln2``, …
     in sublayer order, and the self-attention is ``attn`` in a block with one
-    attention and ``self_attn`` next to ``cross_attn``. These are the names
-    saved checkpoints hold, so both kinds load.
+    attention and ``self_attn`` next to ``cross_attn``.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, num_heads: int,

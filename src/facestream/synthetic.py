@@ -204,34 +204,42 @@ def make_splits(num_train: int = 8, num_val: int = 2, num_test: int = 2,
 def write_dataset(directory, entries: list[SplitEntry], topology: SynthTopology,
                   num_speakers: int, fps: float = 25.0, feature_width: int = 16,
                   dataset_seed: int = 0) -> None:
-    """Writes SGMO/SGAF pairs plus a plain-text split manifest."""
+    """Writes a motion and a feature file per entry, ``<id>.sgmo`` and
+    ``<id>.sgaf``, plus a plain-text split manifest. Entries that
+    ``read_manifest`` would not give back, such as a repeated id or a split
+    outside ``SPLITS``, raise ``DataError`` before any file is written."""
     directory = Path(directory)
+    rows = [f"{e.sequence_id} {e.split} {e.seed} {e.speaker_index} {e.num_frames}"
+            for e in entries]
+    text = "\n".join(["# id split seed speaker frames"] + rows) + "\n"
+    if _manifest_entries(text, directory / "manifest.txt") != list(entries):
+        raise DataError(f"entries do not read back from their manifest rows: {rows!r}")
     directory.mkdir(parents=True, exist_ok=True)
-    lines = ["# id split seed speaker frames"]
     for e in entries:
         feats, motion = generate_pair(
             e.seed, e.num_frames, topology, num_speakers, e.speaker_index,
             fps=fps, feature_width=feature_width, dataset_seed=dataset_seed)
         write_motion(directory / f"{e.sequence_id}.sgmo", motion.offsets, fps)
         write_features(directory / f"{e.sequence_id}.sgaf", feats.features, fps)
-        lines.append(f"{e.sequence_id} {e.split} {e.seed} {e.speaker_index} "
-                     f"{e.num_frames}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n",
-                                            encoding="utf-8")
+    (directory / "manifest.txt").write_text(text, encoding="utf-8")
 
 
 def read_manifest(directory) -> list[SplitEntry]:
     """The entries ``write_dataset`` listed. A row that is not five fields,
-    with a split in ``SPLITS``, an integer seed and speaker >= 0 and an
-    integer frame count >= 1, raises ``DataError``, and so does a sequence
-    id that an earlier row already named: ``write_dataset`` names each
-    sequence's files by its id."""
+    with an id that holds no path separator, a split in ``SPLITS``, an
+    integer seed and speaker >= 0 and an integer frame count >= 1, raises
+    ``DataError``, and so does a sequence id that an earlier row already
+    named: ``write_dataset`` names each sequence's files by its id."""
     path = Path(directory) / "manifest.txt"
     if not path.exists():
         raise DataError(f"no manifest at {path}")
+    return _manifest_entries(path.read_text(encoding="utf-8"), path)
+
+
+def _manifest_entries(text: str, path) -> list[SplitEntry]:
     entries = []
     ids = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,8 +247,9 @@ def read_manifest(directory) -> list[SplitEntry]:
             name, split, seed, speaker, frames = line.split()
             entry = SplitEntry(name, split, int(seed), int(speaker), int(frames))
             if min(entry.seed, entry.speaker_index) < 0 or entry.num_frames < 1 \
-                    or split not in SPLITS:
-                raise ValueError("negative seed or speaker, no frames or unknown split")
+                    or split not in SPLITS or Path(name).name != name:
+                raise ValueError("negative seed or speaker, no frames, unknown split "
+                                 "or an id that names another directory")
         except ValueError:
             # a wrong field count fails the unpacking, a non-integer int()
             raise DataError(f"bad manifest row in {path}: {line!r}") from None

@@ -1,12 +1,11 @@
 """File format round trips and determinism of writers."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facestream.codec import CodecConfig, MotionCodec
 from facestream.fileio import (
     DataError,
     check_real,
@@ -37,6 +36,16 @@ class TestCheckReal:
             check_real(-1, "weight decay", zero_ok=True)
 
 
+F32_MOTION = np.zeros((2, 3, 3), dtype=np.float32)
+F32_RATE = np.float32(25.0)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory for tests that run many examples."""
+    return tmp_path_factory.mktemp("scratch")
+
+
 class TestMotionFormat:
     def test_round_trip(self, tmp_path):
         offsets = np.random.default_rng(0).normal(size=(7, 5, 3))
@@ -55,6 +64,44 @@ class TestMotionFormat:
     def test_bad_shape_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_motion(tmp_path / "x.sgmo", np.zeros((3, 4)), 25.0)
+
+    def test_stored_as_a_checkpoint(self, tmp_path):
+        """A float32 (T, V, 3) ``offsets`` and a 0-d float32 ``rate``, no manifest."""
+        write_motion(tmp_path / "m", np.ones((2, 3, 3)), 30.0)
+        tensors, manifest = read_checkpoint(tmp_path / "m")
+        assert manifest == {}
+        assert {name: (t.dtype, t.shape) for name, t in tensors.items()} == {
+            "offsets": (np.float32, (2, 3, 3)), "rate": (np.float32, ())}
+        assert tensors["rate"] == 30.0
+
+    def test_feature_file_and_model_checkpoint_rejected(self, tmp_path):
+        write_features(tmp_path / "f", np.zeros((3, 2)), 25.0)
+        codec = MotionCodec(CodecConfig(vertices=3, width=8, codebook_size=4,
+                                        components=2, layers=1, heads=2, ff=16))
+        write_checkpoint(tmp_path / "ck", codec.store.state(), {"width": 8})
+        for path in (tmp_path / "f", tmp_path / "ck"):
+            with pytest.raises(DataError, match="not a motion file"):
+                read_motion(path)
+        write_motion(tmp_path / "m", np.zeros((2, 3, 3)), 25.0)
+        with pytest.raises(DataError, match="not a feature file"):
+            read_features(tmp_path / "m")
+
+    @pytest.mark.parametrize("tensors, manifest", [
+        ({"offsets": F32_MOTION.astype(np.float64), "rate": F32_RATE}, {}),
+        ({"offsets": F32_MOTION.reshape(2, 9), "rate": F32_RATE}, {}),
+        ({"offsets": F32_MOTION[None], "rate": F32_RATE}, {}),
+        ({"offsets": F32_MOTION[..., :2], "rate": F32_RATE}, {}),
+        ({"offsets": F32_MOTION, "rate": np.full(1, F32_RATE)}, {}),
+        ({"offsets": F32_MOTION, "rate": np.float64(25.0)}, {}),
+        ({"offsets": F32_MOTION}, {}),
+        ({"offsets": F32_MOTION, "rate": F32_RATE, "extra": F32_RATE}, {}),
+        ({"offsets": F32_MOTION, "rate": F32_RATE}, {"fps": 25}),
+    ], ids=["float64 payload", "rank 2", "rank 4", "last extent 2", "rank-1 rate",
+            "float64 rate", "no rate", "extra tensor", "manifest"])
+    def test_other_archives_rejected(self, tensors, manifest, tmp_path):
+        write_checkpoint(tmp_path / "m", tensors, manifest)
+        with pytest.raises(DataError, match="not a motion file"):
+            read_motion(tmp_path / "m")
 
 
 class TestFeatureFormat:
@@ -92,6 +139,7 @@ class TestCheckpointFormat:
         assert set(loaded) == set(tensors)
         for name, arr in tensors.items():
             assert loaded[name].dtype == arr.dtype
+            assert loaded[name].shape == arr.shape
             np.testing.assert_array_equal(loaded[name], arr)
 
     def test_identical_state_identical_bytes(self, tmp_path):
@@ -107,6 +155,45 @@ class TestCheckpointFormat:
         write_checkpoint(path, tensors, {})
         loaded, _ = read_checkpoint(path)
         assert loaded["w"].dtype == np.float32
+
+    @pytest.mark.parametrize("tensors, manifest", [
+        ({"a": np.zeros(2), "b": np.zeros(2, dtype=np.int32)}, {}),
+        ({"a": np.zeros(2)}, {"k=v": 2, "note": "x\nevil = 1"}),
+        ({"a": np.zeros(2)}, {1: "a", "1": "b"}),
+        ({"a": np.zeros(2)}, {"note": "\ud800"}),
+        ({"a": np.zeros(2)}, {"#k": 1}),
+        ({"a": np.zeros(2)}, {"k": " v"}),
+        ({1: np.zeros(2), "1": np.zeros(2)}, {}),
+        ({"\ud800": np.zeros(2)}, {}),
+        ({"a" * 2**16: np.zeros(2)}, {}),
+        ({"a": np.zeros((0, 2**32))}, {}),
+    ], ids=["int32 after float64", "line break", "keys 1 and '1'", "lone surrogate",
+            "comment key", "padded value", "tensor names 1 and '1'", "surrogate name",
+            "name beyond u16", "extent beyond u32"])
+    def test_refused_write_leaves_no_file(self, tensors, manifest, tmp_path):
+        """Everything is checked before the file opens: an int32 after a
+        float64 left a truncated file, the line break wrote a manifest that
+        read back as three other keys, and the two sets of keys 1 and '1' and
+        the surrogate leaked ``TypeError`` and ``UnicodeEncodeError``."""
+        with pytest.raises(DataError):
+            write_checkpoint(tmp_path / "ck", tensors, manifest)
+        assert not (tmp_path / "ck").exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(manifest=st.dictionaries(
+        st.one_of(st.text(max_size=6), st.integers()),
+        st.one_of(st.text(max_size=6), st.integers(), st.floats(allow_nan=False))))
+    def test_accepted_manifest_reads_back(self, manifest, scratch):
+        """The writer writes a manifest only if it reads back as
+        ``{str(key): str(value)}``, and otherwise leaves no file."""
+        path = scratch / "manifest"
+        path.unlink(missing_ok=True)
+        try:
+            write_checkpoint(path, {}, manifest)
+        except DataError:
+            assert not path.exists()
+            return
+        assert read_checkpoint(path) == ({}, {str(k): str(v) for k, v in manifest.items()})
 
 
 class TestManifestAndCSV:
@@ -140,28 +227,27 @@ class TestNonFiniteInput:
     raises ``DataError``: the writers refuse it before opening the file, and
     the readers reject a file that holds it."""
 
-    # writer, reader, payload shape, byte offset of the f32 rate (the payload follows)
-    WRITERS = {"motion": (write_motion, read_motion, (2, 3, 3), 16),
-               "features": (write_features, read_features, (3, 2), 12)}
+    BAD_RATE = r"rate \S+ is not finite and positive"   # the test's path holds "rate"
+
+    # writer, reader, payload shape, payload tensor name
+    WRITERS = {"motion": (write_motion, read_motion, (2, 3, 3), "offsets"),
+               "features": (write_features, read_features, (3, 2), "features")}
 
     def forge(self, kind, path, payload, rate):
         """A file that stores ``payload`` and ``rate``, which the writer refuses."""
-        write, _, shape, rate_at = self.WRITERS[kind]
-        write(path, np.zeros(shape), 25.0)
-        data = bytearray(path.read_bytes())
-        data[rate_at:rate_at + 4] = struct.pack("<f", rate)
-        data[rate_at + 4:] = np.asarray(payload, dtype="<f4").tobytes()
-        path.write_bytes(bytes(data))
+        name = self.WRITERS[kind][3]
+        write_checkpoint(path, {name: np.asarray(payload, dtype="<f4"),
+                                "rate": np.float32(rate)}, {})
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     @pytest.mark.parametrize("rate", [0.0, -25.0, np.nan, np.inf, -np.inf])
     def test_bad_rate_rejected(self, kind, rate, tmp_path):
         write, read, shape, _ = self.WRITERS[kind]
-        with pytest.raises(DataError, match="rate"):
+        with pytest.raises(DataError, match=self.BAD_RATE):
             write(tmp_path / kind, np.zeros(shape), rate)
         assert not (tmp_path / kind).exists()
         self.forge(kind, tmp_path / kind, np.zeros(shape), rate)
-        with pytest.raises(DataError, match="rate"):
+        with pytest.raises(DataError, match=self.BAD_RATE):
             read(tmp_path / kind)
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
@@ -170,11 +256,11 @@ class TestNonFiniteInput:
         write, read, shape, _ = self.WRITERS[kind]
         payload = np.zeros(shape)
         payload.flat[-1] = value
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite payload"):
             write(tmp_path / kind, payload, 25.0)
         assert not (tmp_path / kind).exists()
         self.forge(kind, tmp_path / kind, payload, 25.0)
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite payload"):
             read(tmp_path / kind)
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
@@ -183,9 +269,9 @@ class TestNonFiniteInput:
         write, _, shape, _ = self.WRITERS[kind]
         payload = np.zeros(shape)
         payload.flat[0] = -1e300
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite payload"):
             write(tmp_path / kind, payload, 25.0)
-        with pytest.raises(DataError, match="rate"):
+        with pytest.raises(DataError, match=self.BAD_RATE):
             write(tmp_path / kind, np.zeros(shape), 1e39)
         assert not (tmp_path / kind).exists()
 
@@ -243,16 +329,12 @@ class TestCorruptInput:
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_lowered_count_rejected(self, kind, valid):
-        """A header that counts one frame or tensor less leaves bytes no
-        field reads: a motion file with T lowered from 2 to 1 read as a
-        (1, 3, 3) motion, and a checkpoint with its count lowered read as
-        one tensor fewer."""
+        """An archive whose tensor count is one less leaves bytes no field
+        reads; it would read as one tensor fewer."""
         root, files = valid
         data = bytearray(files[kind])
-        # the u32 motion T, feature T_a, or checkpoint tensor count, which
-        # follows the u64 manifest length and the manifest
-        at = {"motion": 8, "features": 4,
-              "checkpoint": 16 + int.from_bytes(data[8:16], "little")}[kind]
+        # the u32 tensor count follows the u64 manifest length and the manifest
+        at = 16 + int.from_bytes(data[8:16], "little")
         data[at:at + 4] = (int.from_bytes(data[at:at + 4], "little") - 1).to_bytes(4, "little")
         (root / "short").write_bytes(bytes(data))
         with pytest.raises(DataError, match="bytes after"):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from facestream.fileio import DataError
+from facestream.fileio import DataError, read_features, read_motion
 from facestream.synthetic import (
+    SplitEntry,
     band_limited_noise,
     default_topology,
     generate_pair,
@@ -170,6 +171,42 @@ class TestSplits:
         assert [e.sequence_id for e in loaded] == [e.sequence_id for e in entries]
         assert [e.seed for e in loaded] == [e.seed for e in entries]
 
+    def test_dataset_files_read_back(self, tmp_path):
+        """Each entry's motion and feature files hold ``generate_pair``'s
+        arrays cast to float32, and the rate the dataset was written at."""
+        topo = default_topology()
+        entries = make_splits(num_train=2, num_val=1, num_test=1, num_frames=20)
+        write_dataset(tmp_path, entries, topo, num_speakers=3, fps=30.0, feature_width=8,
+                      dataset_seed=4)
+        assert read_manifest(tmp_path) == entries
+        for e in entries:
+            feats, motion = generate_pair(e.seed, e.num_frames, topo, 3, e.speaker_index,
+                                          fps=30.0, feature_width=8, dataset_seed=4)
+            for read, path, expected in (
+                    (read_motion, f"{e.sequence_id}.sgmo", motion.offsets),
+                    (read_features, f"{e.sequence_id}.sgaf", feats.features)):
+                values, rate = read(tmp_path / path)
+                assert rate == 30.0
+                assert values.dtype == np.float64
+                assert values.tobytes() == expected.astype(np.float32).astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("entries", [
+        [SplitEntry("a", "train", 1, 0, 20), SplitEntry("a", "test", 2, 1, 20)],
+        [SplitEntry("a", "train", 1, 0, 20), SplitEntry("b", "bogus", 2, 1, 20)],
+        [SplitEntry("a b", "train", 1, 0, 20)],
+        [SplitEntry("#a", "train", 1, 0, 20)],
+        [SplitEntry("../a", "train", 1, 0, 20)],
+    ], ids=["repeated id", "unknown split", "id with a space", "comment id",
+            "id with a separator"])
+    def test_dataset_that_does_not_read_back_rejected(self, tmp_path, entries):
+        """The repeated id wrote ``a.sgmo`` twice, the second over the first,
+        the separator wrote ``a.sgmo`` beside the dataset's directory, and
+        each wrote a manifest that ``read_manifest`` rejects or reads as
+        other entries."""
+        with pytest.raises(DataError):
+            write_dataset(tmp_path / "data", entries, default_topology(), num_speakers=3)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test",
                                        "num_speakers", "num_frames"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True])
@@ -204,7 +241,8 @@ class TestSplits:
                                      "a train 1 0", "a train 1 0 240 extra",
                                      "a train -1 -3 0", "a train -1 0 240",
                                      "a train 1 -3 240", "a train 1 0 0",
-                                     "a bogus 2 5 240", "a Train 2 5 240"])
+                                     "a bogus 2 5 240", "a Train 2 5 240",
+                                     "../a train 1 0 240"])
     def test_bad_manifest_row_rejected(self, tmp_path, row):
         path = tmp_path / "manifest.txt"
         path.write_text(f"# id split seed speaker frames\n{row}\n", encoding="utf-8")

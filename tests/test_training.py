@@ -10,7 +10,7 @@ import pytest
 from facestream import training
 from facestream.codec import CodecConfig, MotionCodec
 from facestream.diffusion import DiffusionHead, build_schedule
-from facestream.fileio import DataError
+from facestream.fileio import DataError, write_csv
 from facestream.predictor import ConditionPredictor, PredictorConfig
 from facestream.tensor import Tensor
 from facestream.training import (
@@ -87,6 +87,18 @@ class TestLoop:
         for row in rows:
             assert list(row) == fields
             assert np.isfinite(list(row.values())).all()
+
+    def test_rows_write_as_exact_csv(self, stage, fields, tmp_path):
+        """The rows hold ``np.float64`` losses, which numpy 2 ``repr``s as
+        ``np.float64(0.5)``; every written cell parses back to its value."""
+        rows = run_stage(stage, tiny_dataset(), tiny_models(), config(epochs=1))
+        cells = [[row[field] for field in fields] for row in rows]
+        assert type(cells[0][1]) is np.float64
+        write_csv(tmp_path / "loss.csv", fields, cells)
+        header, *lines = (tmp_path / "loss.csv").read_text(encoding="utf-8").splitlines()
+        assert header == ",".join(fields)
+        parsed = [line.split(",") for line in lines]
+        assert [[int(row[0])] + [float(c) for c in row[1:]] for row in parsed] == cells
 
     def test_same_seed_same_rows(self, stage, fields):
         a = run_stage(stage, tiny_dataset(), tiny_models(), config())
