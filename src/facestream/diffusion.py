@@ -26,8 +26,10 @@ tape the head keeps the last table of them with copies of those weights and
 reuses it while the timesteps and weights are equal: units sampled at one
 step count share it, and an in-place weight write shows at once. Sampling
 walks a uniform-stride descending subsequence of the training timesteps with
-eta=0; the final step returns the clean prediction itself, so a perfect
-denoiser is recovered exactly regardless of the step count.
+eta=0. Each update is folded into ``z = keep * z + coef * z0_hat``, with the
+two coefficients of every step computed once per unit, so it never forms the
+noise estimate. The final step returns the clean prediction itself, so a
+perfect denoiser is recovered exactly regardless of the step count.
 """
 
 from __future__ import annotations
@@ -231,9 +233,12 @@ def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
     only reads.
 
     The update ``z = signal_prev * z0_hat + noise_prev * eps_hat``, with
-    ``eps_hat = (z - signal * z0_hat) / noise``, runs its six ufuncs in that
-    order into two new arrays per step, the noise estimate and the next
-    ``z``. A step may keep the ``z_t`` it was given, so no ``z`` is
+    ``eps_hat = (z - signal * z0_hat) / noise``, is linear in ``z`` and
+    ``z0_hat``, so it runs folded as ``z = keep * z + coef * z0_hat``, with
+    ``keep = noise_prev / noise`` and ``coef = signal_prev - keep *
+    signal`` computed once per unit: three ufuncs per step, equal to the
+    unfolded update up to rounding. The first makes the next ``z`` as a new
+    array; a step may keep the ``z_t`` it was given, so no ``z`` is
     overwritten.
 
     The returned unit is checked for finiteness (``checked``), once for all
@@ -248,16 +253,13 @@ def ddim_sample(plan, schedule: NoiseSchedule, steps: int,
     step = plan(timesteps)
     abar = schedule.alpha_bar[timesteps[:-1]]
     abar_prev = schedule.alpha_bar[timesteps[1:]]
-    roots = np.sqrt([abar, 1.0 - abar, abar_prev, 1.0 - abar_prev]).T.tolist()
+    keep = np.sqrt(1.0 - abar_prev) / np.sqrt(1.0 - abar)
+    coef = np.sqrt(abar_prev) - keep * np.sqrt(abar)
     z = rng.standard_normal(shape)
-    for i, (signal, noise, signal_prev, noise_prev) in enumerate(roots):
+    for i, (k, c) in enumerate(zip(keep.tolist(), coef.tolist())):
         z0_hat = np.asarray(step(z, i))
-        eps_hat = signal * z0_hat
-        np.subtract(z, eps_hat, out=eps_hat)
-        eps_hat /= noise
-        z = signal_prev * z0_hat
-        eps_hat *= noise_prev
-        z += eps_hat
+        z = k * z
+        z += c * z0_hat
     return checked(np.asarray(step(z, steps - 1)), "ddim_sample")
 
 

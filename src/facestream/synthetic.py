@@ -207,18 +207,21 @@ def write_dataset(directory, entries: list[SplitEntry], topology: SynthTopology,
     """Writes a motion and a feature file per entry, ``<id>.sgmo`` and
     ``<id>.sgaf``, plus a plain-text split manifest. Entries that
     ``read_manifest`` would not give back, such as a repeated id or a split
-    outside ``SPLITS``, raise ``DataError`` before any file is written."""
+    outside ``SPLITS``, raise ``DataError`` before any file is written, and
+    every pair is generated first, so an entry that ``generate_pair``
+    refuses, such as a speaker index of ``num_speakers`` or more, raises its
+    ``ValueError`` before the directory is made."""
     directory = Path(directory)
     rows = [f"{e.sequence_id} {e.split} {e.seed} {e.speaker_index} {e.num_frames}"
             for e in entries]
     text = "\n".join(["# id split seed speaker frames"] + rows) + "\n"
     if _manifest_entries(text, directory / "manifest.txt") != list(entries):
         raise DataError(f"entries do not read back from their manifest rows: {rows!r}")
+    pairs = [generate_pair(e.seed, e.num_frames, topology, num_speakers, e.speaker_index,
+                           fps=fps, feature_width=feature_width, dataset_seed=dataset_seed)
+             for e in entries]
     directory.mkdir(parents=True, exist_ok=True)
-    for e in entries:
-        feats, motion = generate_pair(
-            e.seed, e.num_frames, topology, num_speakers, e.speaker_index,
-            fps=fps, feature_width=feature_width, dataset_seed=dataset_seed)
+    for e, (feats, motion) in zip(entries, pairs):
         write_motion(directory / f"{e.sequence_id}.sgmo", motion.offsets, fps)
         write_features(directory / f"{e.sequence_id}.sgaf", feats.features, fps)
     (directory / "manifest.txt").write_text(text, encoding="utf-8")

@@ -19,6 +19,7 @@ tuple, total first.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -85,6 +86,14 @@ class AdamW:
     ``step`` updates each parameter's array, and the moment arrays, in
     place, so a view of ``p.data`` sees the step; take a snapshot with
     ``ParamStore.state()``, which copies.
+
+    The bias corrections fold into per-step scalars (Kingma & Ba, arXiv
+    1412.6980, section 2): with ``bc1 = 1 - beta1**t`` and ``bc2 = 1 -
+    beta2**t``, a step sets ``p = (1 - lr*wd) * p - (lr / bc1) * m /
+    (sqrt(v) / sqrt(bc2) + eps)``. That is the textbook update ``p - lr *
+    (m / bc1) / (sqrt(v / bc2) + eps) - lr * wd * p`` up to rounding, with
+    the decay read from the old ``p`` (Loshchilov & Hutter, arXiv
+    1711.05101), in torch.optim.AdamW's order.
     """
 
     def __init__(self, params: list[Tensor], weight_decay: float):
@@ -97,11 +106,10 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.t
-        bc2 = 1.0 - ADAM_BETA2 ** self.t
-        decay = lr * self.weight_decay
-        # p - lr * (m / bc1) / (sqrt(v / bc2) + eps) - (lr * wd) * p, with the
-        # out-of-place formula's roundings, through two temporaries a and b
+        step_size = lr / (1.0 - ADAM_BETA1 ** self.t)
+        inv_root_bc2 = 1.0 / math.sqrt(1.0 - ADAM_BETA2 ** self.t)
+        shrink = 1.0 - lr * self.weight_decay
+        # 14 passes per tensor through one temporary a, one of them a division
         for m, v, p in zip(self._m, self._v, self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             a = (1.0 - ADAM_BETA1) * g
@@ -111,14 +119,12 @@ class AdamW:
             a *= g
             v *= ADAM_BETA2
             v += a
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
+            np.sqrt(v, out=a)
+            a *= inv_root_bc2
             a += ADAM_EPS
-            b = m / bc1
-            b *= lr
-            b /= a
-            np.multiply(p.data, decay, out=a)
-            p.data -= b
+            np.divide(m, a, out=a)
+            a *= step_size
+            p.data *= shrink
             p.data -= a
 
     def zero_grads(self) -> None:

@@ -218,40 +218,49 @@ class TestDDIM:
 
     @pytest.mark.parametrize("steps", [1, 7, 10, 50])
     def test_matches_per_step_formula(self, steps):
-        """The precomputed coefficients give bit for bit the per-step update."""
+        """The coefficients computed once per unit give bit for bit the
+        folded update with its coefficients computed at each step."""
         s = build_schedule(1000)
-
-        def oracle(z_t, t):
-            return np.tanh(1.5 * z_t + 0.001 * t) - 0.2 * z_t * z_t
-
-        got = ddim_sample(_plan(oracle), s, steps, np.random.default_rng(5), (4, 8))
-        want = _per_step_ddim(oracle, s, steps, np.random.default_rng(5), (4, 8))
+        got = ddim_sample(_plan(_oracle), s, steps, np.random.default_rng(5), (4, 8))
+        want = _per_step_ddim(_oracle, s, steps, np.random.default_rng(5), (4, 8))
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("steps", [1, 7, 10, 50])
+    def test_matches_textbook_per_step_formula_within_rounding(self, steps):
+        """Folding the update changes only the rounding. The bound, set
+        before measuring: each of at most 50 steps rounds O(1) values a few
+        ulps differently, so 1e-12 relative and 1e-13 absolute."""
+        s = build_schedule(1000)
+        got = ddim_sample(_plan(_oracle), s, steps, np.random.default_rng(5), (4, 8))
+        want = _textbook_per_step_ddim(_oracle, s, steps, np.random.default_rng(5),
+                                       (4, 8))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("steps", [1, 2, 10, 50])
     def test_in_place_update_matches_the_out_of_place_one(self, steps):
-        """The update writes into two arrays per step and gives, byte for
-        byte, the out-of-place expressions it replaced, for an oracle and for
-        a head's plan; the z each step was given is left as it was."""
-        s = build_schedule(1000)
+        """The update makes one new array per step and gives, byte for byte,
+        the folded update's out-of-place expression, for an oracle and for a
+        head's plan; the z each step was given is left as it was."""
         given = []
 
         def oracle(z_t, t):
             given.append((z_t, z_t.tobytes()))
-            return np.tanh(1.5 * z_t + 0.001 * t) - 0.2 * z_t * z_t
+            return _oracle(z_t, t)
 
-        got = ddim_sample(_plan(oracle), s, steps, np.random.default_rng(6), (4, 8))
-        want = _out_of_place_ddim(_plan(oracle), s, steps, np.random.default_rng(6),
-                                  (4, 8))
-        assert got.tobytes() == want.tobytes()
-        assert all(z.tobytes() == data for z, data in given)
-        head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=1000, seed=3)
-        cond = np.random.default_rng(7).normal(size=(3, 6))
-        got = ddim_sample(head_denoiser(head, cond), s, steps,
-                          np.random.default_rng(8), (3, 2, 4))
-        want = _out_of_place_ddim(head_denoiser(head, cond), s, steps,
-                                  np.random.default_rng(8), (3, 2, 4))
-        assert got.tobytes() == want.tobytes()
+        got, want = _oracle_and_head_samples(oracle, _out_of_place_ddim,
+                                             build_schedule(1000), steps)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert given and all(z.tobytes() == data for z, data in given)
+
+    @pytest.mark.parametrize("steps", [1, 2, 10, 50])
+    def test_matches_textbook_out_of_place_update_within_rounding(self, steps):
+        """The unfolded update the sampler ran before, against the folded
+        one, within the bound of the per-step comparison."""
+        got, want = _oracle_and_head_samples(_oracle, _textbook_out_of_place_ddim,
+                                             build_schedule(1000), steps)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
     def test_zero_steps_rejected(self):
         s = build_schedule(100)
@@ -268,9 +277,60 @@ class TestDDIM:
         np.testing.assert_array_equal(out, np.full((2, 4), 1.7e308))
 
 
+def _oracle(z_t, t):
+    return np.tanh(1.5 * z_t + 0.001 * t) - 0.2 * z_t * z_t
+
+
+def _oracle_and_head_samples(denoise_fn, reference, schedule, steps):
+    """``ddim_sample`` and ``reference`` over the same plans and seeds: first
+    ``denoise_fn`` on a (4, 8) unit, then a head's plan on a batch of
+    three (2, 4) units. Returns the two samples of each, as two lists."""
+    head = DiffusionHead((2, 4), cond_width=6, hidden=8, num_steps=1000, seed=3)
+    cond = np.random.default_rng(7).normal(size=(3, 6))
+    cases = [(_plan(denoise_fn), 6, (4, 8)), (head_denoiser(head, cond), 8, (3, 2, 4))]
+    got = [ddim_sample(plan, schedule, steps, np.random.default_rng(seed), shape)
+           for plan, seed, shape in cases]
+    want = [reference(plan, schedule, steps, np.random.default_rng(seed), shape)
+            for plan, seed, shape in cases]
+    return got, want
+
+
 def _out_of_place_ddim(plan, schedule, steps, rng, shape):
-    """``ddim_sample`` with its update written as out-of-place expressions,
-    each making a new array."""
+    """``ddim_sample`` with its folded update written as one out-of-place
+    expression, in the sampler's order."""
+    timesteps = sample_timesteps(schedule.num_steps, steps)
+    step = plan(timesteps)
+    abar = schedule.alpha_bar[timesteps[:-1]]
+    abar_prev = schedule.alpha_bar[timesteps[1:]]
+    keep = np.sqrt(1.0 - abar_prev) / np.sqrt(1.0 - abar)
+    coef = np.sqrt(abar_prev) - keep * np.sqrt(abar)
+    z = rng.standard_normal(shape)
+    for i in range(steps - 1):
+        z = keep[i] * z + coef[i] * np.asarray(step(z, i))
+    return np.asarray(step(z, steps - 1))
+
+
+def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
+    """The folded DDIM update with its two coefficients computed at each
+    step; the last step's previous alpha-bar is 1, so keep is 0 and coef 1."""
+    timesteps = sample_timesteps(schedule.num_steps, steps)
+    z = rng.standard_normal(shape)
+    for i, t in enumerate(timesteps):
+        abar_t = schedule.alpha_bar[t]
+        z0_hat = np.asarray(denoise_fn(z, int(t)))
+        if i + 1 < len(timesteps):
+            abar_prev = schedule.alpha_bar[timesteps[i + 1]]
+        else:
+            abar_prev = 1.0
+        keep = np.sqrt(1.0 - abar_prev) / np.sqrt(1.0 - abar_t)
+        coef = np.sqrt(abar_prev) - keep * np.sqrt(abar_t)
+        z = keep * z + coef * z0_hat
+    return z
+
+
+def _textbook_out_of_place_ddim(plan, schedule, steps, rng, shape):
+    """DDIM as the paper writes it, through the implied noise, with the
+    square roots of every step taken ahead."""
     timesteps = sample_timesteps(schedule.num_steps, steps)
     step = plan(timesteps)
     abar = schedule.alpha_bar[timesteps[:-1]]
@@ -284,8 +344,9 @@ def _out_of_place_ddim(plan, schedule, steps, rng, shape):
     return np.asarray(step(z, steps - 1))
 
 
-def _per_step_ddim(denoise_fn, schedule, steps, rng, shape):
-    """DDIM with every coefficient computed at its own step."""
+def _textbook_per_step_ddim(denoise_fn, schedule, steps, rng, shape):
+    """DDIM as the paper writes it, with every coefficient computed at its
+    own step."""
     timesteps = sample_timesteps(schedule.num_steps, steps)
     z = rng.standard_normal(shape)
     for i, t in enumerate(timesteps):

@@ -207,6 +207,14 @@ class TestSplits:
             write_dataset(tmp_path / "data", entries, default_topology(), num_speakers=3)
         assert list(tmp_path.iterdir()) == []
 
+    def test_refused_pair_leaves_no_file(self, tmp_path):
+        """``y``'s speaker is out of range: ``x.sgaf`` and ``x.sgmo`` were
+        written before ``generate_pair`` refused it."""
+        entries = [SplitEntry("x", "train", 1, 0, 20), SplitEntry("y", "train", 2, 7, 20)]
+        with pytest.raises(ValueError, match="speaker index out of range"):
+            write_dataset(tmp_path / "data", entries, default_topology(), num_speakers=3)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("field", ["num_train", "num_val", "num_test",
                                        "num_speakers", "num_frames"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True])

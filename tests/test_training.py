@@ -379,9 +379,9 @@ def test_adamw_rejects_bad_weight_decay(value):
         AdamW(params, weight_decay=value)
 
 
-class AllocatingAdamW:
-    """Reference: Adam with decoupled weight decay written out of place,
-    one new array per operation."""
+class TextbookAdamW:
+    """Reference: Adam with decoupled weight decay as the papers write it,
+    out of place, one new array per operation."""
 
     def __init__(self, params, weight_decay):
         self.params, self.weight_decay, self.t = params, weight_decay, 0
@@ -403,26 +403,78 @@ class AllocatingAdamW:
                       - lr * self.weight_decay * p.data)
 
 
-def test_adamw_matches_allocating_reference_bit_for_bit():
-    """Six steps with a changing learning rate, weight decay and one
-    parameter that never gets a gradient: the in-place step writes the same
-    bytes as the out-of-place formula, into the arrays it was given."""
+class AllocatingAdamW(TextbookAdamW):
+    """Reference: ``AdamW``'s folded update written out of place, one new
+    array per operation, in the in-place step's order."""
+
+    def step(self, lr):
+        self.t += 1
+        step_size = lr / (1.0 - ADAM_BETA1 ** self.t)
+        inv_root_bc2 = 1.0 / np.sqrt(1.0 - ADAM_BETA2 ** self.t)
+        shrink = 1.0 - lr * self.weight_decay
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            denominator = np.sqrt(self.v[i]) * inv_root_bc2 + ADAM_EPS
+            p.data = p.data * shrink - self.m[i] / denominator * step_size
+
+
+def _run_adamw_against(reference_class):
+    """Six steps of ``AdamW`` and of a reference from the same start, with
+    a changing learning rate, weight decay and one parameter that never
+    gets a gradient. Yields both parameter lists after each step, and at
+    the end asserts that ``AdamW`` stepped the arrays it was given."""
     r = np.random.default_rng(3)
     shapes = [(4, 5), (5,), (2, 3, 2)]
     start = [r.normal(size=s) for s in shapes]
     ours = [Tensor(a.copy(), requires_grad=True) for a in start]
     theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
     views = [p.data[...] for p in ours]
-    optimizer, reference = AdamW(ours, 0.05), AllocatingAdamW(theirs, 0.05)
+    optimizer, reference = AdamW(ours, 0.05), reference_class(theirs, 0.05)
     for step, lr in enumerate([1e-2, 3e-3, 5e-2, 1e-3, 2e-2, 7e-3]):
         for a, b in zip(ours[:2], theirs[:2]):   # the last parameter has no gradient
             a.grad = r.normal(size=a.data.shape) * 10.0 ** (step - 3)
             b.grad = a.grad.copy()
         optimizer.step(lr)
         reference.step(lr)
-        for a, b in zip(ours, theirs):
-            assert np.array_equal(a.data, b.data)
-            assert a.data.tobytes() == b.data.tobytes()
+        yield ours, theirs
     for view, p, first in zip(views, ours, start):
         assert view.tobytes() == p.data.tobytes()
         assert not np.array_equal(view, first)
+
+
+def test_adamw_matches_allocating_reference_bit_for_bit():
+    """The in-place step writes the same bytes as its out-of-place formula,
+    into the arrays it was given."""
+    for ours, theirs in _run_adamw_against(AllocatingAdamW):
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a.data, b.data)
+            assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_adamw_matches_textbook_formula_within_rounding():
+    """Folding the bias corrections into scalars changes only the rounding.
+    The bound, set before measuring: each step rounds a few operations
+    differently, about 1e-16 of a parameter's magnitude, so six steps stay
+    within 1e-12 relative; 1e-15 absolute covers parameters near zero."""
+    for ours, theirs in _run_adamw_against(TextbookAdamW):
+        for a, b in zip(ours, theirs):
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-15)
+
+
+def test_adamw_first_step_closed_form():
+    """At t = 1 both moments equal their bias-corrected values, g and g*g,
+    so the step is ``p - lr*g/(|g| + eps) - lr*wd*p``, whatever the scale
+    of g; a parameter without a gradient only decays."""
+    r = np.random.default_rng(4)
+    start = [r.normal(size=(3, 4)), r.normal(size=6)]
+    grad = r.normal(size=(3, 4)) * np.logspace(-10, 2, 12).reshape(3, 4)
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    params[0].grad = grad.copy()
+    lr, wd = 3e-3, 0.05
+    AdamW(params, wd).step(lr)
+    want = start[0] - lr * grad / (np.abs(grad) + ADAM_EPS) - lr * wd * start[0]
+    np.testing.assert_allclose(params[0].data, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(params[1].data, start[1] - lr * wd * start[1],
+                               rtol=1e-12, atol=1e-15)

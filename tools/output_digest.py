@@ -13,11 +13,22 @@ byte-equal:
 
     PYTHONPATH=src python3 tools/output_digest.py > digest.txt
 
+A change that moves outputs by rounding is checked the same way against
+the arrays themselves: ``--save`` on the old tree writes every array,
+keyed by its line label, and ``--against`` on the new tree prints each
+line's ``max|change| / max|saved|`` (0 for an unchanged array; inf for a
+missing label or a changed shape) and the overall maximum:
+
+    PYTHONPATH=src python3 tools/output_digest.py --save old.npz
+    PYTHONPATH=src python3 tools/output_digest.py --against old.npz
+
 It imports the benchmark's workloads from ``perfbench/`` and writes nothing
 there.
 """
 
+import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -45,15 +56,16 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(head + array.tobytes()).hexdigest()
 
 
-def print_params(label: str, models) -> None:
+def param_arrays(label: str, models):
     for part in ("codec", "predictor", "head"):
         for i, (_, param) in enumerate(getattr(models, part).store.items()):
-            print(f"{label} {part}[{i}] {digest(param.data)}")
+            yield f"{label} {part}[{i}]", param.data
 
 
-def main() -> None:
+def output_arrays():
+    """Every digested array, in print order, as (line label, array)."""
     workloads = _load_workloads()
-    print_params("built", workloads.build_models())
+    yield from param_arrays("built", workloads.build_models())
     for seed in SEEDS:
         for name, size in SIZES.items():
             work = workloads.make_work(name, seed)
@@ -61,11 +73,50 @@ def main() -> None:
             if name.startswith("train"):
                 models = workloads.build_models()
                 rows = work.call(models, workloads.training_set(seed), size, seed)
-                print(f"{label} losses {digest(np.array([list(r.values()) for r in rows]))}")
-                print_params(label, models)
+                yield f"{label} losses", np.array([list(r.values()) for r in rows])
+                yield from param_arrays(label, models)
             else:
                 work.setup()
-                print(f"{label} frames {digest(work.reference(seed, size))}")
+                yield f"{label} frames", work.reference(seed, size)
+
+
+def relative_change(array: np.ndarray, saved: np.ndarray | None) -> float:
+    """``max|array - saved| / max|saved|``; 0 for equal arrays, inf for a
+    missing label, a changed shape, a NaN or a change to an all-zero array."""
+    if saved is None or array.shape != saved.shape:
+        return math.inf
+    change = float(np.max(np.abs(array - saved), initial=0.0))
+    scale = float(np.max(np.abs(saved), initial=0.0))
+    ratio = change / scale if scale else (math.inf if change else 0.0)
+    return math.inf if math.isnan(ratio) else ratio
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="PATH.npz",
+                        help="also write every array, keyed by its line label")
+    parser.add_argument("--against", metavar="PATH.npz",
+                        help="print each line's max|change| / max|saved| against a "
+                             "--save file, and the overall maximum, instead of hashes")
+    args = parser.parse_args()
+    saved = None
+    if args.against:
+        with np.load(args.against) as archive:
+            saved = {label: archive[label] for label in archive.files}
+    kept, worst = {}, 0.0
+    for label, array in output_arrays():
+        if args.save:
+            kept[label] = np.array(array)
+        if saved is None:
+            print(f"{label} {digest(array)}")
+        else:
+            change = relative_change(np.asarray(array), saved.get(label))
+            worst = max(worst, change)
+            print(f"{label} {change:.3g}")
+    if saved is not None:
+        print(f"overall max {worst:.3g}")
+    if args.save:
+        np.savez(args.save, **kept)
 
 
 if __name__ == "__main__":
